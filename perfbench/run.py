@@ -1,11 +1,11 @@
 """Run one workload of the ffsel benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload select-cold --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload sweep-colon --seed 1 --seconds 50 --trace 0
 
 Run it from anywhere inside a checkout: it imports ffsel from the
 checkout's ``src/`` and refuses to run (exit 1, no result) without it. It
 writes its inputs under ``perfbench/out/`` and removes them at the end,
-keeping one JSON file per run there with the run's metadata and raw samples.
+keeping one JSON file per run there with the run's metadata and samples.
 
 Standard output ends with two lines: the run metadata, then the result
 ``{"correct", "attempted", "failed", "metrics"}``. ``--trace 0`` reports
@@ -125,8 +125,8 @@ def main(argv=None) -> int:
     meta = metadata(np, args, w)
     meta["rounds"] = len(out.rounds)
     meta["samples"] = out.samples
-    if w.sweep is not None:
-        meta["recorded_selection_cpu_s"] = workloads.recorded_selection_cpu(out, w)
+    meta["measured"] = out.measured
+    meta["recorded_selection_cpu_s"] = workloads.recorded_selection_cpu(out, w)
     if args.trace:
         metrics, units = per_layer(out.setups, out.rounds), dict(PER_LAYER)
         meta["traced_sweep_s"] = workloads.end_to_end(out).get("sweep_s")

@@ -122,6 +122,13 @@ def test_sweep_with_a_missing_or_duplicated_cell_fails(data, tmp_path):
     assert fails(checks.check_sweep, blind, cfg, planted.majority_rate)
 
 
+def test_clock_scales_by_the_calibrations_beside_an_operation():
+    loops = iter([0.02, 0.04, 0.01])
+    clock = workloads.Clock(lambda: next(loops))
+    assert clock.scale() == pytest.approx(workloads.CALIBRATION_REF_S / 0.03)
+    assert clock.scale() == pytest.approx(workloads.CALIBRATION_REF_S / 0.025)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_small_traced_run_passes_every_check(name, tmp_path):
     w = workloads.WORKLOADS[name].small()
@@ -137,14 +144,24 @@ def test_small_traced_run_passes_every_check(name, tmp_path):
     layers = per_layer(out.setups, out.rounds)
     assert set(layers) == {metric for metric, _ in PER_LAYER}
     assert layers["data.load_csv_s"] > 0 and layers["relevance.mi_s"] > 0
-    if w.sweep is not None:
-        assert layers["sweep.records"] == len(checks.expected_cells(workloads.sweep_config(ffsel, w, csv, tmp_path)))
+    assert layers["sweep.records"] == len(checks.expected_cells(workloads.sweep_config(ffsel, w, csv, tmp_path)))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_small_untraced_run_passes_every_check(name, tmp_path):
+    w = workloads.WORKLOADS[name].small()
+    out, planted, csv, d = workloads.measure(ffsel, w, 3, 0.0, False, tmp_path)
+    assert out.failed == 0, out.errors
+    assert workloads.verify(ffsel, w, out, planted, csv, d) == []
+    e2e = workloads.end_to_end(out)
+    assert all(e2e[metric] > 0 for metric, _ in run.END_TO_END)
+    assert out.measured.keys() == out.samples.keys()
 
 
 def test_refuses_to_run_without_the_package(tmp_path):
     shutil.copytree(HERE, tmp_path / HERE.name, ignore=shutil.ignore_patterns("out", "__pycache__"))
     proc = subprocess.run(
-        [sys.executable, f"{HERE.name}/run.py", "--workload", "select-cold", "--seed", "1", "--seconds", "1"],
+        [sys.executable, f"{HERE.name}/run.py", "--workload", "sweep-colon", "--seed", "1", "--seconds", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode != 0
