@@ -21,7 +21,6 @@ from .relevance import (
     gini_importance,
     mi_pair_value,
     mutual_info_with_label,
-    pairwise_redundancy,
     relevance_all,
 )
 from .selectors import (
@@ -30,6 +29,7 @@ from .selectors import (
     KGROUPS,
     MRMR_D,
     MRMR_Q,
+    MRMR_VARIANTS,
     QUOTIENT,
     BinningScheme,
     SelectionResult,
@@ -39,7 +39,6 @@ from .selectors import (
     select_mrmr,
     variant_name,
 )
-from .oracles import oracle_kbest, oracle_kgroups, oracle_mrmr
 from .classifiers import (
     CLASSIFIERS,
     GNB,
@@ -50,15 +49,9 @@ from .classifiers import (
     knn_classify,
     rf_classify,
 )
-from .evaluate import (
-    BenchmarkRecord,
-    ConfusionCounts,
-    accuracy,
-    cpu_timer,
-    cross_validate,
-)
+from .evaluate import BenchmarkRecord, accuracy, cross_validate
+from .timing import cpu_timer
 from .sweep import (
-    MRMR_VARIANTS,
     SweepConfig,
     WORKERS_ENV,
     algorithm_label,

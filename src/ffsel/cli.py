@@ -28,7 +28,14 @@ from .relevance import (
     MI_PAIR,
     relevance_all,
 )
-from .selectors import DIFFERENCE, QUOTIENT, select_kbest, select_kgroups, select_mrmr
+from .selectors import (
+    DIFFERENCE,
+    MRMR_VARIANTS,
+    QUOTIENT,
+    select_kbest,
+    select_kgroups,
+    select_mrmr,
+)
 from .sweep import (
     DEFAULT_TIE_BREAKERS,
     SweepConfig,
@@ -210,7 +217,6 @@ def _cmd_benchmark(args) -> int:
         "scale": args.scale,
         "scale_per_fold": args.scale_per_fold,
         "select_per_fold": args.select_per_fold,
-        "bin_smoothing": args.bin_smoothing,
         "k_neighbors": args.k_neighbors,
     }
     for key, value in overrides.items():
@@ -246,7 +252,7 @@ def _cmd_benchmark(args) -> int:
 def _read_records_strict(path: str):
     try:
         records = read_records(path)
-    except ValueError as exc:  # includes malformed JSON lines
+    except ValueError as exc:  # undecodable bytes
         raise DataError(f"bad record in {path}: {exc}")
     if not records:
         raise DataError(f"no records found in {path}")
@@ -330,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithms",
         default=None,
-        help="comma list (kbest, kgroups, mid, miq, fcd, fcq, rfcd, rfcq, mifs)",
+        help=f"comma list (kbest, kgroups, {', '.join(map(str.lower, MRMR_VARIANTS))})",
     )
     p.add_argument("--classifiers", default=None, help="comma list (knn,gnb,rf)")
     p.add_argument("--alpha-grid", default=None, help="comma list of reals")
@@ -348,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--select-per-fold", action=argparse.BooleanOptionalAction, default=None
-    )
-    p.add_argument(
-        "--bin-smoothing", action=argparse.BooleanOptionalAction, default=None
     )
     p.epilog = f"worker pool size comes from the {WORKERS_ENV} environment variable"
     p.set_defaults(func=_cmd_benchmark)
@@ -387,9 +390,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Cross-validated accuracy, confusion counts, CPU timing, benchmark records."""
+"""Cross-validated accuracy and benchmark records."""
 
 from __future__ import annotations
 
@@ -10,19 +10,22 @@ import numpy as np
 from .classifiers import classify
 from .data import Dataset, FoldPlan
 from .forest import ForestParams
-from .timing import process_cpu_time
 
 __all__ = [
     "accuracy",
-    "ConfusionCounts",
     "cross_validate",
-    "cpu_timer",
     "BenchmarkRecord",
+    "CELL_KEY_FIELDS",
     "TIMING_FIELDS",
 ]
 
 # Record fields excluded from determinism comparisons by design.
 TIMING_FIELDS = ("selection_cpu_seconds", "training_cpu_seconds")
+
+# Record fields that identify the sweep cell a record fills, in key order.
+CELL_KEY_FIELDS = (
+    "dataset", "algorithm", "variant", "estimator", "classifier", "k", "alpha", "seed"
+)
 
 
 def accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
@@ -34,61 +37,6 @@ def accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
     if p.size == 0:
         raise ValueError("need at least one prediction")
     return float(np.mean(p == t))
-
-
-@dataclasses.dataclass(frozen=True)
-class ConfusionCounts:
-    """C x C confusion matrix; rows are truth, columns are predictions."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"confusion matrix must be square, got {m.shape}")
-        if m.size and m.min() < 0:
-            raise ValueError("confusion counts must be non-negative")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_predictions(
-        cls, pred: Sequence[int], truth: Sequence[int], n_classes: int
-    ) -> "ConfusionCounts":
-        p = np.asarray(pred, dtype=np.int64)
-        t = np.asarray(truth, dtype=np.int64)
-        if p.shape != t.shape:
-            raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
-        flat = np.bincount(t * n_classes + p, minlength=n_classes * n_classes)
-        return cls(flat.reshape(n_classes, n_classes))
-
-    @property
-    def n_classes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.matrix.sum())
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.matrix) / self.total)
-
-    def true_positives(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
-
-    def false_positives(self) -> np.ndarray:
-        return self.matrix.sum(axis=0) - np.diag(self.matrix)
-
-    def false_negatives(self) -> np.ndarray:
-        return self.matrix.sum(axis=1) - np.diag(self.matrix)
-
-    def true_negatives(self) -> np.ndarray:
-        return (
-            self.total
-            - self.true_positives()
-            - self.false_positives()
-            - self.false_negatives()
-        )
 
 
 def _scale_blocks(train_x: np.ndarray, test_x: np.ndarray):
@@ -153,26 +101,6 @@ def cross_validate(
     return float(accs.mean()), float(accs.std())
 
 
-class cpu_timer:
-    """Context manager measuring process CPU time (user+system, all threads).
-
-    The reading covers any worker threads the block spawns, never wall-clock
-    waits.  Read `.seconds` after the block exits; nested timers sum
-    consistently because they share one process-wide clock.
-    """
-
-    seconds: float
-
-    def __enter__(self) -> "cpu_timer":
-        self.seconds = 0.0
-        self._t0 = process_cpu_time()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.seconds = max(process_cpu_time() - self._t0, 0.0)
-        return False
-
-
 @dataclasses.dataclass(frozen=True)
 class BenchmarkRecord:
     """One benchmark cell: a selection configuration evaluated by one classifier."""
@@ -212,16 +140,7 @@ class BenchmarkRecord:
 
     def cell_key(self) -> tuple:
         """Identity of the sweep cell this record fills."""
-        return (
-            self.dataset,
-            self.algorithm,
-            self.variant,
-            self.estimator,
-            self.classifier,
-            self.k,
-            self.alpha,
-            self.seed,
-        )
+        return tuple(getattr(self, f) for f in CELL_KEY_FIELDS)
 
     @classmethod
     def from_dict(cls, row: dict) -> "BenchmarkRecord":

@@ -35,10 +35,10 @@ __all__ = [
     "f_value_with_label",
     "cosine_with_label",
     "gini_importance",
+    "column_relevance",
     "relevance_all",
     "mi_pair_value",
     "abs_pearson_value",
-    "pairwise_redundancy",
 ]
 
 MI = "MI"
@@ -175,6 +175,19 @@ def gini_importance(d: Dataset, forest: ForestParams | None = None) -> Relevance
     )
 
 
+def column_relevance(
+    d: Dataset, estimator: str, col: int, *, mi_bins: int = DEFAULT_MI_BINS
+) -> float:
+    """One column's relevance under a per-column estimator (all but GINI)."""
+    if estimator == MI:
+        return mutual_info_with_label(d, col, mi_bins)
+    if estimator == FVALUE:
+        return f_value_with_label(d, col)
+    if estimator == COSINE:
+        return cosine_with_label(d, col)
+    raise ValueError(f"no per-column form of estimator {estimator!r}")
+
+
 def relevance_all(
     d: Dataset,
     estimator: str,
@@ -185,17 +198,10 @@ def relevance_all(
     """Apply the named estimator to every column of the dataset."""
     if estimator == GINI:
         return gini_importance(d, forest)
-    if estimator == MI:
-        values = np.array([mutual_info_with_label(d, i, mi_bins) for i in range(d.n_cols)])
-        params = {"mi_bins": mi_bins}
-    elif estimator == FVALUE:
-        values = np.array([f_value_with_label(d, i) for i in range(d.n_cols)])
-        params = {}
-    elif estimator == COSINE:
-        values = np.array([cosine_with_label(d, i) for i in range(d.n_cols)])
-        params = {}
-    else:
+    if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    values = np.array([column_relevance(d, estimator, i, mi_bins=mi_bins) for i in range(d.n_cols)])
+    params = {"mi_bins": mi_bins} if estimator == MI else {}
     return RelevanceVector(estimator=estimator, values=values, dataset_ref=d.name, params=params)
 
 
@@ -245,8 +251,6 @@ class RedundancyCache:
         self._codes: dict[int, np.ndarray] = {}
         self._centered: dict[int, tuple[np.ndarray, float]] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def _codes_for(self, i: int) -> np.ndarray:
         codes = self._codes.get(i)
@@ -272,9 +276,7 @@ class RedundancyCache:
         key = (i, j) if i < j else (j, i)
         value = self._entries.get(key)
         if value is not None:
-            self.hits += 1
             return value
-        self.misses += 1
         if self.measure == MI_PAIR:
             value = mutual_info_from_counts(_joint_counts(self._codes_for(key[0]), self._codes_for(key[1])))
         else:
@@ -292,17 +294,3 @@ class RedundancyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-
-def pairwise_redundancy(d: Dataset, i: int, j: int, measure: str, cache: RedundancyCache | None = None) -> float:
-    """Pairwise redundancy between columns i and j, memoized when cached."""
-    if i == j:
-        raise ValueError("redundancy is defined for distinct columns only")
-    if cache is not None:
-        if cache.measure != measure:
-            raise ValueError(f"cache holds {cache.measure}, asked for {measure}")
-        return cache.get(i, j)
-    if measure == MI_PAIR:
-        return mi_pair_value(d, i, j)
-    if measure == ABS_PEARSON:
-        return abs_pearson_value(d, i, j)
-    raise ValueError(f"unknown redundancy measure {measure!r}")

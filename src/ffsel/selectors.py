@@ -17,7 +17,6 @@ from .data import Dataset
 from .forest import ForestParams
 from .relevance import (
     ABS_PEARSON,
-    COSINE,
     DEFAULT_MI_BINS,
     ESTIMATORS,
     FVALUE,
@@ -26,10 +25,8 @@ from .relevance import (
     MI_PAIR,
     RedundancyCache,
     RelevanceVector,
-    cosine_with_label,
-    f_value_with_label,
+    column_relevance,
     gini_importance,
-    mutual_info_with_label,
 )
 from .timing import thread_cpu_time
 
@@ -40,6 +37,7 @@ __all__ = [
     "KGROUPS",
     "DIFFERENCE",
     "QUOTIENT",
+    "MRMR_VARIANTS",
     "TIE_EPS",
     "QUOTIENT_EPS",
     "BinningScheme",
@@ -61,6 +59,20 @@ KGROUPS = "KGROUPS"
 DIFFERENCE = "DIFFERENCE"
 QUOTIENT = "QUOTIENT"
 
+# Named greedy-search variants: estimator, form, redundancy, mean-normalized.
+# The named difference forms assume beta = 1, except MIFS, whose beta is free.
+# The sweep's default study runs the first five, so their order matters.
+MRMR_VARIANTS: dict[str, tuple[str, str, str, bool]] = {
+    "MID": (MI, DIFFERENCE, MI_PAIR, True),
+    "MIQ": (MI, QUOTIENT, MI_PAIR, True),
+    "FCD": (FVALUE, DIFFERENCE, ABS_PEARSON, True),
+    "FCQ": (FVALUE, QUOTIENT, ABS_PEARSON, True),
+    "RFCQ": (GINI, QUOTIENT, ABS_PEARSON, True),
+    "RFCD": (GINI, DIFFERENCE, ABS_PEARSON, True),
+    "MIFS": (MI, DIFFERENCE, MI_PAIR, False),
+}
+_VARIANT_BY_SPEC = {spec: name for name, spec in MRMR_VARIANTS.items()}
+
 # Two relevance values tie when |a - b| <= TIE_EPS * max(1, |group max|).
 # Exact equality is the common case (duplicated columns); the relative
 # epsilon absorbs non-associative float accumulation.
@@ -69,11 +81,6 @@ TIE_EPS = 1e-12
 # Denominator guard for the quotient form; a zero-redundancy candidate
 # then dominates, which is the point of maximizing the ratio.
 QUOTIENT_EPS = 1e-12
-
-_SMOOTHING_MSG = (
-    "bin-size smoothing is accepted as a configuration key but not "
-    "implemented: no defining formula is available"
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,14 +299,7 @@ def _tie_breaker_values(
     for t, col in enumerate(features):
         key = (name, int(col))
         if key not in memo:
-            if name == MI:
-                memo[key] = mutual_info_with_label(d, int(col), bins=mi_bins)
-            elif name == FVALUE:
-                memo[key] = f_value_with_label(d, int(col))
-            elif name == COSINE:
-                memo[key] = cosine_with_label(d, int(col))
-            else:
-                raise ValueError(f"unknown tie-breaker estimator: {name!r}")
+            memo[key] = column_relevance(d, name, int(col), mi_bins=mi_bins)
         out[t] = memo[key]
     return out
 
@@ -313,7 +313,6 @@ def select_kgroups(
     *,
     mi_bins: int = DEFAULT_MI_BINS,
     forest: ForestParams | None = None,
-    smoothing: bool = False,
 ) -> SelectionResult:
     """Bin features by relevance, then keep each bin's most relevant one.
 
@@ -326,8 +325,6 @@ def select_kgroups(
     is allowed; surplus bins are simply empty.
     """
     t0 = thread_cpu_time()
-    if smoothing:
-        raise NotImplementedError(_SMOOTHING_MSG)
     values = rel.values
     if d.n_cols != values.shape[0]:
         raise ValueError(
@@ -377,19 +374,8 @@ def variant_name(
     mean_normalized: bool = True,
 ) -> str:
     """Conventional short name for a greedy-search configuration."""
-    if estimator == MI and redundancy == MI_PAIR:
-        if not mean_normalized and form == DIFFERENCE:
-            return "MIFS"
-        if mean_normalized and form == QUOTIENT:
-            return "MIQ"
-        if mean_normalized and form == DIFFERENCE and beta == 1.0:
-            return "MID"
-    if redundancy == ABS_PEARSON and mean_normalized:
-        prefix = {FVALUE: "FC", GINI: "RFC"}.get(estimator)
-        if prefix is not None:
-            if form == QUOTIENT:
-                return prefix + "Q"
-            if beta == 1.0:
-                return prefix + "D"
+    name = _VARIANT_BY_SPEC.get((estimator, form, redundancy, mean_normalized))
+    if name is not None and (form == QUOTIENT or beta == 1.0 or not mean_normalized):
+        return name
     tag = "D" if form == DIFFERENCE else "Q"
     return f"{tag}:{estimator}/{redundancy}"

@@ -20,28 +20,25 @@ import numpy as np
 
 from .classifiers import CLASSIFIERS, GNB, KNN, RF, classify
 from .data import DataError, Dataset, FoldPlan, load_csv, make_folds, standard_scale
-from .evaluate import BenchmarkRecord, accuracy, cross_validate, _scale_blocks
+from .evaluate import CELL_KEY_FIELDS, BenchmarkRecord, _scale_blocks, accuracy, cross_validate
 from .forest import ForestParams
 from .relevance import (
-    ABS_PEARSON,
     COSINE,
     DEFAULT_MI_BINS,
     ESTIMATORS,
     FVALUE,
     GINI,
     MI,
-    MI_PAIR,
     RedundancyCache,
     relevance_all,
 )
 from .selectors import (
-    _SMOOTHING_MSG,
     DIFFERENCE,
     KBEST,
     KGROUPS,
     MRMR_D,
     MRMR_Q,
-    QUOTIENT,
+    MRMR_VARIANTS,
     select_kbest,
     select_kgroups,
     select_mrmr,
@@ -50,7 +47,6 @@ from .timing import thread_cpu_time
 
 __all__ = [
     "SweepConfig",
-    "MRMR_VARIANTS",
     "WORKERS_ENV",
     "run_sweep",
     "read_records",
@@ -64,18 +60,8 @@ log = logging.getLogger("ffsel.sweep")
 # Environment variable controlling the sweep's worker-pool size.
 WORKERS_ENV = "FFSEL_WORKERS"
 
-# Named greedy-search variants: estimator, form, redundancy, mean-normalized.
-MRMR_VARIANTS: dict[str, tuple[str, str, str, bool]] = {
-    "MID": (MI, DIFFERENCE, MI_PAIR, True),
-    "MIQ": (MI, QUOTIENT, MI_PAIR, True),
-    "FCD": (FVALUE, DIFFERENCE, ABS_PEARSON, True),
-    "FCQ": (FVALUE, QUOTIENT, ABS_PEARSON, True),
-    "RFCD": (GINI, DIFFERENCE, ABS_PEARSON, True),
-    "RFCQ": (GINI, QUOTIENT, ABS_PEARSON, True),
-    "MIFS": (MI, DIFFERENCE, MI_PAIR, False),
-}
-
-DEFAULT_ALGORITHMS = (KBEST, "MID", "MIQ", "FCD", "FCQ", "RFCQ", KGROUPS)
+# The default study runs every named variant but the last two, RFCD and MIFS.
+DEFAULT_ALGORITHMS = (KBEST, *list(MRMR_VARIANTS)[:5], KGROUPS)
 DEFAULT_ALPHA_GRID = (0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 1.7)
 DEFAULT_TIE_BREAKERS: dict[str, tuple[str, ...]] = {
     MI: (COSINE,),
@@ -111,7 +97,6 @@ class SweepConfig:
     scale: bool = True
     scale_per_fold: bool = False
     select_per_fold: bool = False
-    bin_smoothing: bool = False
     k_neighbors: int = 5
 
     def validate(self) -> None:
@@ -138,6 +123,10 @@ class SweepConfig:
                     raise ValueError(f"unknown tie-breaker estimator: {tb!r}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
+        if self.mi_bins < 1:
+            raise ValueError(f"mi_bins must be >= 1, got {self.mi_bins}")
+        if self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
@@ -187,6 +176,19 @@ class _Task:
     alpha: float | None
     mrmr: tuple[str, str, bool] | None  # form, redundancy, mean_normalized
 
+    def cell(self, classifier: str, seed: int) -> dict:
+        """Record fields naming this task's cell for one classifier."""
+        return {
+            "dataset": self.d.name,
+            "algorithm": self.algorithm,
+            "variant": self.variant,
+            "estimator": self.estimator,
+            "classifier": classifier,
+            "k": self.k,
+            "alpha": self.alpha,
+            "seed": seed,
+        }
+
 
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
@@ -197,46 +199,29 @@ def _worker_count() -> int:
         return 1
 
 
-def _existing_cell_keys(path: Path) -> set[tuple]:
-    keys: set[tuple] = set()
-    if not path.exists():
-        return keys
+def _records_in(path: Path, *, skip_malformed: bool) -> Iterator[BenchmarkRecord]:
+    """Records of a JSON-lines file, raising DataError on a line that is not one.
+
+    With `skip_malformed`, a line that is not JSON (an interrupted write) is
+    logged and skipped instead.
+    """
     with path.open(encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError:
-                log.warning("ignoring malformed record line (interrupted write?)")
+            except json.JSONDecodeError as exc:
+                if not skip_malformed:
+                    raise DataError(f"{path} line {n} is not valid JSON: {exc}") from None
+                log.warning("ignoring malformed line %d of %s (interrupted write?)", n, path)
                 continue
-            keys.add(
-                (
-                    row["dataset"],
-                    row["algorithm"],
-                    row["variant"],
-                    row["estimator"],
-                    row["classifier"],
-                    int(row["k"]),
-                    row["alpha"],
-                    int(row["seed"]),
-                )
-            )
-    return keys
-
-
-def _cell_key(task: _Task, classifier: str, seed: int) -> tuple:
-    return (
-        task.d.name,
-        task.algorithm,
-        task.variant,
-        task.estimator,
-        classifier,
-        task.k,
-        task.alpha,
-        seed,
-    )
+            try:
+                rec = BenchmarkRecord.from_dict(row)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {n} is not a benchmark record: {exc}") from None
+            yield rec
 
 
 def _subset_dataset(d: Dataset, rows: np.ndarray, features: np.ndarray, tag: str) -> Dataset:
@@ -264,8 +249,6 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     cells skipped/run) that tests use to assert the reuse contract.
     """
     config.validate()
-    if config.bin_smoothing:
-        raise NotImplementedError(_SMOOTHING_MSG)
     if stats is None:
         stats = {}
     stats.setdefault("relevance_estimations", 0)
@@ -275,7 +258,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
-    existing = _existing_cell_keys(records_path)
+    existing: set[tuple] = set()
+    if records_path.exists():
+        existing = {r.cell_key() for r in _records_in(records_path, skip_malformed=True)}
     config_path = out_dir / "config.json"
     config_path.write_text(
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -406,6 +391,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
             )
         return settings
 
+    def record(task: _Task, clf: str, settings: dict, **measured) -> BenchmarkRecord:
+        return BenchmarkRecord(**task.cell(clf, config.seed), settings=settings, **measured)
+
     def run_cell(task: _Task, classifiers: Sequence[str]) -> list[BenchmarkRecord]:
         d = task.d
         settings = cell_settings(task)
@@ -428,21 +416,15 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                 forest=forest,
             )
             out.append(
-                BenchmarkRecord(
-                    dataset=d.name,
-                    algorithm=task.algorithm,
-                    variant=task.variant,
-                    estimator=task.estimator,
-                    classifier=clf,
-                    k=task.k,
-                    alpha=task.alpha,
+                record(
+                    task,
+                    clf,
+                    settings,
                     n_selected=result.n_selected,
                     cv_mean_accuracy=mean,
                     cv_sd=sd,
                     selection_cpu_seconds=selection_cpu,
                     training_cpu_seconds=thread_cpu_time() - t1,
-                    seed=config.seed,
-                    settings=settings,
                 )
             )
         return out
@@ -492,21 +474,15 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         for clf in classifiers:
             arr = np.asarray(accs[clf])
             out.append(
-                BenchmarkRecord(
-                    dataset=d.name,
-                    algorithm=task.algorithm,
-                    variant=task.variant,
-                    estimator=task.estimator,
-                    classifier=clf,
-                    k=task.k,
-                    alpha=task.alpha,
+                record(
+                    task,
+                    clf,
+                    settings,
                     n_selected=int(round(float(np.mean(n_sel)))),
                     cv_mean_accuracy=float(arr.mean()),
                     cv_sd=float(arr.std()),
                     selection_cpu_seconds=selection_cpu,
                     training_cpu_seconds=train_cpu[clf],
-                    seed=config.seed,
-                    settings=settings,
                 )
             )
         return out
@@ -516,7 +492,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         todo = [
             clf
             for clf in config.classifiers
-            if _cell_key(task, clf, config.seed) not in existing
+            if tuple(task.cell(clf, config.seed)[f] for f in CELL_KEY_FIELDS) not in existing
         ]
         stats["cells_skipped"] += len(config.classifiers) - len(todo)
         if todo:
@@ -548,14 +524,11 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
 
 
 def read_records(path: str | Path) -> list[BenchmarkRecord]:
-    """Load benchmark records from a JSON-lines file."""
-    rows = []
-    with Path(path).open(encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(BenchmarkRecord.from_dict(json.loads(line)))
-    return rows
+    """Load benchmark records from a JSON-lines file.
+
+    Raises DataError, naming the file and line, on a line that is not a record.
+    """
+    return list(_records_in(Path(path), skip_malformed=False))
 
 
 def algorithm_label(rec: BenchmarkRecord) -> str:

@@ -12,9 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
-from .forest import ForestParams
-from .relevance import (
+from ffsel.data import Dataset
+from ffsel.forest import ForestParams
+from ffsel.relevance import (
     ABS_PEARSON,
     COSINE,
     DEFAULT_MI_BINS,
@@ -30,7 +30,7 @@ from .relevance import (
     mi_pair_value,
     mutual_info_with_label,
 )
-from .selectors import (
+from ffsel.selectors import (
     DIFFERENCE,
     KBEST,
     KGROUPS,

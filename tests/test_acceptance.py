@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, write_csv
+from oracles import oracle_kbest, oracle_kgroups, oracle_mrmr
 from ffsel import (
     RelevanceVector,
     SweepConfig,
@@ -20,9 +21,6 @@ from ffsel import (
     cross_validate,
     load_csv,
     make_folds,
-    oracle_kbest,
-    oracle_kgroups,
-    oracle_mrmr,
     relevance_all,
     run_sweep,
     select_kbest,

@@ -185,7 +185,7 @@ class TestBenchmark:
                      "--n-folds", "3", "--bin-smoothing"])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert "not implemented" in err.lower()
+        assert "unrecognized arguments: --bin-smoothing" in err
 
     def test_bad_config_json_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
@@ -242,6 +242,16 @@ class TestReportAndPlotdata:
         bad.write_text("{broken\n")
         assert main(["plotdata", "--records", str(bad)]) == EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ['{"dataset":"t"}', "[1,2]"])
+    def test_non_record_line_exits_2(self, records_file, tmp_path, line, capsys):
+        with open(records_file, "a") as f:
+            f.write(line + "\n")
+        assert main(["report", "--records", records_file,
+                     "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
+        assert main(["plotdata", "--records", records_file]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "records.jsonl line 13 is not a benchmark record" in err
 
 
 class TestParsing:

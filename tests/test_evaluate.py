@@ -11,7 +11,6 @@ import pytest
 from conftest import make_dataset, random_dataset, separable_dataset
 from ffsel import (
     BenchmarkRecord,
-    ConfusionCounts,
     accuracy,
     cpu_timer,
     cross_validate,
@@ -73,41 +72,6 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy([], [])
-
-
-class TestConfusionCounts:
-    """Truth-by-prediction count matrix and per-class tallies."""
-
-    def test_counts_from_predictions(self):
-        counts = ConfusionCounts.from_predictions([0, 1, 1, 1, 2],
-                                                  [0, 0, 1, 1, 2], n_classes=3)
-        np.testing.assert_array_equal(counts.matrix,
-                                      [[1, 1, 0], [0, 2, 0], [0, 0, 1]])
-        assert counts.total == 5
-        assert counts.n_classes == 3
-        assert counts.accuracy() == 0.8
-
-    def test_per_class_tallies(self):
-        counts = ConfusionCounts.from_predictions([0, 1, 1, 1, 2],
-                                                  [0, 0, 1, 1, 2], n_classes=3)
-        np.testing.assert_array_equal(counts.true_positives(), [1, 2, 1])
-        np.testing.assert_array_equal(counts.false_negatives(), [1, 0, 0])
-        np.testing.assert_array_equal(counts.false_positives(), [0, 1, 0])
-        np.testing.assert_array_equal(counts.true_negatives(), [3, 2, 4])
-
-    def test_binary_accuracy_identity(self):
-        rng = np.random.default_rng(90)
-        pred = rng.integers(0, 2, 50)
-        truth = rng.integers(0, 2, 50)
-        counts = ConfusionCounts.from_predictions(pred, truth, n_classes=2)
-        tp, tn = counts.true_positives()[1], counts.true_negatives()[1]
-        fp, fn = counts.false_positives()[1], counts.false_negatives()[1]
-        assert counts.accuracy() == (tp + tn) / (tp + tn + fp + fn)
-        assert counts.accuracy() == accuracy(pred, truth)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(np.array([[1, -1], [0, 2]]))
 
 
 class TestCrossValidate:

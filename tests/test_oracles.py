@@ -3,11 +3,9 @@
 import numpy as np
 
 from conftest import make_dataset, random_dataset
+from oracles import oracle_kbest, oracle_kgroups, oracle_mrmr
 from ffsel import (
     RelevanceVector,
-    oracle_kbest,
-    oracle_kgroups,
-    oracle_mrmr,
     select_kbest,
     select_kgroups,
     select_mrmr,

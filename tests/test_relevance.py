@@ -24,7 +24,6 @@ from ffsel.relevance import (
     mi_pair_value,
     mutual_info_from_counts,
     mutual_info_with_label,
-    pairwise_redundancy,
 )
 
 
@@ -279,19 +278,19 @@ class TestRedundancy:
         rng = np.random.default_rng(25)
         x = rng.normal(size=20)
         d = make_dataset(np.column_stack([x, x]), [0] * 10 + [1] * 10)
-        assert pairwise_redundancy(d, 0, 1, ABS_PEARSON) == 1.0
+        assert abs_pearson_value(d, 0, 1) == 1.0
 
     def test_negated_column_pearson_one(self):
         rng = np.random.default_rng(26)
         x = rng.normal(size=20)
         d = make_dataset(np.column_stack([x, -x]), [0] * 10 + [1] * 10)
-        assert pairwise_redundancy(d, 0, 1, ABS_PEARSON) == 1.0
+        assert abs_pearson_value(d, 0, 1) == 1.0
 
     def test_constant_column_pearson_zero(self):
         rng = np.random.default_rng(27)
         d = make_dataset(np.column_stack([np.ones(10), rng.normal(size=10)]),
                          [0] * 5 + [1] * 5)
-        assert pairwise_redundancy(d, 0, 1, ABS_PEARSON) == 0.0
+        assert abs_pearson_value(d, 0, 1) == 0.0
 
     def test_pair_mi_matches_table_oracle(self):
         rng = np.random.default_rng(28)
@@ -320,32 +319,27 @@ class TestRedundancy:
                 for j in range(6):
                     if i != j:
                         assert cache.get(i, j) == fn(i, j)
-            assert len(cache) == 15
-            assert cache.misses == 15
-            assert cache.hits == 15  # each unordered pair queried twice
+            assert len(cache) == 15  # each unordered pair stored once
 
-    def test_cache_used_by_pairwise_redundancy(self):
+    def test_cache_symmetric_lookup(self):
         rng = np.random.default_rng(30)
         d = random_dataset(rng, 15, 3)
         cache = RedundancyCache(d, ABS_PEARSON)
-        v1 = pairwise_redundancy(d, 0, 2, ABS_PEARSON, cache)
-        v2 = pairwise_redundancy(d, 2, 0, ABS_PEARSON, cache)
+        v1 = cache.get(0, 2)
+        v2 = cache.get(2, 0)
         assert v1 == v2
-        assert cache.hits == 1
+        assert len(cache) == 1
 
     def test_diagonal_rejected(self):
         rng = np.random.default_rng(31)
         d = random_dataset(rng, 10, 3)
         with pytest.raises(ValueError):
-            pairwise_redundancy(d, 1, 1, MI_PAIR)
-        with pytest.raises(ValueError):
             RedundancyCache(d, MI_PAIR).get(2, 2)
+        with pytest.raises(ValueError):
+            RedundancyCache(d, ABS_PEARSON).get(1, 1)
 
     def test_measure_mismatch_rejected(self):
         rng = np.random.default_rng(32)
         d = random_dataset(rng, 10, 3)
-        cache = RedundancyCache(d, MI_PAIR)
-        with pytest.raises(ValueError):
-            pairwise_redundancy(d, 0, 1, ABS_PEARSON, cache)
         with pytest.raises(ValueError):
             RedundancyCache(d, "TAU")

@@ -9,6 +9,7 @@ import pytest
 from conftest import write_csv
 from ffsel import (
     BenchmarkRecord,
+    DataError,
     SweepConfig,
     algorithm_label,
     best_config_report,
@@ -92,6 +93,10 @@ class TestSweepConfig:
             SweepConfig(**base, n_folds=1).validate()
         with pytest.raises(ValueError):
             SweepConfig(**base, alpha_grid=(0.0,)).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, mi_bins=0).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, k_neighbors=0).validate()
 
     def test_as_dict_round_trips(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -170,6 +175,15 @@ class TestRunSweep:
         assert stats["cells_skipped"] == 5
         assert len(redone) == 11
 
+    @pytest.mark.parametrize("line", ['{"dataset":"t"}', "[1,2]"])
+    def test_resume_rejects_non_record_line(self, tmp_path, line):
+        cfg = tiny_config(tmp_path)
+        list(run_sweep(cfg))
+        path = tmp_path / "out" / "records.jsonl"
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(DataError, match="line 17"):
+            list(run_sweep(cfg))
+
     def test_deterministic_modulo_cpu_time(self, tmp_path):
         csv = blob_csv(tmp_path)
         runs = []
@@ -217,9 +231,11 @@ class TestRunSweep:
             assert rec.settings["select_per_fold"] is True
 
     def test_smoothing_flag_rejected(self, tmp_path):
-        cfg = tiny_config(tmp_path, bin_smoothing=True)
-        with pytest.raises(NotImplementedError):
-            list(run_sweep(cfg))
+        with pytest.raises(ValueError, match="bin_smoothing"):
+            SweepConfig.from_mapping({
+                "datasets": ["a.csv"], "output_dir": str(tmp_path),
+                "bin_smoothing": True,
+            })
 
 
 class TestReports:
