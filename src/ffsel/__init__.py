@@ -53,7 +53,6 @@ from .evaluate import BenchmarkRecord, accuracy, cross_validate
 from .timing import cpu_timer
 from .sweep import (
     SweepConfig,
-    WORKERS_ENV,
     algorithm_label,
     best_config_report,
     n_selected_distributions,

@@ -39,7 +39,6 @@ from .selectors import (
 from .sweep import (
     DEFAULT_TIE_BREAKERS,
     SweepConfig,
-    WORKERS_ENV,
     best_config_report,
     n_selected_distributions,
     read_records,
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--select-per-fold", action=argparse.BooleanOptionalAction, default=None
     )
-    p.epilog = f"worker pool size comes from the {WORKERS_ENV} environment variable"
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("report", help="aggregate records into CSV tables")

@@ -8,7 +8,6 @@ information or absolute Pearson correlation, memoized symmetrically.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,12 +232,10 @@ def abs_pearson_value(d: Dataset, i: int, j: int) -> float:
 class RedundancyCache:
     """Symmetric memo of pairwise redundancy values for one dataset.
 
-    Entries are deterministic, so concurrent insert-if-absent of the same
-    key is harmless (last writer wins with an identical value).  MI pair
-    lookups reuse each column's discretization codes; Pearson lookups reuse
-    each column's centered values and norm.  Both per-column caches repeat
-    the standalone pair functions' arithmetic operation for operation, so
-    cached and uncached values are bit-identical.
+    MI pair lookups reuse each column's discretization codes; Pearson
+    lookups reuse each column's centered values and norm.  Both per-column
+    caches repeat the standalone pair functions' arithmetic operation for
+    operation, so cached and uncached values are bit-identical.
     """
 
     def __init__(self, d: Dataset, measure: str, mi_bins: int = DEFAULT_MI_BINS):
@@ -250,14 +247,12 @@ class RedundancyCache:
         self._entries: dict[tuple[int, int], float] = {}
         self._codes: dict[int, np.ndarray] = {}
         self._centered: dict[int, tuple[np.ndarray, float]] = {}
-        self._lock = threading.Lock()
 
     def _codes_for(self, i: int) -> np.ndarray:
         codes = self._codes.get(i)
         if codes is None:
             codes = discretize_equal_frequency(self.dataset.features[:, i], self.mi_bins)
-            with self._lock:
-                self._codes.setdefault(i, codes)
+            self._codes[i] = codes
         return codes
 
     def _centered_for(self, i: int) -> tuple[np.ndarray, float]:
@@ -266,8 +261,7 @@ class RedundancyCache:
             x = self.dataset.features[:, i]
             x_c = x - x.mean()
             entry = (x_c, float(np.linalg.norm(x_c)))
-            with self._lock:
-                self._centered.setdefault(i, entry)
+            self._centered[i] = entry
         return entry
 
     def get(self, i: int, j: int) -> float:
@@ -287,8 +281,7 @@ class RedundancyCache:
                 value = 0.0
             else:
                 value = min(abs(float(np.dot(xi_c, xj_c))) / denom, 1.0)
-        with self._lock:
-            self._entries.setdefault(key, value)
+        self._entries[key] = value
         return value
 
     def __len__(self) -> int:

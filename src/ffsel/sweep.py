@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -47,7 +45,6 @@ from .timing import thread_cpu_time
 
 __all__ = [
     "SweepConfig",
-    "WORKERS_ENV",
     "run_sweep",
     "read_records",
     "algorithm_label",
@@ -56,9 +53,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("ffsel.sweep")
-
-# Environment variable controlling the sweep's worker-pool size.
-WORKERS_ENV = "FFSEL_WORKERS"
 
 # The default study runs every named variant but the last two, RFCD and MIFS.
 DEFAULT_ALGORITHMS = (KBEST, *list(MRMR_VARIANTS)[:5], KGROUPS)
@@ -104,6 +98,15 @@ class SweepConfig:
             raise ValueError("config needs at least one dataset path")
         if self.k_min > self.k_max:
             raise ValueError(f"empty k range [{self.k_min}, {self.k_max}]")
+        if not self.algorithms:
+            raise ValueError("config needs at least one algorithm")
+        if not self.classifiers:
+            raise ValueError("config needs at least one classifier")
+        # mRMR variants carry their own estimator; KBest and KGroups use these.
+        if not self.estimators and {KBEST, KGROUPS} & set(self.algorithms):
+            raise ValueError("KBEST and KGROUPS need at least one estimator")
+        if not self.alpha_grid and KGROUPS in self.algorithms:
+            raise ValueError("KGROUPS needs at least one alpha value")
         if any(a <= 0 for a in self.alpha_grid):
             raise ValueError("alpha values must be > 0")
         for est in self.estimators:
@@ -190,15 +193,6 @@ class _Task:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring invalid %s=%r; using 1 worker", WORKERS_ENV, raw)
-        return 1
-
-
 def _records_in(path: Path, *, skip_malformed: bool) -> Iterator[BenchmarkRecord]:
     """Records of a JSON-lines file, raising DataError on a line that is not one.
 
@@ -258,13 +252,11 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
-    existing: set[tuple] = set()
+    existing: dict[tuple, dict] = {}
     if records_path.exists():
-        existing = {r.cell_key() for r in _records_in(records_path, skip_malformed=True)}
-    config_path = out_dir / "config.json"
-    config_path.write_text(
-        json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        existing = {
+            r.cell_key(): r.settings for r in _records_in(records_path, skip_malformed=True)
+        }
 
     datasets: list[Dataset] = []
     for path in config.datasets:
@@ -489,38 +481,44 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
 
     pending: list[tuple[_Task, list[str]]] = []
     for task in tasks:
-        todo = [
-            clf
-            for clf in config.classifiers
-            if tuple(task.cell(clf, config.seed)[f] for f in CELL_KEY_FIELDS) not in existing
-        ]
+        settings = cell_settings(task)
+        todo = []
+        for clf in config.classifiers:
+            cell = task.cell(clf, config.seed)
+            stored = existing.get(tuple(cell[f] for f in CELL_KEY_FIELDS))
+            if stored is None:
+                todo.append(clf)
+            elif stored != settings:
+                # Skipping this cell would leave a record that config.json
+                # no longer describes.
+                differ = "; ".join(
+                    f"{key} {stored.get(key)!r} stored, {settings.get(key)!r} now"
+                    for key in sorted(stored.keys() | settings.keys())
+                    if stored.get(key) != settings.get(key)
+                )
+                raise DataError(
+                    f"{records_path} holds cell {cell} computed under other settings "
+                    f"({differ}); rerun with the stored settings or another output directory"
+                )
         stats["cells_skipped"] += len(config.classifiers) - len(todo)
         if todo:
             pending.append((task, todo))
 
-    workers = _worker_count()
     log.info(
-        "sweep: %d datasets, %d cells pending, %d skipped, %d worker(s)",
-        len(datasets), len(pending), stats["cells_skipped"], workers,
+        "sweep: %d datasets, %d cells pending, %d skipped",
+        len(datasets), len(pending), stats["cells_skipped"],
     )
-
+    (out_dir / "config.json").write_text(
+        json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     with records_path.open("a", encoding="utf-8") as sink:
-
-        def emit(batch: list[BenchmarkRecord]) -> Iterator[BenchmarkRecord]:
+        for task, todo in pending:
+            batch = run_cell(task, todo)
             for rec in batch:
                 sink.write(json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
             sink.flush()
             stats["cells_run"] += len(batch)
             yield from batch
-
-        if workers <= 1:
-            for task, todo in pending:
-                yield from emit(run_cell(task, todo))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run_cell, task, todo) for task, todo in pending]
-                for fut in futures:  # submission order keeps output deterministic
-                    yield from emit(fut.result())
 
 
 def read_records(path: str | Path) -> list[BenchmarkRecord]:

@@ -8,11 +8,7 @@ __all__ = ["thread_cpu_time", "cpu_timer"]
 
 
 def thread_cpu_time() -> float:
-    """CPU time consumed by the calling thread only.
-
-    Used to attribute cost to a single-threaded unit of work even when
-    other workers run concurrently in the same process.
-    """
+    """CPU time consumed by the calling thread only."""
     try:
         return time.clock_gettime(time.CLOCK_THREAD_CPUTIME_ID)
     except (AttributeError, OSError):  # non-POSIX fallback

@@ -177,6 +177,19 @@ class TestBenchmark:
         capsys.readouterr()
         assert code == EXIT_DATA
 
+    def test_resume_under_other_settings_exits_2(self, data_csv, tmp_path, capsys):
+        args = ["benchmark", "--datasets", data_csv,
+                "--output-dir", str(tmp_path / "o"),
+                "--estimators", "mi", "--algorithms", "kbest",
+                "--k-min", "2", "--k-max", "2", "--classifiers", "knn",
+                "--n-folds", "3"]
+        assert main(args + ["--mi-bins", "10"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(args + ["--mi-bins", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "mi_bins 10 stored, 3 now" in err
+
     def test_bin_smoothing_exits_1(self, data_csv, tmp_path, capsys):
         code = main(["benchmark", "--datasets", data_csv,
                      "--output-dir", str(tmp_path / "o"),

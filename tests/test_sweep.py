@@ -18,7 +18,6 @@ from ffsel import (
     run_sweep,
 )
 from ffsel.selectors import KBEST, KGROUPS, MRMR_D, MRMR_Q
-from ffsel.sweep import WORKERS_ENV
 
 
 def blob_csv(tmp_path, name="blobs.csv", n_rows=20, n_cols=6, seed=0):
@@ -97,6 +96,18 @@ class TestSweepConfig:
             SweepConfig(**base, mi_bins=0).validate()
         with pytest.raises(ValueError):
             SweepConfig(**base, k_neighbors=0).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, algorithms=()).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, classifiers=()).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, estimators=(), algorithms=(KBEST,)).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, estimators=(), algorithms=(KGROUPS,)).validate()
+        with pytest.raises(ValueError):
+            SweepConfig(**base, alpha_grid=(), algorithms=(KGROUPS,)).validate()
+        # mRMR variants carry their own estimator, and only KGroups uses alphas.
+        SweepConfig(**base, estimators=(), alpha_grid=(), algorithms=("MID",)).validate()
 
     def test_as_dict_round_trips(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -175,6 +186,19 @@ class TestRunSweep:
         assert stats["cells_skipped"] == 5
         assert len(redone) == 11
 
+    def test_resume_rejects_other_settings(self, tmp_path):
+        list(run_sweep(tiny_config(tmp_path, mi_bins=10)))
+        config_path = tmp_path / "out" / "config.json"
+        echoed = config_path.read_text()
+        with pytest.raises(DataError, match=r"records\.jsonl.*'KNN'.*mi_bins 10 stored, 3 now"):
+            list(run_sweep(tiny_config(tmp_path, mi_bins=3)))
+        assert config_path.read_text() == echoed
+        # Equal settings with more k values still resume.
+        stats = {}
+        added = list(run_sweep(tiny_config(tmp_path, mi_bins=10, k_max=4), stats))
+        assert {r.k for r in added} == {4}
+        assert stats["cells_skipped"] == 16
+
     @pytest.mark.parametrize("line", ['{"dataset":"t"}', "[1,2]"])
     def test_resume_rejects_non_record_line(self, tmp_path, line):
         cfg = tiny_config(tmp_path)
@@ -192,17 +216,6 @@ class TestRunSweep:
                               output_dir=str(tmp_path / sub))
             runs.append([r.comparable_dict() for r in run_sweep(cfg)])
         assert runs[0] == runs[1]
-
-    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        csv = blob_csv(tmp_path)
-        cfg_seq = tiny_config(tmp_path, datasets=(str(csv),),
-                              output_dir=str(tmp_path / "seq"))
-        seq = [r.comparable_dict() for r in run_sweep(cfg_seq)]
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        cfg_par = tiny_config(tmp_path, datasets=(str(csv),),
-                              output_dir=str(tmp_path / "par"))
-        par = [r.comparable_dict() for r in run_sweep(cfg_par)]
-        assert par == seq
 
     def test_k_range_clamped_to_dataset_width(self, tmp_path, caplog):
         cfg = tiny_config(tmp_path, k_max=50, algorithms=(KBEST,))
