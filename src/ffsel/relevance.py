@@ -28,6 +28,7 @@ __all__ = [
     "F_VALUE_CAP",
     "RelevanceVector",
     "RedundancyCache",
+    "discretize_columns",
     "discretize_equal_frequency",
     "mutual_info_from_counts",
     "mutual_info_with_label",
@@ -51,6 +52,8 @@ ABS_PEARSON = "ABS_PEARSON"
 REDUNDANCY_MEASURES = (MI_PAIR, ABS_PEARSON)
 
 DEFAULT_MI_BINS = 10
+# Columns coded together by `discretize_columns`.
+_BLOCK = 128
 # Stand-in for an infinite F statistic (zero within-group variance with
 # separated means); finite so downstream sorting and binning stay usable.
 F_VALUE_CAP = 1e30
@@ -81,22 +84,41 @@ class RelevanceVector:
         return self.values.shape[0]
 
 
-def discretize_equal_frequency(x: np.ndarray, bins: int) -> np.ndarray:
-    """Integer codes from equal-frequency binning of a numeric column.
+def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
+    """Integer codes from equal-frequency binning of each column of a matrix.
 
-    Columns with at most ``bins`` distinct values keep one code per
+    A column with at most ``bins`` distinct values keeps one code per
     distinct value.  Otherwise interior edges sit at the 1/bins..(bins-1)/bins
     quantiles and each value maps to the lowest bin whose edge reaches it,
-    so equal values always share a bin.
+    so equal values always share a bin.  Columns are coded in blocks of
+    ``_BLOCK`` so temporaries stay small on wide matrices.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     x = np.asarray(x, dtype=np.float64)
-    distinct = np.unique(x)
-    if distinct.size <= bins:
-        return np.searchsorted(distinct, x).astype(np.int64)
-    edges = np.quantile(x, np.arange(1, bins) / bins)
-    return np.searchsorted(edges, x, side="left").astype(np.int64)
+    codes = np.zeros(x.shape, dtype=np.int64)
+    for lo in range(0, x.shape[1], _BLOCK):
+        block = x[:, lo : lo + _BLOCK]
+        s = np.sort(block, axis=0)
+        # Where each run of equal sorted values starts (-0.0 equals 0.0).
+        starts = np.concatenate([np.ones((1, s.shape[1]), bool), s[1:] != s[:-1]])
+        few = starts.sum(axis=0) <= bins
+        # A code counts the thresholds below the value: bins - 1 quantile edges
+        # (only if rows > bins) or each distinct value; +inf pads the rest.
+        thresholds = np.full((min(bins, s.shape[0]), s.shape[1]), np.inf)
+        if not few.all():
+            thresholds[: bins - 1, ~few] = np.quantile(s[:, ~few], np.arange(1, bins) / bins, axis=0)
+        if few.any():
+            cols = np.flatnonzero(few)
+            thresholds[np.cumsum(starts[:, cols], axis=0) - 1, cols] = s[:, cols]
+        for t in thresholds:
+            codes[:, lo : lo + _BLOCK] += block > t
+    return codes
+
+
+def discretize_equal_frequency(x: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-frequency codes of one numeric column (see `discretize_columns`)."""
+    return discretize_columns(np.asarray(x, dtype=np.float64)[:, None], bins)[:, 0]
 
 
 def mutual_info_from_counts(joint: np.ndarray) -> float:
@@ -199,7 +221,11 @@ def relevance_all(
         return gini_importance(d, forest)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    values = np.array([column_relevance(d, estimator, i, mi_bins=mi_bins) for i in range(d.n_cols)])
+    if estimator == MI:
+        codes = discretize_columns(d.features, mi_bins)
+        values = np.array([mutual_info_from_counts(_joint_counts(c, d.labels)) for c in codes.T])
+    else:
+        values = np.array([column_relevance(d, estimator, i) for i in range(d.n_cols)])
     params = {"mi_bins": mi_bins} if estimator == MI else {}
     return RelevanceVector(estimator=estimator, values=values, dataset_ref=d.name, params=params)
 
@@ -232,9 +258,9 @@ def abs_pearson_value(d: Dataset, i: int, j: int) -> float:
 class RedundancyCache:
     """Symmetric memo of pairwise redundancy values for one dataset.
 
-    MI pair lookups reuse each column's discretization codes; Pearson
-    lookups reuse each column's centered values and norm.  Both per-column
-    caches repeat the standalone pair functions' arithmetic operation for
+    MI pair lookups read codes from one discretization of the whole matrix;
+    Pearson lookups read centered columns and their norms, prepared once.
+    Both repeat the standalone pair functions' arithmetic operation for
     operation, so cached and uncached values are bit-identical.
     """
 
@@ -245,24 +271,14 @@ class RedundancyCache:
         self.measure = measure
         self.mi_bins = mi_bins
         self._entries: dict[tuple[int, int], float] = {}
-        self._codes: dict[int, np.ndarray] = {}
-        self._centered: dict[int, tuple[np.ndarray, float]] = {}
-
-    def _codes_for(self, i: int) -> np.ndarray:
-        codes = self._codes.get(i)
-        if codes is None:
-            codes = discretize_equal_frequency(self.dataset.features[:, i], self.mi_bins)
-            self._codes[i] = codes
-        return codes
-
-    def _centered_for(self, i: int) -> tuple[np.ndarray, float]:
-        entry = self._centered.get(i)
-        if entry is None:
-            x = self.dataset.features[:, i]
-            x_c = x - x.mean()
-            entry = (x_c, float(np.linalg.norm(x_c)))
-            self._centered[i] = entry
-        return entry
+        if measure == MI_PAIR:
+            self._codes = discretize_columns(d.features, mi_bins).T
+        else:
+            # One contiguous row per column: row means and dot products then
+            # sum in the same order as on a lone column.
+            self._centered = np.array(d.features.T, dtype=np.float64, order="C")
+            self._centered -= self._centered.mean(axis=1, keepdims=True)
+            self._norms = [float(np.linalg.norm(row)) for row in self._centered]
 
     def get(self, i: int, j: int) -> float:
         if i == j:
@@ -271,19 +287,17 @@ class RedundancyCache:
         value = self._entries.get(key)
         if value is not None:
             return value
+        a, b = key
         if self.measure == MI_PAIR:
-            value = mutual_info_from_counts(_joint_counts(self._codes_for(key[0]), self._codes_for(key[1])))
+            value = mutual_info_from_counts(_joint_counts(self._codes[a], self._codes[b]))
         else:
-            xi_c, norm_i = self._centered_for(key[0])
-            xj_c, norm_j = self._centered_for(key[1])
-            denom = norm_i * norm_j
+            denom = self._norms[a] * self._norms[b]
             if denom == 0.0:
                 value = 0.0
             else:
-                value = min(abs(float(np.dot(xi_c, xj_c))) / denom, 1.0)
+                value = min(abs(float(np.dot(self._centered[a], self._centered[b]))) / denom, 1.0)
         self._entries[key] = value
         return value
 
     def __len__(self) -> int:
         return len(self._entries)
-

@@ -125,6 +125,7 @@ class SelectionResult:
     requested_k: int
     hyperparams: Mapping[str, object]
     cpu_time_seconds: float
+    pick_cpu_seconds: tuple[float, ...] = ()  # greedy: CPU since start, after each pick
 
     def __post_init__(self) -> None:
         if len(set(self.selected)) != len(self.selected):
@@ -175,7 +176,6 @@ def select_mrmr(
     beta: float = 1.0,
     mean_normalized: bool = True,
     *,
-    cache: RedundancyCache | None = None,
     mi_bins: int = DEFAULT_MI_BINS,
 ) -> SelectionResult:
     """Greedy forward search trading relevance against redundancy.
@@ -184,7 +184,7 @@ def select_mrmr(
     rel - beta * red (DIFFERENCE) or rel / max(red, eps) (QUOTIENT),
     where red is the sum of pairwise redundancies against the selected
     set, divided by its size when mean_normalized.  Score ties go to the
-    lower feature index.
+    lower feature index.  No pick depends on k, so runs nest as prefixes.
     """
     t0 = thread_cpu_time()
     values = rel.values
@@ -198,15 +198,11 @@ def select_mrmr(
         raise ValueError(f"unknown form: {form!r}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if cache is None:
-        cache = RedundancyCache(d, redundancy, mi_bins=mi_bins)
-    elif cache.measure != redundancy:
-        raise ValueError(
-            f"cache holds {cache.measure!r} values, requested {redundancy!r}"
-        )
+    cache = RedundancyCache(d, redundancy, mi_bins=mi_bins)
 
     first = int(np.argmax(values))
     selected = [first]
+    pick_cpu = [thread_cpu_time() - t0]
     available = np.ones(n, dtype=bool)
     available[first] = False
     # Running sum of redundancies against the selected set, grown one term
@@ -228,6 +224,7 @@ def select_mrmr(
         nxt = int(np.argmax(scores))  # first max == lowest tied index
         selected.append(nxt)
         available[nxt] = False
+        pick_cpu.append(thread_cpu_time() - t0)
 
     hyperparams: dict[str, object] = {
         "form": form,
@@ -243,6 +240,7 @@ def select_mrmr(
         requested_k=k,
         hyperparams=hyperparams,
         cpu_time_seconds=thread_cpu_time() - t0,
+        pick_cpu_seconds=tuple(pick_cpu),
     )
 
 

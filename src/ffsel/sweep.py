@@ -1,9 +1,12 @@
 """Benchmark sweep over datasets, estimators, selectors, and classifiers.
 
 Produces one JSON-lines record per (dataset, estimator, algorithm variant,
-k, classifier) cell.  Relevance vectors and redundancy caches are computed
-once per dataset and estimator, then shared across every k and alpha.  An
-interrupted sweep resumes by skipping cells already present in the output.
+k, classifier) cell.  Relevance vectors are computed once per dataset and
+estimator (and fold, when selecting per fold), then shared across every k
+and alpha.  Each greedy mRMR variant runs once from cold to the largest
+pending k, and each k's record takes its first k picks, so a record's
+selection cost does not depend on which cells ran first.  An interrupted
+sweep resumes by skipping cells already present in the output.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .relevance import (
     FVALUE,
     GINI,
     MI,
-    RedundancyCache,
+    RelevanceVector,
     relevance_all,
 )
 from .selectors import (
@@ -37,6 +40,7 @@ from .selectors import (
     MRMR_D,
     MRMR_Q,
     MRMR_VARIANTS,
+    SelectionResult,
     select_kbest,
     select_kgroups,
     select_mrmr,
@@ -239,6 +243,8 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
 
     Yields each newly produced record; cells already present in the output
     file are skipped, so re-running an interrupted sweep adds no duplicates.
+    A record's `selection_cpu_seconds` is its relevance estimation plus a
+    cold selection of k features, whatever order the cells run in.
     `stats`, when given, is filled with counters (relevance estimations,
     cells skipped/run) that tests use to assert the reuse contract.
     """
@@ -289,21 +295,13 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     forest = ForestParams(seed=config.seed)
 
     tasks: list[_Task] = []
-    needed_relevance: list[tuple[str, str]] = []
-
-    def note(pair: tuple[str, str]) -> None:
-        if pair not in needed_relevance:
-            needed_relevance.append(pair)
-
     for d in datasets:
         for algo in config.algorithms:
             if algo == KBEST:
                 for est in config.estimators:
-                    note((d.name, est))
                     tasks.extend(_Task(d, KBEST, "", est, k, None, None) for k in ks)
             elif algo == KGROUPS:
                 for est in config.estimators:
-                    note((d.name, est))
                     for alpha in config.alpha_grid:
                         tasks.extend(
                             _Task(d, KGROUPS, f"alpha={alpha:g}", est, k, alpha, None)
@@ -311,28 +309,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                         )
             else:
                 est, form, red, meann = MRMR_VARIANTS[algo]
-                note((d.name, est))
                 name = MRMR_D if form == DIFFERENCE else MRMR_Q
                 tasks.extend(
                     _Task(d, name, algo, est, k, None, (form, red, meann)) for k in ks
-                )
-
-    by_name = {d.name: d for d in datasets}
-    relevance: dict[tuple[str, str], tuple] = {}
-    if not config.select_per_fold:
-        for dname, est in needed_relevance:
-            t0 = thread_cpu_time()
-            vec = relevance_all(by_name[dname], est, mi_bins=config.mi_bins, forest=forest)
-            relevance[(dname, est)] = (vec, thread_cpu_time() - t0)
-            stats["relevance_estimations"] += 1
-
-    caches: dict[tuple[str, str], RedundancyCache] = {}
-    for task in tasks:
-        if task.mrmr is not None:
-            key = (task.d.name, task.mrmr[1])
-            if key not in caches:
-                caches[key] = RedundancyCache(
-                    by_name[task.d.name], task.mrmr[1], mi_bins=config.mi_bins
                 )
 
     base_settings = {
@@ -345,12 +324,38 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         "k_neighbors": config.k_neighbors,
     }
 
-    def run_selection(d: Dataset, task: _Task, rel, sub: Dataset | None = None):
-        target = sub if sub is not None else d
+    # Keyed by (dataset, estimator or variant, fold), fold None when pooled.
+    relevance: dict[tuple[str, str, int | None], tuple[RelevanceVector, float]] = {}
+    greedy_k: dict[tuple[str, str], int] = {}  # largest pending k per variant
+    greedy_runs: dict[tuple[str, str, int | None], SelectionResult] = {}
+
+    def select(task: _Task, target: Dataset, fold: int | None) -> tuple[tuple[int, ...], float]:
+        """The task's picks on `target` and their thread CPU, relevance included."""
+        rel_key = (task.d.name, task.estimator, fold)
+        if rel_key not in relevance:
+            t0 = thread_cpu_time()
+            vec = relevance_all(target, task.estimator, mi_bins=config.mi_bins, forest=forest)
+            relevance[rel_key] = (vec, thread_cpu_time() - t0)
+            counter = "relevance_estimations" if fold is None else "fold_relevance_estimations"
+            stats[counter] = stats.get(counter, 0) + 1
+        rel, rel_cpu = relevance[rel_key]
+        if task.mrmr is not None:
+            # One cold run to the largest pending k: the picks for k are its
+            # first k picks, and their cost is the CPU spent up to the k-th.
+            run_key = (task.d.name, task.variant, fold)
+            if run_key not in greedy_runs:
+                form, red, meann = task.mrmr
+                greedy_runs[run_key] = select_mrmr(
+                    target, rel, greedy_k[run_key[:2]], form, red,
+                    beta=config.beta, mean_normalized=meann, mi_bins=config.mi_bins,
+                )
+            run = greedy_runs[run_key]
+            return run.selected[: task.k], rel_cpu + run.pick_cpu_seconds[task.k - 1]
+        t0 = thread_cpu_time()
         if task.algorithm == KBEST:
-            return select_kbest(rel, task.k)
-        if task.algorithm == KGROUPS:
-            return select_kgroups(
+            result = select_kbest(rel, task.k)
+        else:
+            result = select_kgroups(
                 target,
                 rel,
                 task.k,
@@ -359,19 +364,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                 mi_bins=config.mi_bins,
                 forest=forest,
             )
-        form, red, meann = task.mrmr
-        cache = caches[(d.name, red)] if sub is None else None
-        return select_mrmr(
-            target,
-            rel,
-            task.k,
-            form,
-            red,
-            beta=config.beta,
-            mean_normalized=meann,
-            cache=cache,
-            mi_bins=config.mi_bins,
-        )
+        return result.selected, rel_cpu + (thread_cpu_time() - t0)
 
     def cell_settings(task: _Task) -> dict:
         settings = dict(base_settings)
@@ -391,16 +384,13 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         settings = cell_settings(task)
         if config.select_per_fold:
             return run_cell_per_fold(task, classifiers, settings)
-        rel, rel_cpu = relevance[(d.name, task.estimator)]
-        t0 = thread_cpu_time()
-        result = run_selection(d, task, rel)
-        selection_cpu = rel_cpu + (thread_cpu_time() - t0)
+        selected, selection_cpu = select(task, d, None)
         out = []
         for clf in classifiers:
             t1 = thread_cpu_time()
             mean, sd = cross_validate(
                 d,
-                result.selected,
+                selected,
                 clf,
                 folds[d.name],
                 scale_per_fold=config.scale_per_fold,
@@ -412,7 +402,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                     task,
                     clf,
                     settings,
-                    n_selected=result.n_selected,
+                    n_selected=len(selected),
                     cv_mean_accuracy=mean,
                     cv_sd=sd,
                     selection_cpu_seconds=selection_cpu,
@@ -439,16 +429,11 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
             test_x = d.features[test_rows]
             if config.scale_per_fold:
                 train_x, test_x = _scale_blocks(train_x, test_x)
-            t0 = thread_cpu_time()
             sub = _subset_dataset(d, train_rows, train_x, f"#fold{f}")
-            rel = relevance_all(sub, task.estimator, mi_bins=config.mi_bins, forest=forest)
-            stats["fold_relevance_estimations"] = (
-                stats.get("fold_relevance_estimations", 0) + 1
-            )
-            result = run_selection(d, task, rel, sub=sub)
-            selection_cpu += thread_cpu_time() - t0
-            sel = np.asarray(result.selected, dtype=np.int64)
-            n_sel.append(result.n_selected)
+            selected, cpu = select(task, sub, f)
+            selection_cpu += cpu
+            sel = np.asarray(selected, dtype=np.int64)
+            n_sel.append(len(selected))
             for clf in classifiers:
                 t1 = thread_cpu_time()
                 preds = classify(
@@ -503,6 +488,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         stats["cells_skipped"] += len(config.classifiers) - len(todo)
         if todo:
             pending.append((task, todo))
+            if task.mrmr is not None:
+                key = (task.d.name, task.variant)
+                greedy_k[key] = max(greedy_k.get(key, 0), task.k)
 
     log.info(
         "sweep: %d datasets, %d cells pending, %d skipped",

@@ -27,8 +27,7 @@ from ffsel.relevance import (
     cosine_with_label,
     f_value_with_label,
     gini_importance,
-    mi_pair_value,
-    mutual_info_with_label,
+    mutual_info_from_counts,
 )
 from ffsel.selectors import (
     DIFFERENCE,
@@ -42,7 +41,28 @@ from ffsel.selectors import (
     SelectionResult,
 )
 
-__all__ = ["oracle_kbest", "oracle_mrmr", "oracle_kgroups"]
+__all__ = ["oracle_discretize", "oracle_kbest", "oracle_mrmr", "oracle_kgroups"]
+
+
+def oracle_discretize(x: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-frequency codes of one column, coded on its own.
+
+    At most ``bins`` distinct values: each value's rank among them.  Else
+    the index of the first interior quantile edge that reaches the value.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    distinct = np.unique(x)
+    if distinct.size <= bins:
+        return np.searchsorted(distinct, x).astype(np.int64)
+    edges = np.quantile(x, np.arange(1, bins) / bins)
+    return np.searchsorted(edges, x, side="left").astype(np.int64)
+
+
+def _mi_of_codes(a: np.ndarray, b: np.ndarray) -> float:
+    """Plug-in MI of two code vectors, from their joint count table."""
+    joint = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
+    np.add.at(joint, (a, b), 1)
+    return mutual_info_from_counts(joint)
 
 
 def oracle_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
@@ -79,7 +99,9 @@ def oracle_mrmr(
 
     def pair(i: int, j: int) -> float:
         if redundancy == MI_PAIR:
-            return mi_pair_value(d, i, j, bins=mi_bins)
+            lo, hi = min(i, j), max(i, j)  # lower column first, as the fast path
+            return _mi_of_codes(oracle_discretize(d.features[:, lo], mi_bins),
+                                oracle_discretize(d.features[:, hi], mi_bins))
         if redundancy == ABS_PEARSON:
             return abs_pearson_value(d, i, j)
         raise ValueError(f"unknown redundancy measure: {redundancy!r}")
@@ -136,7 +158,7 @@ def _estimate_one(
     forest: ForestParams | None,
 ) -> float:
     if name == MI:
-        return mutual_info_with_label(d, col, bins=mi_bins)
+        return _mi_of_codes(oracle_discretize(d.features[:, col], mi_bins), d.labels)
     if name == FVALUE:
         return f_value_with_label(d, col)
     if name == COSINE:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_dataset, random_dataset
 from ffsel import ForestParams, RedundancyCache, relevance_all
+from oracles import oracle_discretize
 from ffsel.relevance import (
     ABS_PEARSON,
     COSINE,
@@ -18,6 +19,7 @@ from ffsel.relevance import (
     MI_PAIR,
     abs_pearson_value,
     cosine_with_label,
+    discretize_columns,
     discretize_equal_frequency,
     f_value_with_label,
     gini_importance,
@@ -74,6 +76,30 @@ class TestDiscretize:
         codes = discretize_equal_frequency(x, 6)
         for v in np.unique(x):
             assert len(np.unique(codes[x == v])) == 1
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 5, 10, 17])
+    @pytest.mark.parametrize("n_rows", [1, 2, 37, 62])
+    def test_matrix_matches_per_column_reference(self, bins, n_rows):
+        # Wider than one block of columns, with ties, few distinct values,
+        # constant columns and signed zeros.
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(n_rows, 300))
+        x[:, 1:60] = np.round(x[:, 1:60] * rng.integers(1, 8, size=59))
+        x[:, 60:80] = rng.integers(0, 4, size=(n_rows, 20)) / 3.0
+        x[:, 80] = 2.5
+        x[:, 81] = np.where(rng.random(n_rows) < 0.5, -0.0, 0.0)
+        x[:, 82] = np.where(rng.random(n_rows) < 0.5, -0.0, 1.0)
+        x[:, 130:140] = x[:, 5:6]
+        codes = discretize_columns(x, bins)
+        assert codes.shape == x.shape and codes.dtype == np.int64
+        for j in range(x.shape[1]):
+            expect = oracle_discretize(x[:, j], bins)
+            np.testing.assert_array_equal(codes[:, j], expect, err_msg=f"column {j}")
+            np.testing.assert_array_equal(discretize_equal_frequency(x[:, j], bins), expect)
+
+    def test_bins_must_be_positive(self):
+        with pytest.raises(ValueError):
+            discretize_columns(np.zeros((3, 2)), 0)
 
 
 class TestMutualInformation:

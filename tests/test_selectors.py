@@ -8,7 +8,6 @@ import pytest
 from conftest import make_dataset, random_dataset
 from ffsel import (
     BinningScheme,
-    RedundancyCache,
     RelevanceVector,
     SelectionResult,
     compute_bins,
@@ -233,24 +232,18 @@ class TestSelectMrmr:
         assert quot.algorithm == MRMR_Q
         assert "beta" not in quot.hyperparams
 
-    def test_shared_cache_reused(self):
+    @pytest.mark.parametrize("form,redundancy", [(DIFFERENCE, MI_PAIR), (QUOTIENT, MI_PAIR),
+                                                 (DIFFERENCE, ABS_PEARSON), (QUOTIENT, ABS_PEARSON)])
+    def test_runs_nest_as_prefixes_with_per_pick_cpu(self, form, redundancy):
         rng = np.random.default_rng(48)
-        d = random_dataset(rng, 16, 6)
-        values = rel_vec(rng.uniform(0, 1, 6))
-        cache = RedundancyCache(d, ABS_PEARSON)
-        first = select_mrmr(d, values, 4, redundancy=ABS_PEARSON, cache=cache)
-        pairs = len(cache)
-        second = select_mrmr(d, values, 4, redundancy=ABS_PEARSON, cache=cache)
-        assert first.selected == second.selected
-        assert len(cache) == pairs  # no new pair computed
-
-    def test_cache_measure_mismatch_rejected(self):
-        rng = np.random.default_rng(49)
-        d = random_dataset(rng, 10, 3)
-        cache = RedundancyCache(d, MI_PAIR)
-        with pytest.raises(ValueError):
-            select_mrmr(d, rel_vec([0.1, 0.2, 0.3]), 2,
-                        redundancy=ABS_PEARSON, cache=cache)
+        d = random_dataset(rng, 16, 9)
+        values = rel_vec(rng.uniform(0, 1, 9))
+        full = select_mrmr(d, values, 9, form=form, redundancy=redundancy)
+        for k in range(1, 9):
+            assert select_mrmr(d, values, k, form=form, redundancy=redundancy).selected == full.selected[:k]
+        assert len(full.pick_cpu_seconds) == 9
+        assert all(0.0 <= a <= b for a, b in zip(full.pick_cpu_seconds, full.pick_cpu_seconds[1:]))
+        assert full.pick_cpu_seconds[-1] <= full.cpu_time_seconds
 
     def test_invalid_arguments_rejected(self):
         rng = np.random.default_rng(50)

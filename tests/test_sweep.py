@@ -6,18 +6,26 @@ import logging
 import numpy as np
 import pytest
 
+import ffsel.selectors
+import ffsel.sweep
 from conftest import write_csv
 from ffsel import (
     BenchmarkRecord,
     DataError,
+    RedundancyCache,
     SweepConfig,
     algorithm_label,
     best_config_report,
+    load_csv,
     n_selected_distributions,
     read_records,
+    relevance_all,
     run_sweep,
+    select_mrmr,
+    standard_scale,
 )
-from ffsel.selectors import KBEST, KGROUPS, MRMR_D, MRMR_Q
+from ffsel.relevance import MI, MI_PAIR
+from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
 
 
 def blob_csv(tmp_path, name="blobs.csv", n_rows=20, n_cols=6, seed=0):
@@ -235,13 +243,27 @@ class TestRunSweep:
         assert any("missing.csv" in m for m in caplog.messages)
 
     def test_select_per_fold_protocol(self, tmp_path):
-        cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS),
-                          select_per_fold=True, k_max=2)
+        cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS, "MID", "FCQ"),
+                          select_per_fold=True, k_max=3)
         records = list(run_sweep(cfg))
-        assert records
+        assert {r.variant for r in records} >= {"MID", "FCQ"}
         for rec in records:
             assert rec.n_selected >= 1
             assert rec.settings["select_per_fold"] is True
+            if rec.algorithm in (MRMR_D, MRMR_Q):
+                assert rec.n_selected == rec.k
+
+    def test_select_per_fold_estimates_relevance_once_per_fold(self, tmp_path):
+        cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS, "MID"),
+                          estimators=("MI", "COSINE"), alpha_grid=(0.5, 1.0),
+                          select_per_fold=True, k_max=4)
+        stats = {}
+        records = list(run_sweep(cfg, stats))
+        # 2 classifiers x 3 ks x (KBest and 2 KGroups alphas per estimator, MID)
+        assert len(records) == 2 * 3 * (2 * (1 + 2) + 1)
+        # 3 folds for each of MI (KBest, KGroups, MID) and COSINE.
+        assert stats["fold_relevance_estimations"] == 2 * 3
+        assert stats["relevance_estimations"] == 0
 
     def test_smoothing_flag_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bin_smoothing"):
@@ -249,6 +271,43 @@ class TestRunSweep:
                 "datasets": ["a.csv"], "output_dir": str(tmp_path),
                 "bin_smoothing": True,
             })
+
+
+class TestSelectionCost:
+    """A greedy record costs what a cold run to its k costs, in any cell order."""
+
+    def test_greedy_cost_equals_cold_pair_count(self, tmp_path, monkeypatch):
+        # With a clock that reads the number of redundancy pairs computed so
+        # far, costs are exact counts that machine load cannot move.
+        computed = [0]
+        get = RedundancyCache.get
+
+        def counting_get(cache, i, j):
+            before = len(cache)
+            value = get(cache, i, j)
+            computed[0] += len(cache) - before
+            return value
+
+        def pair_clock():
+            return float(computed[0])
+
+        monkeypatch.setattr(RedundancyCache, "get", counting_get)
+        monkeypatch.setattr(ffsel.selectors, "thread_cpu_time", pair_clock)
+        monkeypatch.setattr(ffsel.sweep, "thread_cpu_time", pair_clock)
+        csv = blob_csv(tmp_path, name="wide.csv", n_cols=8)
+        cfg = tiny_config(tmp_path, datasets=(str(csv),), algorithms=("MID", "MIQ"),
+                          k_max=5, classifiers=("GNB",))
+        records = list(run_sweep(cfg))
+        assert [(r.variant, r.k) for r in records] == [
+            (v, k) for v in ("MID", "MIQ") for k in (2, 3, 4, 5)
+        ]
+        d = standard_scale(load_csv(csv))
+        rel = relevance_all(d, MI)
+        for rec in records:
+            form = DIFFERENCE if rec.variant == "MID" else QUOTIENT
+            cold = select_mrmr(d, rel, rec.k, form, MI_PAIR)
+            assert cold.cpu_time_seconds == sum(8 - t for t in range(1, rec.k))
+            assert rec.selection_cpu_seconds == cold.cpu_time_seconds, (rec.variant, rec.k)
 
 
 class TestReports:
