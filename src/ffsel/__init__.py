@@ -14,13 +14,7 @@ from .relevance import (
     REDUNDANCY_MEASURES,
     RedundancyCache,
     RelevanceVector,
-    abs_pearson_value,
-    cosine_with_label,
-    discretize_equal_frequency,
-    f_value_with_label,
     gini_importance,
-    mi_pair_value,
-    mutual_info_with_label,
     relevance_all,
 )
 from .selectors import (
@@ -37,7 +31,6 @@ from .selectors import (
     select_kbest,
     select_kgroups,
     select_mrmr,
-    variant_name,
 )
 from .classifiers import (
     CLASSIFIERS,

@@ -74,9 +74,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def column(self, i: int) -> np.ndarray:
-        return self.features[:, i]
-
 
 @dataclass(frozen=True)
 class FoldPlan:

@@ -2,8 +2,10 @@
 
 Relevance: plug-in mutual information with the label, one-way ANOVA
 F-value, random-forest Gini importance, and absolute cosine similarity
-with the integer-encoded label.  Redundancy: pairwise plug-in mutual
-information or absolute Pearson correlation, memoized symmetrically.
+with the integer-encoded label.  `relevance_all` scores every column of
+a dataset at once; to score some columns, pass it a dataset of those
+columns.  Redundancy: pairwise plug-in mutual information or absolute
+Pearson correlation, memoized symmetrically.
 """
 
 from __future__ import annotations
@@ -29,16 +31,9 @@ __all__ = [
     "RelevanceVector",
     "RedundancyCache",
     "discretize_columns",
-    "discretize_equal_frequency",
     "mutual_info_from_counts",
-    "mutual_info_with_label",
-    "f_value_with_label",
-    "cosine_with_label",
     "gini_importance",
-    "column_relevance",
     "relevance_all",
-    "mi_pair_value",
-    "abs_pearson_value",
 ]
 
 MI = "MI"
@@ -65,7 +60,6 @@ class RelevanceVector:
 
     estimator: str
     values: np.ndarray
-    dataset_ref: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -78,10 +72,6 @@ class RelevanceVector:
             raise ValueError("relevance values must be non-negative")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[0]
 
 
 def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
@@ -116,11 +106,6 @@ def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
     return codes
 
 
-def discretize_equal_frequency(x: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-frequency codes of one numeric column (see `discretize_columns`)."""
-    return discretize_columns(np.asarray(x, dtype=np.float64)[:, None], bins)[:, 0]
-
-
 def mutual_info_from_counts(joint: np.ndarray) -> float:
     """Plug-in mutual information in nats from a joint count table."""
     joint = np.asarray(joint, dtype=np.float64)
@@ -143,44 +128,46 @@ def _joint_counts(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     return flat.reshape(ka, kb)
 
 
-def mutual_info_with_label(d: Dataset, col: int, bins: int = DEFAULT_MI_BINS) -> float:
-    """Plug-in MI in nats between the discretized column and the label."""
-    codes = discretize_equal_frequency(d.features[:, col], bins)
-    return mutual_info_from_counts(_joint_counts(codes, d.labels))
+def _f_values(d: Dataset) -> np.ndarray:
+    """One-way ANOVA F statistic of every column against the class labels.
 
-
-def f_value_with_label(d: Dataset, col: int) -> float:
-    """One-way ANOVA F statistic of the column against the class labels.
-
-    Zero within-group variance with separated group means returns
-    ``F_VALUE_CAP``; a fully constant column returns 0.
+    Each column is a contiguous row of the transposed matrix, and each class
+    block is made contiguous too, so every row's sums and means reduce in
+    the same order as on a lone column.  Zero within-group variance with
+    separated group means gives ``F_VALUE_CAP``; a fully constant column 0.
     """
-    x = d.features[:, col]
+    x = np.ascontiguousarray(d.features.T)
     n = d.n_rows
     c = d.n_classes
-    grand_mean = x.mean()
-    ss_between = 0.0
-    ss_within = 0.0
+    grand_mean = x.mean(axis=1)
+    ss_between = np.zeros(d.n_cols)
+    ss_within = np.zeros(d.n_cols)
     for class_id in range(c):
-        g = x[d.labels == class_id]
-        gm = g.mean()
-        ss_between += g.size * (gm - grand_mean) ** 2
-        ss_within += float(np.sum((g - gm) ** 2))
-    if ss_within == 0.0:
-        return F_VALUE_CAP if ss_between > 0.0 else 0.0
-    f = (ss_between / (c - 1)) / (ss_within / (n - c))
-    return max(f, 0.0)
+        g = np.ascontiguousarray(x[:, d.labels == class_id])  # a copy: mask indexing
+        gm = g.mean(axis=1)
+        ss_between += g.shape[1] * (gm - grand_mean) ** 2
+        g -= gm[:, None]
+        ss_within += np.square(g, out=g).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (ss_between / (c - 1)) / (ss_within / (n - c))
+    return np.where(ss_within > 0.0, f, np.where(ss_between > 0.0, F_VALUE_CAP, 0.0))
 
 
-def cosine_with_label(d: Dataset, col: int) -> float:
-    """Absolute cosine similarity between the column and the integer labels."""
-    x = d.features[:, col]
+def _cosines(d: Dataset) -> np.ndarray:
+    """Absolute cosine similarity between every column and the integer labels.
+
+    One contiguous row per column, with its own norm and dot product: a
+    matrix product would round differently from the single-column form.
+    The label vector is never zero, since at least two classes appear.
+    """
     y = d.labels.astype(np.float64)
-    nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return abs(float(np.dot(x, y))) / (nx * ny)
+    values = np.zeros(d.n_cols)
+    for i, x in enumerate(np.ascontiguousarray(d.features.T)):
+        nx = float(np.linalg.norm(x))
+        if nx != 0.0:
+            values[i] = abs(float(np.dot(x, y))) / (nx * ny)
+    return values
 
 
 def gini_importance(d: Dataset, forest: ForestParams | None = None) -> RelevanceVector:
@@ -191,22 +178,8 @@ def gini_importance(d: Dataset, forest: ForestParams | None = None) -> Relevance
     return RelevanceVector(
         estimator=GINI,
         values=model.feature_importances(),
-        dataset_ref=d.name,
         params=forest.as_dict(),
     )
-
-
-def column_relevance(
-    d: Dataset, estimator: str, col: int, *, mi_bins: int = DEFAULT_MI_BINS
-) -> float:
-    """One column's relevance under a per-column estimator (all but GINI)."""
-    if estimator == MI:
-        return mutual_info_with_label(d, col, mi_bins)
-    if estimator == FVALUE:
-        return f_value_with_label(d, col)
-    if estimator == COSINE:
-        return cosine_with_label(d, col)
-    raise ValueError(f"no per-column form of estimator {estimator!r}")
 
 
 def relevance_all(
@@ -224,35 +197,12 @@ def relevance_all(
     if estimator == MI:
         codes = discretize_columns(d.features, mi_bins)
         values = np.array([mutual_info_from_counts(_joint_counts(c, d.labels)) for c in codes.T])
+    elif estimator == FVALUE:
+        values = _f_values(d)
     else:
-        values = np.array([column_relevance(d, estimator, i) for i in range(d.n_cols)])
+        values = _cosines(d)
     params = {"mi_bins": mi_bins} if estimator == MI else {}
-    return RelevanceVector(estimator=estimator, values=values, dataset_ref=d.name, params=params)
-
-
-def mi_pair_value(d: Dataset, i: int, j: int, bins: int = DEFAULT_MI_BINS) -> float:
-    """Plug-in MI between two columns, both discretized equal-frequency.
-
-    Computed with the lower column index first so (i, j) and (j, i) give
-    bit-identical results despite float summation order.
-    """
-    a, b = (i, j) if i < j else (j, i)
-    codes_a = discretize_equal_frequency(d.features[:, a], bins)
-    codes_b = discretize_equal_frequency(d.features[:, b], bins)
-    return mutual_info_from_counts(_joint_counts(codes_a, codes_b))
-
-
-def abs_pearson_value(d: Dataset, i: int, j: int) -> float:
-    """Absolute Pearson correlation; 0 when either column is constant."""
-    xi = d.features[:, i]
-    xj = d.features[:, j]
-    xi_c = xi - xi.mean()
-    xj_c = xj - xj.mean()
-    denom = float(np.linalg.norm(xi_c)) * float(np.linalg.norm(xj_c))
-    if denom == 0.0:
-        return 0.0
-    r = abs(float(np.dot(xi_c, xj_c))) / denom
-    return min(r, 1.0)
+    return RelevanceVector(estimator=estimator, values=values, params=params)
 
 
 class RedundancyCache:
@@ -260,8 +210,8 @@ class RedundancyCache:
 
     MI pair lookups read codes from one discretization of the whole matrix;
     Pearson lookups read centered columns and their norms, prepared once.
-    Both repeat the standalone pair functions' arithmetic operation for
-    operation, so cached and uncached values are bit-identical.
+    Each value reduces its two columns in the same order as a lone pair
+    of columns would, so it is bit-identical to a per-pair computation.
     """
 
     def __init__(self, d: Dataset, measure: str, mi_bins: int = DEFAULT_MI_BINS):

@@ -25,8 +25,8 @@ from .relevance import (
     MI_PAIR,
     RedundancyCache,
     RelevanceVector,
-    column_relevance,
     gini_importance,
+    relevance_all,
 )
 from .timing import thread_cpu_time
 
@@ -46,7 +46,6 @@ __all__ = [
     "select_mrmr",
     "compute_bins",
     "select_kgroups",
-    "variant_name",
 ]
 
 # Algorithm names as they appear in results and benchmark records.
@@ -71,7 +70,6 @@ MRMR_VARIANTS: dict[str, tuple[str, str, str, bool]] = {
     "RFCD": (GINI, DIFFERENCE, ABS_PEARSON, True),
     "MIFS": (MI, DIFFERENCE, MI_PAIR, False),
 }
-_VARIANT_BY_SPEC = {spec: name for name, spec in MRMR_VARIANTS.items()}
 
 # Two relevance values tie when |a - b| <= TIE_EPS * max(1, |group max|).
 # Exact equality is the common case (duplicated columns); the relative
@@ -279,29 +277,6 @@ def compute_bins(rel: RelevanceVector, k: int, alpha: float) -> BinningScheme:
     )
 
 
-def _tie_breaker_values(
-    d: Dataset,
-    name: str,
-    features: np.ndarray,
-    memo: dict,
-    *,
-    mi_bins: int,
-    forest: ForestParams | None,
-) -> np.ndarray:
-    """Estimator values for the given feature columns, memoized per run."""
-    if name == GINI:
-        if GINI not in memo:
-            memo[GINI] = gini_importance(d, forest=forest).values
-        return memo[GINI][features]
-    out = np.empty(features.size, dtype=np.float64)
-    for t, col in enumerate(features):
-        key = (name, int(col))
-        if key not in memo:
-            memo[key] = column_relevance(d, name, int(col), mi_bins=mi_bins)
-        out[t] = memo[key]
-    return out
-
-
 def select_kgroups(
     d: Dataset,
     rel: RelevanceVector,
@@ -333,7 +308,7 @@ def select_kgroups(
         if name not in ESTIMATORS:
             raise ValueError(f"unknown tie-breaker estimator {name!r}")
     scheme = compute_bins(rel, k, alpha)
-    memo: dict = {}
+    gini = None  # the whole-data forest's importances, fitted on first use
     chosen: list[int] = []
     for j in np.unique(scheme.assignments):
         members = np.flatnonzero(scheme.assignments == j)
@@ -343,9 +318,18 @@ def select_kgroups(
         for name in tie_breakers:
             if survivors.size <= 1:
                 break
-            tvals = _tie_breaker_values(
-                d, name, survivors, memo, mi_bins=mi_bins, forest=forest
-            )
+            if name == GINI:
+                if gini is None:
+                    gini = gini_importance(d, forest=forest).values
+                tvals = gini[survivors]
+            else:
+                # The survivors' columns scored as a dataset of their own.
+                tied = dataclasses.replace(
+                    d,
+                    features=d.features[:, survivors],
+                    feature_names=[d.feature_names[i] for i in survivors],
+                )
+                tvals = relevance_all(tied, name, mi_bins=mi_bins).values
             tmax = float(tvals.max())
             ttol = TIE_EPS * max(1.0, abs(tmax))
             survivors = survivors[tmax - tvals <= ttol]
@@ -362,18 +346,3 @@ def select_kgroups(
         hyperparams={"alpha": float(alpha), "tie_breakers": tuple(tie_breakers)},
         cpu_time_seconds=thread_cpu_time() - t0,
     )
-
-
-def variant_name(
-    estimator: str,
-    form: str,
-    redundancy: str,
-    beta: float = 1.0,
-    mean_normalized: bool = True,
-) -> str:
-    """Conventional short name for a greedy-search configuration."""
-    name = _VARIANT_BY_SPEC.get((estimator, form, redundancy, mean_normalized))
-    if name is not None and (form == QUOTIENT or beta == 1.0 or not mean_normalized):
-        return name
-    tag = "D" if form == DIFFERENCE else "Q"
-    return f"{tag}:{estimator}/{redundancy}"

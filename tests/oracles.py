@@ -1,9 +1,11 @@
 """Brute-force reference selectors for testing the fast implementations.
 
 Deliberately slow and obvious: a full re-sort, a per-step rescan with no
-caching, and a direct interval scan for the binning.  Integration tests
-require the fast paths to reproduce these outputs exactly, so score
-arithmetic here mirrors the fast code term for term.
+caching, a direct interval scan for the binning, and per-column and
+per-pair estimators of their own.  Integration tests require the fast
+paths to reproduce these outputs exactly, so score arithmetic here mirrors
+the fast code term for term.  Nothing here calls an estimator or
+redundancy function of ``ffsel.relevance``; GINI comes from the forest.
 """
 
 from __future__ import annotations
@@ -13,21 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from ffsel.data import Dataset
-from ffsel.forest import ForestParams
+from ffsel.forest import ForestParams, RandomForest
 from ffsel.relevance import (
     ABS_PEARSON,
     COSINE,
     DEFAULT_MI_BINS,
+    F_VALUE_CAP,
     FVALUE,
     GINI,
     MI,
     MI_PAIR,
     RelevanceVector,
-    abs_pearson_value,
-    cosine_with_label,
-    f_value_with_label,
-    gini_importance,
-    mutual_info_from_counts,
 )
 from ffsel.selectors import (
     DIFFERENCE,
@@ -41,7 +39,17 @@ from ffsel.selectors import (
     SelectionResult,
 )
 
-__all__ = ["oracle_discretize", "oracle_kbest", "oracle_mrmr", "oracle_kgroups"]
+__all__ = [
+    "oracle_discretize",
+    "oracle_mi_from_counts",
+    "oracle_mi_of_codes",
+    "oracle_f_value",
+    "oracle_cosine",
+    "oracle_abs_pearson",
+    "oracle_kbest",
+    "oracle_mrmr",
+    "oracle_kgroups",
+]
 
 
 def oracle_discretize(x: np.ndarray, bins: int) -> np.ndarray:
@@ -58,11 +66,68 @@ def oracle_discretize(x: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, x, side="left").astype(np.int64)
 
 
-def _mi_of_codes(a: np.ndarray, b: np.ndarray) -> float:
+def oracle_mi_from_counts(joint: np.ndarray) -> float:
+    """Plug-in mutual information in nats from a joint count table."""
+    joint = np.asarray(joint, dtype=np.float64)
+    n = joint.sum()
+    if n == 0:
+        return 0.0
+    p = joint / n
+    px = p.sum(axis=1)
+    py = p.sum(axis=0)
+    nz = p > 0
+    outer = px[:, None] * py[None, :]
+    mi = float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
+    return max(mi, 0.0)
+
+
+def oracle_mi_of_codes(a: np.ndarray, b: np.ndarray) -> float:
     """Plug-in MI of two code vectors, from their joint count table."""
     joint = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
     np.add.at(joint, (a, b), 1)
-    return mutual_info_from_counts(joint)
+    return oracle_mi_from_counts(joint)
+
+
+def oracle_f_value(x: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
+    """One-way ANOVA F statistic of one column against the class labels.
+
+    The between-class term squares by multiplication, as an array square
+    does; a scalar ``** 2`` may round differently.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grand_mean = x.mean()
+    ss_between = 0.0
+    ss_within = 0.0
+    for class_id in range(n_classes):
+        g = x[labels == class_id]
+        gm = g.mean()
+        diff = gm - grand_mean
+        ss_between += g.size * (diff * diff)
+        ss_within += float(np.sum((g - gm) ** 2))
+    if ss_within == 0.0:
+        return F_VALUE_CAP if ss_between > 0.0 else 0.0
+    return (ss_between / (n_classes - 1)) / (ss_within / (x.size - n_classes))
+
+
+def oracle_cosine(x: np.ndarray, labels: np.ndarray) -> float:
+    """Absolute cosine similarity between one column and the integer labels."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    nx = float(np.linalg.norm(x))
+    ny = float(np.linalg.norm(y))
+    if nx == 0.0 or ny == 0.0:
+        return 0.0
+    return abs(float(np.dot(x, y))) / (nx * ny)
+
+
+def oracle_abs_pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Absolute Pearson correlation of two columns; 0 when either is constant."""
+    a_c = a - a.mean()
+    b_c = b - b.mean()
+    denom = float(np.linalg.norm(a_c)) * float(np.linalg.norm(b_c))
+    if denom == 0.0:
+        return 0.0
+    return min(abs(float(np.dot(a_c, b_c))) / denom, 1.0)
 
 
 def oracle_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
@@ -97,13 +162,15 @@ def oracle_mrmr(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} features")
 
+    if redundancy == MI_PAIR:
+        codes = [oracle_discretize(d.features[:, c], mi_bins) for c in range(n)]
+
     def pair(i: int, j: int) -> float:
+        lo, hi = min(i, j), max(i, j)  # lower column first, as the fast path
         if redundancy == MI_PAIR:
-            lo, hi = min(i, j), max(i, j)  # lower column first, as the fast path
-            return _mi_of_codes(oracle_discretize(d.features[:, lo], mi_bins),
-                                oracle_discretize(d.features[:, hi], mi_bins))
+            return oracle_mi_of_codes(codes[lo], codes[hi])
         if redundancy == ABS_PEARSON:
-            return abs_pearson_value(d, i, j)
+            return oracle_abs_pearson(d.features[:, lo], d.features[:, hi])
         raise ValueError(f"unknown redundancy measure: {redundancy!r}")
 
     selected: list[int] = []
@@ -158,14 +225,16 @@ def _estimate_one(
     forest: ForestParams | None,
 ) -> float:
     if name == MI:
-        return _mi_of_codes(oracle_discretize(d.features[:, col], mi_bins), d.labels)
+        return oracle_mi_of_codes(oracle_discretize(d.features[:, col], mi_bins), d.labels)
     if name == FVALUE:
-        return f_value_with_label(d, col)
+        return oracle_f_value(d.features[:, col], d.labels, d.n_classes)
     if name == COSINE:
-        return cosine_with_label(d, col)
+        return oracle_cosine(d.features[:, col], d.labels)
     if name == GINI:
         if "vec" not in gini_memo:
-            gini_memo["vec"] = gini_importance(d, forest=forest).values
+            model = RandomForest(forest or ForestParams(), n_classes=d.n_classes)
+            model.fit(d.features, d.labels)
+            gini_memo["vec"] = model.feature_importances()
         return float(gini_memo["vec"][col])
     raise ValueError(f"unknown tie-breaker estimator: {name!r}")
 

@@ -80,7 +80,6 @@ class TestDataset:
         assert d.n_rows == 12
         assert d.n_cols == 5
         assert d.n_classes == 3
-        np.testing.assert_array_equal(d.column(2), d.features[:, 2])
 
     def test_labels_must_cover_every_class(self):
         x = np.zeros((4, 2))

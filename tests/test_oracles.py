@@ -1,7 +1,12 @@
 """Reference reimplementations must agree with the fast selection paths."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 
+import oracles
 from conftest import make_dataset, random_dataset
 from oracles import oracle_kbest, oracle_kgroups, oracle_mrmr
 from ffsel import (
@@ -32,6 +37,26 @@ def messy_instance(rng, max_cols=25):
     if rng.random() < 0.5:
         values = np.round(values, 1)  # force exact relevance ties
     return d, values
+
+
+class TestIndependence:
+    """The oracles never call the relevance code they check."""
+
+    def test_no_estimator_or_redundancy_function_imported(self):
+        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("ffsel.relevance") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ffsel"):
+                module = importlib.import_module(node.module)
+                imported += [(a.name, getattr(module, a.name)) for a in node.names]
+        assert imported
+        for name, obj in imported:
+            # Constants and the result container may come from ffsel.relevance;
+            # anything callable defined there (estimators, the cache) may not.
+            if getattr(obj, "__module__", None) == "ffsel.relevance":
+                assert obj is RelevanceVector or not callable(obj), name
 
 
 class TestKBestOracle:

@@ -1,5 +1,6 @@
 """Relevance estimators, discretization, and the pairwise redundancy cache."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,25 +8,27 @@ import pytest
 
 from conftest import make_dataset, random_dataset
 from ffsel import ForestParams, RedundancyCache, relevance_all
-from oracles import oracle_discretize
+from ffsel.sweep import _subset_dataset
+from oracles import (
+    oracle_abs_pearson,
+    oracle_cosine,
+    oracle_discretize,
+    oracle_f_value,
+    oracle_mi_of_codes,
+)
 from ffsel.relevance import (
     ABS_PEARSON,
     COSINE,
+    DEFAULT_MI_BINS,
     ESTIMATORS,
     F_VALUE_CAP,
     FVALUE,
     GINI,
     MI,
     MI_PAIR,
-    abs_pearson_value,
-    cosine_with_label,
     discretize_columns,
-    discretize_equal_frequency,
-    f_value_with_label,
     gini_importance,
-    mi_pair_value,
     mutual_info_from_counts,
-    mutual_info_with_label,
 )
 
 
@@ -44,26 +47,37 @@ def plugin_mi_oracle(table):
     return total
 
 
+def one_column(d, estimator, **kwargs):
+    """Relevance of the single column of a one-column dataset."""
+    assert d.n_cols == 1
+    return relevance_all(d, estimator, **kwargs).values[0]
+
+
+def code_column(x, bins):
+    """Codes of one column, discretized on its own."""
+    return discretize_columns(np.asarray(x, dtype=np.float64)[:, None], bins)[:, 0]
+
+
 class TestDiscretize:
     """Equal-frequency binning used by every MI computation."""
 
     def test_six_values_three_bins(self):
-        codes = discretize_equal_frequency(np.arange(1.0, 7.0), 3)
+        codes = code_column(np.arange(1.0, 7.0), 3)
         np.testing.assert_array_equal(codes, [0, 0, 1, 1, 2, 2])
 
     def test_constant_column_single_code(self):
-        codes = discretize_equal_frequency(np.full(9, 4.2), 5)
+        codes = code_column(np.full(9, 4.2), 5)
         np.testing.assert_array_equal(codes, np.zeros(9, dtype=codes.dtype))
 
     def test_few_distinct_values_get_rank_codes(self):
-        codes = discretize_equal_frequency(np.array([7.0, 3.0, 7.0, 3.0]), 5)
+        codes = code_column(np.array([7.0, 3.0, 7.0, 3.0]), 5)
         np.testing.assert_array_equal(codes, [1, 0, 1, 0])
 
     def test_codes_monotone_in_value(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.normal(size=40)
-            codes = discretize_equal_frequency(x, 8)
+            codes = code_column(x, 8)
             order = np.argsort(x, kind="stable")
             diffs = np.diff(codes[order])
             assert (diffs >= 0).all()
@@ -73,7 +87,7 @@ class TestDiscretize:
     def test_equal_values_share_a_code(self):
         rng = np.random.default_rng(12)
         x = np.round(rng.normal(size=60), 1)
-        codes = discretize_equal_frequency(x, 6)
+        codes = code_column(x, 6)
         for v in np.unique(x):
             assert len(np.unique(codes[x == v])) == 1
 
@@ -95,7 +109,7 @@ class TestDiscretize:
         for j in range(x.shape[1]):
             expect = oracle_discretize(x[:, j], bins)
             np.testing.assert_array_equal(codes[:, j], expect, err_msg=f"column {j}")
-            np.testing.assert_array_equal(discretize_equal_frequency(x[:, j], bins), expect)
+            np.testing.assert_array_equal(code_column(x[:, j], bins), expect)
 
     def test_bins_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -124,30 +138,30 @@ class TestMutualInformation:
 
     def test_label_mi_determined_label(self):
         d = make_dataset(np.array([[0.0], [0.0], [1.0], [1.0]]), [0, 0, 1, 1])
-        np.testing.assert_allclose(mutual_info_with_label(d, 0, bins=2),
+        np.testing.assert_allclose(one_column(d, MI, mi_bins=2),
                                    math.log(2), rtol=1e-12)
 
     def test_label_mi_six_point_case(self):
         d = make_dataset(np.arange(1.0, 7.0).reshape(6, 1), [0, 0, 0, 1, 1, 1])
-        np.testing.assert_allclose(mutual_info_with_label(d, 0, bins=3),
+        np.testing.assert_allclose(one_column(d, MI, mi_bins=3),
                                    (2.0 / 3.0) * math.log(2), rtol=1e-12)
 
     def test_constant_column_zero(self):
         d = make_dataset(np.ones((6, 1)), [0, 0, 0, 1, 1, 1])
-        assert mutual_info_with_label(d, 0, bins=4) == 0.0
+        assert one_column(d, MI, mi_bins=4) == 0.0
 
     def test_nonnegative_on_random_data(self):
         rng = np.random.default_rng(14)
         d = random_dataset(rng, 30, 8, n_classes=3)
-        for col in range(8):
-            assert mutual_info_with_label(d, col, bins=5) >= 0.0
+        assert (relevance_all(d, MI, mi_bins=5).values >= 0.0).all()
 
     def test_pair_mi_symmetric_bitwise(self):
         rng = np.random.default_rng(15)
         d = random_dataset(rng, 25, 6)
         for i in range(6):
             for j in range(i + 1, 6):
-                assert mi_pair_value(d, i, j) == mi_pair_value(d, j, i)
+                assert (RedundancyCache(d, MI_PAIR).get(i, j)
+                        == RedundancyCache(d, MI_PAIR).get(j, i))
 
 
 class TestFValue:
@@ -155,30 +169,30 @@ class TestFValue:
 
     def test_identical_group_means_zero(self):
         d = make_dataset(np.array([[1.0], [3.0], [1.0], [3.0]]), [0, 0, 1, 1])
-        assert f_value_with_label(d, 0) == 0.0
+        assert one_column(d, FVALUE) == 0.0
 
     def test_hand_anova_case(self):
         d = make_dataset(np.array([[1.0], [2.0], [3.0], [2.0], [3.0], [4.0]]),
                          [0, 0, 0, 1, 1, 1])
-        np.testing.assert_allclose(f_value_with_label(d, 0), 1.5, rtol=1e-12)
+        np.testing.assert_allclose(one_column(d, FVALUE), 1.5, rtol=1e-12)
 
     def test_zero_within_variance_capped(self):
         d = make_dataset(np.array([[1.0], [1.0], [2.0], [2.0]]), [0, 0, 1, 1])
-        assert f_value_with_label(d, 0) == F_VALUE_CAP
+        assert one_column(d, FVALUE) == F_VALUE_CAP
 
     def test_fully_constant_column_zero(self):
         d = make_dataset(np.full((4, 1), 3.0), [0, 0, 1, 1])
-        assert f_value_with_label(d, 0) == 0.0
+        assert one_column(d, FVALUE) == 0.0
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             d = random_dataset(rng, 24, 1, n_classes=3)
-            base = f_value_with_label(d, 0)
+            base = one_column(d, FVALUE)
             a = rng.uniform(0.5, 4.0) * rng.choice([-1.0, 1.0])
             b = rng.normal()
             shifted = make_dataset(a * d.features + b, d.labels)
-            np.testing.assert_allclose(f_value_with_label(shifted, 0), base,
+            np.testing.assert_allclose(one_column(shifted, FVALUE), base,
                                        rtol=1e-9)
 
 
@@ -187,28 +201,28 @@ class TestCosine:
 
     def test_parallel_vectors(self):
         d = make_dataset(np.array([[0.0], [1.0], [1.0]]), [0, 1, 1])
-        np.testing.assert_allclose(cosine_with_label(d, 0), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(one_column(d, COSINE), 1.0, rtol=1e-12)
 
     def test_orthogonal_vectors(self):
         # label vector encodes to [0, 1]; x = [1, 0] is orthogonal to it
         d = make_dataset(np.array([[1.0], [0.0]]), [0, 1])
-        assert cosine_with_label(d, 0) == 0.0
+        assert one_column(d, COSINE) == 0.0
 
     def test_dot_product_case(self):
         d = make_dataset(np.array([[1.0], [2.0], [3.0]]), [0, 1, 1])
-        np.testing.assert_allclose(cosine_with_label(d, 0),
+        np.testing.assert_allclose(one_column(d, COSINE),
                                    5.0 / math.sqrt(28.0), rtol=1e-12)
 
     def test_zero_norm_column(self):
         d = make_dataset(np.zeros((4, 1)), [0, 0, 1, 1])
-        assert cosine_with_label(d, 0) == 0.0
+        assert one_column(d, COSINE) == 0.0
 
     def test_sign_blind(self):
         rng = np.random.default_rng(17)
         d = random_dataset(rng, 20, 1)
         flipped = make_dataset(-d.features, d.labels)
-        np.testing.assert_allclose(cosine_with_label(flipped, 0),
-                                   cosine_with_label(d, 0), rtol=1e-12)
+        np.testing.assert_allclose(one_column(flipped, COSINE),
+                                   one_column(d, COSINE), rtol=1e-12)
 
 
 class TestGiniImportance:
@@ -258,19 +272,54 @@ class TestGiniImportance:
         np.testing.assert_allclose(rel.values.sum(), 1.0, rtol=1e-12)
 
 
+def assert_matches_per_column_oracles(d, mi_bins=DEFAULT_MI_BINS):
+    """Whole-matrix relevance equals the oracles' per-column values exactly."""
+    mi = relevance_all(d, MI, mi_bins=mi_bins).values
+    fv = relevance_all(d, FVALUE).values
+    cs = relevance_all(d, COSINE).values
+    for col in range(d.n_cols):
+        x = d.features[:, col]
+        assert mi[col] == oracle_mi_of_codes(oracle_discretize(x, mi_bins), d.labels), col
+        assert fv[col] == oracle_f_value(x, d.labels, d.n_classes), col
+        assert cs[col] == oracle_cosine(x, d.labels), col
+
+
 class TestRelevanceAll:
-    """Vectorized wrapper over the per-column estimators."""
+    """Every estimator scores all columns of a dataset in one call."""
 
     def test_map_semantics_per_estimator(self):
         rng = np.random.default_rng(21)
-        d = random_dataset(rng, 25, 4, n_classes=2)
-        mi = relevance_all(d, MI, mi_bins=6)
-        fv = relevance_all(d, FVALUE)
-        cs = relevance_all(d, COSINE)
-        for col in range(4):
-            assert mi.values[col] == mutual_info_with_label(d, col, bins=6)
-            assert fv.values[col] == f_value_with_label(d, col)
-            assert cs.values[col] == cosine_with_label(d, col)
+        assert_matches_per_column_oracles(random_dataset(rng, 25, 4, n_classes=2), mi_bins=6)
+
+    def test_three_classes_and_constant_columns(self):
+        rng = np.random.default_rng(33)
+        for n_rows in (3, 7, 62, 301):
+            d = random_dataset(rng, n_rows, 40, n_classes=3)
+            x = np.array(d.features)
+            x[:, 3] = 1.5
+            x[:, 7] = 0.0
+            x[:, 11] = np.round(x[:, 11])
+            assert_matches_per_column_oracles(make_dataset(x, d.labels))
+
+    def test_fold_subset(self):
+        rng = np.random.default_rng(34)
+        d = random_dataset(rng, 45, 30, n_classes=3)
+        rows = np.flatnonzero(np.arange(45) % 5 != 2)
+        sub = _subset_dataset(d, rows, d.features[rows], "#fold2")
+        assert_matches_per_column_oracles(sub)
+
+    def test_noncontiguous_column_subset(self):
+        # As KGroups scores a bin's tied columns: a dataset of some columns.
+        rng = np.random.default_rng(35)
+        d = random_dataset(rng, 50, 30, n_classes=3)
+        cols = np.array([28, 1, 4, 17, 9])
+        sub = dataclasses.replace(
+            d, features=d.features[:, cols], feature_names=[f"f{i}" for i in cols]
+        )
+        assert_matches_per_column_oracles(sub)
+        for est in (MI, FVALUE, COSINE):
+            np.testing.assert_array_equal(relevance_all(sub, est).values,
+                                          relevance_all(d, est).values[cols])
 
     def test_params_echo(self):
         rng = np.random.default_rng(22)
@@ -304,47 +353,47 @@ class TestRedundancy:
         rng = np.random.default_rng(25)
         x = rng.normal(size=20)
         d = make_dataset(np.column_stack([x, x]), [0] * 10 + [1] * 10)
-        assert abs_pearson_value(d, 0, 1) == 1.0
+        assert RedundancyCache(d, ABS_PEARSON).get(0, 1) == 1.0
 
     def test_negated_column_pearson_one(self):
         rng = np.random.default_rng(26)
         x = rng.normal(size=20)
         d = make_dataset(np.column_stack([x, -x]), [0] * 10 + [1] * 10)
-        assert abs_pearson_value(d, 0, 1) == 1.0
+        assert RedundancyCache(d, ABS_PEARSON).get(0, 1) == 1.0
 
     def test_constant_column_pearson_zero(self):
         rng = np.random.default_rng(27)
         d = make_dataset(np.column_stack([np.ones(10), rng.normal(size=10)]),
                          [0] * 5 + [1] * 5)
-        assert abs_pearson_value(d, 0, 1) == 0.0
+        assert RedundancyCache(d, ABS_PEARSON).get(0, 1) == 0.0
 
     def test_pair_mi_matches_table_oracle(self):
         rng = np.random.default_rng(28)
         d = random_dataset(rng, 24, 5)
         for i in range(5):
             for j in range(i + 1, 5):
-                a = discretize_equal_frequency(d.features[:, i], 10)
-                b = discretize_equal_frequency(d.features[:, j], 10)
+                a = oracle_discretize(d.features[:, i], 10)
+                b = oracle_discretize(d.features[:, j], 10)
                 table = np.zeros((a.max() + 1, b.max() + 1))
                 for u, v in zip(a, b):
                     table[u, v] += 1
-                np.testing.assert_allclose(mi_pair_value(d, i, j),
+                np.testing.assert_allclose(RedundancyCache(d, MI_PAIR).get(i, j),
                                            plugin_mi_oracle(table), atol=1e-12)
 
     def test_cache_bitwise_equal_and_counts(self):
         rng = np.random.default_rng(29)
         d = random_dataset(rng, 30, 6)
-        for measure, direct in ((MI_PAIR, mi_pair_value),
-                                (ABS_PEARSON, abs_pearson_value)):
+        codes = [oracle_discretize(d.features[:, c], 10) for c in range(6)]
+        direct = {
+            MI_PAIR: lambda a, b: oracle_mi_of_codes(codes[a], codes[b]),
+            ABS_PEARSON: lambda a, b: oracle_abs_pearson(d.features[:, a], d.features[:, b]),
+        }
+        for measure, fn in direct.items():
             cache = RedundancyCache(d, measure)
-            if measure == MI_PAIR:
-                fn = lambda i, j: direct(d, i, j, 10)
-            else:
-                fn = lambda i, j: direct(d, i, j)
             for i in range(6):
                 for j in range(6):
                     if i != j:
-                        assert cache.get(i, j) == fn(i, j)
+                        assert cache.get(i, j) == fn(min(i, j), max(i, j))
             assert len(cache) == 15  # each unordered pair stored once
 
     def test_cache_symmetric_lookup(self):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_dataset, random_dataset
 from ffsel import (
+    MRMR_VARIANTS,
     BinningScheme,
     RelevanceVector,
     SelectionResult,
@@ -14,7 +15,6 @@ from ffsel import (
     select_kbest,
     select_kgroups,
     select_mrmr,
-    variant_name,
 )
 from ffsel.relevance import ABS_PEARSON, COSINE, FVALUE, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
@@ -376,18 +376,15 @@ class TestVariantNames:
     """Published names of the greedy variant grid."""
 
     def test_named_grid(self):
-        assert variant_name(MI, DIFFERENCE, MI_PAIR) == "MID"
-        assert variant_name(MI, QUOTIENT, MI_PAIR) == "MIQ"
-        assert variant_name(FVALUE, DIFFERENCE, ABS_PEARSON) == "FCD"
-        assert variant_name(FVALUE, QUOTIENT, ABS_PEARSON) == "FCQ"
-        assert variant_name("GINI", DIFFERENCE, ABS_PEARSON) == "RFCD"
-        assert variant_name("GINI", QUOTIENT, ABS_PEARSON) == "RFCQ"
-        assert variant_name(MI, DIFFERENCE, MI_PAIR,
-                            mean_normalized=False) == "MIFS"
-
-    def test_unnamed_combination_gets_generic_tag(self):
-        name = variant_name(COSINE, DIFFERENCE, ABS_PEARSON)
-        assert COSINE in name
+        assert MRMR_VARIANTS == {
+            "MID": (MI, DIFFERENCE, MI_PAIR, True),
+            "MIQ": (MI, QUOTIENT, MI_PAIR, True),
+            "FCD": (FVALUE, DIFFERENCE, ABS_PEARSON, True),
+            "FCQ": (FVALUE, QUOTIENT, ABS_PEARSON, True),
+            "RFCQ": ("GINI", QUOTIENT, ABS_PEARSON, True),
+            "RFCD": ("GINI", DIFFERENCE, ABS_PEARSON, True),
+            "MIFS": (MI, DIFFERENCE, MI_PAIR, False),
+        }
 
 
 class TestSelectionResult:
