@@ -8,19 +8,24 @@ import pytest
 
 import ffsel.selectors
 import ffsel.sweep
-from conftest import write_csv
+from conftest import make_dataset, write_csv
 from ffsel import (
     BenchmarkRecord,
     DataError,
+    ForestParams,
     RedundancyCache,
     SweepConfig,
     algorithm_label,
     best_config_report,
+    classify,
     load_csv,
+    make_folds,
     n_selected_distributions,
     read_records,
     relevance_all,
     run_sweep,
+    select_kbest,
+    select_kgroups,
     select_mrmr,
     standard_scale,
 )
@@ -252,6 +257,51 @@ class TestRunSweep:
             assert rec.settings["select_per_fold"] is True
             if rec.algorithm in (MRMR_D, MRMR_Q):
                 assert rec.n_selected == rec.k
+
+    @pytest.mark.parametrize("scale_per_fold", [False, True])
+    def test_select_per_fold_matches_independent_loop(self, tmp_path, scale_per_fold):
+        csv = blob_csv(tmp_path, n_cols=8)
+        cfg = tiny_config(tmp_path, datasets=(str(csv),), algorithms=(KBEST, KGROUPS, "MID"),
+                          alpha_grid=(0.5, 1.0), select_per_fold=True,
+                          scale_per_fold=scale_per_fold, k_max=4)
+        records = list(run_sweep(cfg))
+        assert {r.algorithm for r in records} == {KBEST, KGROUPS, MRMR_D}
+        d = standard_scale(load_csv(csv))
+        folds = make_folds(d, cfg.n_folds, cfg.seed)
+        forest = ForestParams(seed=cfg.seed)
+        breakers = cfg.tie_breaker_map[MI]
+        for rec in records:
+            accs, n_sel = [], []
+            for f in range(cfg.n_folds):
+                tr = np.flatnonzero(folds.assignments != f)
+                te = np.flatnonzero(folds.assignments == f)
+                train_x, test_x = d.features[tr], d.features[te]
+                if scale_per_fold:
+                    mean, sd = train_x.mean(axis=0), train_x.std(axis=0)
+                    safe = np.where(sd == 0.0, 1.0, sd)
+                    train_x, test_x = (train_x - mean) / safe, (test_x - mean) / safe
+                    train_x[:, sd == 0.0] = 0.0
+                    test_x[:, sd == 0.0] = 0.0
+                view = make_dataset(train_x, d.labels[tr], f"fold{f}")
+                rel = relevance_all(view, MI, mi_bins=cfg.mi_bins, forest=forest)
+                if rec.algorithm == KBEST:
+                    picked = select_kbest(rel, rec.k)
+                elif rec.algorithm == KGROUPS:
+                    picked = select_kgroups(view, rel, rec.k, rec.alpha, breakers,
+                                            mi_bins=cfg.mi_bins, forest=forest)
+                else:
+                    picked = select_mrmr(view, rel, rec.k, DIFFERENCE, MI_PAIR,
+                                         mi_bins=cfg.mi_bins)
+                cols = np.asarray(picked.selected)
+                n_sel.append(cols.size)
+                pred = classify(rec.classifier, train_x[:, cols], d.labels[tr],
+                                test_x[:, cols], n_classes=d.n_classes,
+                                k_neighbors=cfg.k_neighbors, forest=forest)
+                accs.append(float(np.mean(pred == d.labels[te])))
+            cell = (rec.algorithm, rec.alpha, rec.k, rec.classifier)
+            assert rec.cv_mean_accuracy == np.mean(accs), cell
+            assert rec.cv_sd == np.std(accs), cell
+            assert rec.n_selected == round(float(np.mean(n_sel))), cell
 
     def test_select_per_fold_estimates_relevance_once_per_fold(self, tmp_path):
         cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS, "MID"),
