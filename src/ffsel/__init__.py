@@ -43,7 +43,6 @@ from .classifiers import (
     rf_classify,
 )
 from .evaluate import BenchmarkRecord, accuracy, cross_validate
-from .timing import cpu_timer
 from .sweep import (
     SweepConfig,
     algorithm_label,

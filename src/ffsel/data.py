@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class FoldPlan:
 
     n_folds: int
     assignments: np.ndarray
-    seed: int = field(default=0)
 
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=np.int64)
@@ -187,17 +186,29 @@ def _stem(path: str) -> str:
     return base.rsplit(".", 1)[0] if "." in base else base
 
 
+def standardize(train: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
+    """`train` and each other block, standardized by `train`'s columns.
+
+    Every block is centered by the column means of `train` and divided by
+    its population standard deviations.  Columns constant in `train` are
+    mapped to all zeros instead of raising.
+    """
+    mean = train.mean(axis=0)
+    sd = train.std(axis=0)  # population sd (ddof=0)
+    safe = np.where(sd > 0, sd, 1.0)
+    scaled = [(block - mean) / safe for block in (train, *others)]
+    for block in scaled:
+        block[:, sd == 0] = 0.0
+    return scaled
+
+
 def standard_scale(d: Dataset) -> Dataset:
     """Center every column to mean 0 and population standard deviation 1.
 
     Zero-variance columns are mapped to all zeros instead of raising.
     Labels, names, and column order are untouched.
     """
-    mean = d.features.mean(axis=0)
-    sd = d.features.std(axis=0)  # population sd (ddof=0)
-    safe = np.where(sd > 0, sd, 1.0)
-    scaled = (d.features - mean) / safe
-    scaled[:, sd == 0] = 0.0
+    (scaled,) = standardize(d.features)
     return Dataset(
         name=d.name,
         features=scaled,
@@ -235,4 +246,4 @@ def make_folds(d: Dataset, n_folds: int, seed: int = 0) -> FoldPlan:
         for row in members:
             assignments[row] = pointer % n_folds
             pointer += 1
-    return FoldPlan(n_folds=n_folds, assignments=assignments, seed=seed)
+    return FoldPlan(n_folds=n_folds, assignments=assignments)

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import classify
-from .data import Dataset, FoldPlan
+from .data import Dataset, FoldPlan, standardize
 from .forest import ForestParams
 
 __all__ = [
@@ -39,36 +39,7 @@ def accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
     return float(np.mean(p == t))
 
 
-def _scale_blocks(train_x: np.ndarray, test_x: np.ndarray):
-    """Standardize both blocks with the training block's mean and population sd."""
-    mean = train_x.mean(axis=0)
-    sd = train_x.std(axis=0)
-    safe = np.where(sd == 0.0, 1.0, sd)
-    train_s = (train_x - mean) / safe
-    test_s = (test_x - mean) / safe
-    dead = sd == 0.0
-    if dead.any():
-        train_s[:, dead] = 0.0
-        test_s[:, dead] = 0.0
-    return train_s, test_s
-
-
-def cross_validate(
-    d: Dataset,
-    selected: Sequence[int],
-    classifier: str,
-    folds: FoldPlan,
-    *,
-    scale_per_fold: bool = False,
-    k_neighbors: int = 5,
-    forest: ForestParams | None = None,
-) -> tuple[float, float]:
-    """Mean and population sd of per-fold accuracies for one feature subset.
-
-    Each fold trains on the out-of-fold rows restricted to the selected
-    columns and predicts the in-fold rows.  A class missing from a fold's
-    training rows is allowed; it simply cannot be predicted there.
-    """
+def _columns(d: Dataset, selected: Sequence[int]) -> np.ndarray:
     sel = np.asarray(list(selected), dtype=np.int64)
     if sel.size == 0:
         raise ValueError("selected feature list must be non-empty")
@@ -78,16 +49,44 @@ def cross_validate(
         )
     if np.unique(sel).size != sel.size:
         raise ValueError("selected feature indices must be unique")
+    return sel
+
+
+def cross_validate(
+    d: Dataset,
+    selected: Sequence[int] | Sequence[Sequence[int]],
+    classifier: str,
+    folds: FoldPlan,
+    *,
+    scale_per_fold: bool = False,
+    k_neighbors: int = 5,
+    forest: ForestParams | None = None,
+) -> tuple[float, float]:
+    """Mean and population sd of per-fold accuracies for feature subsets.
+
+    `selected` is one subset used in every fold, or a list of one subset per
+    fold (features selected inside each fold's training rows).  Each fold
+    trains on the out-of-fold rows restricted to its subset's columns and
+    predicts the in-fold rows.  A class missing from a fold's training rows
+    is allowed; it simply cannot be predicted there.
+    """
+    subsets = list(selected)
+    if subsets and np.ndim(subsets[0]) > 0:
+        if len(subsets) != folds.n_folds:
+            raise ValueError(f"{len(subsets)} feature subsets given for {folds.n_folds} folds")
+        columns = [_columns(d, s) for s in subsets]
+    else:
+        columns = [_columns(d, subsets)] * folds.n_folds
     if folds.assignments.shape[0] != d.n_rows:
         raise ValueError("fold plan does not cover this dataset")
     accs = np.empty(folds.n_folds, dtype=np.float64)
-    for f in range(folds.n_folds):
+    for f, sel in enumerate(columns):
         test_rows = folds.fold_rows(f)
         train_rows = folds.train_rows(f)
         train_x = d.features[np.ix_(train_rows, sel)]
         test_x = d.features[np.ix_(test_rows, sel)]
         if scale_per_fold:
-            train_x, test_x = _scale_blocks(train_x, test_x)
+            train_x, test_x = standardize(train_x, test_x)
         preds = classify(
             classifier,
             train_x,

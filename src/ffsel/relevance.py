@@ -217,9 +217,7 @@ class RedundancyCache:
     def __init__(self, d: Dataset, measure: str, mi_bins: int = DEFAULT_MI_BINS):
         if measure not in REDUNDANCY_MEASURES:
             raise ValueError(f"unknown redundancy measure {measure!r}")
-        self.dataset = d
         self.measure = measure
-        self.mi_bins = mi_bins
         self._entries: dict[tuple[int, int], float] = {}
         if measure == MI_PAIR:
             self._codes = discretize_columns(d.features, mi_bins).T

@@ -1,12 +1,14 @@
 """Benchmark sweep over datasets, estimators, selectors, and classifiers.
 
 Produces one JSON-lines record per (dataset, estimator, algorithm variant,
-k, classifier) cell.  Relevance vectors are computed once per dataset and
-estimator (and fold, when selecting per fold), then shared across every k
-and alpha.  Each greedy mRMR variant runs once from cold to the largest
-pending k, and each k's record takes its first k picks, so a record's
-selection cost does not depend on which cells ran first.  An interrupted
-sweep resumes by skipping cells already present in the output.
+k, classifier) cell.  A cell selects on the whole dataset, or with
+`select_per_fold` inside each fold's training view (built once per dataset
+and fold), and scores its subsets through `cross_validate`.  Relevance
+vectors are computed once per dataset and estimator (and fold), then shared
+across every k and alpha.  Each greedy mRMR variant runs once from cold to
+the largest pending k, and each k's record takes its first k picks, so a
+record's selection cost does not depend on which cells ran first.  An
+interrupted sweep resumes by skipping cells already present in the output.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classifiers import CLASSIFIERS, GNB, KNN, RF, classify
-from .data import DataError, Dataset, FoldPlan, load_csv, make_folds, standard_scale
-from .evaluate import CELL_KEY_FIELDS, BenchmarkRecord, _scale_blocks, accuracy, cross_validate
+from .classifiers import CLASSIFIERS, GNB, KNN, RF
+from .data import DataError, Dataset, load_csv, make_folds, standard_scale, standardize
+from .evaluate import CELL_KEY_FIELDS, BenchmarkRecord, cross_validate
 from .forest import ForestParams
 from .relevance import (
     COSINE,
@@ -66,6 +68,10 @@ DEFAULT_TIE_BREAKERS: dict[str, tuple[str, ...]] = {
     FVALUE: (MI,),
     GINI: (MI,),
 }
+
+
+# Config keys whose value is a list; a string there would split into characters.
+_LIST_KEYS = ("datasets", "estimators", "algorithms", "classifiers", "alpha_grid", "k_range")
 
 
 def _default_tie_breakers() -> dict[str, tuple[str, ...]]:
@@ -148,7 +154,11 @@ class SweepConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs: dict[str, object] = {}
         for key, value in raw.items():
+            if key in _LIST_KEYS and isinstance(value, str):
+                raise ValueError(f"config key {key!r} needs a list, got the string {value!r}")
             if key == "k_range":
+                if len(value) != 2:  # type: ignore[arg-type]
+                    raise ValueError(f"config key 'k_range' needs [k_min, k_max], got {value!r}")
                 lo, hi = value  # type: ignore[misc]
                 kwargs["k_min"] = int(lo)
                 kwargs["k_max"] = int(hi)
@@ -164,9 +174,12 @@ class SweepConfig:
         if "alpha_grid" in kwargs:
             kwargs["alpha_grid"] = tuple(float(a) for a in kwargs["alpha_grid"])  # type: ignore[union-attr]
         if "tie_breaker_map" in kwargs:
+            tie_map = kwargs["tie_breaker_map"]
+            if not isinstance(tie_map, Mapping) or any(isinstance(v, str) for v in tie_map.values()):
+                raise ValueError(f"config key 'tie_breaker_map' needs a list per estimator, got {tie_map!r}")
             kwargs["tie_breaker_map"] = {
                 str(k).upper(): tuple(str(v).upper() for v in vals)
-                for k, vals in kwargs["tie_breaker_map"].items()  # type: ignore[union-attr]
+                for k, vals in tie_map.items()
             }
         return cls(**kwargs)  # type: ignore[arg-type]
 
@@ -326,6 +339,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
 
     # Keyed by (dataset, estimator or variant, fold), fold None when pooled.
     relevance: dict[tuple[str, str, int | None], tuple[RelevanceVector, float]] = {}
+    fold_views: dict[tuple[str, int], Dataset] = {}  # training rows of the current dataset's folds
     greedy_k: dict[tuple[str, str], int] = {}  # largest pending k per variant
     greedy_runs: dict[tuple[str, str, int | None], SelectionResult] = {}
 
@@ -376,33 +390,47 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
             )
         return settings
 
-    def record(task: _Task, clf: str, settings: dict, **measured) -> BenchmarkRecord:
-        return BenchmarkRecord(**task.cell(clf, config.seed), settings=settings, **measured)
+    def fold_view(d: Dataset, f: int) -> Dataset:
+        """Fold f's training rows of d, standardized on them when scaling per fold."""
+        key = (d.name, f)
+        if key not in fold_views:
+            if any(name != d.name for name, _ in fold_views):
+                fold_views.clear()  # cells run dataset by dataset
+            rows = folds[d.name].train_rows(f)
+            x = d.features[rows]
+            if config.scale_per_fold:
+                (x,) = standardize(x)
+            fold_views[key] = _subset_dataset(d, rows, x, f"#fold{f}")
+        return fold_views[key]
 
-    def run_cell(task: _Task, classifiers: Sequence[str]) -> list[BenchmarkRecord]:
+    def run_cell(task: _Task, classifiers: Sequence[str], settings: dict) -> list[BenchmarkRecord]:
         d = task.d
-        settings = cell_settings(task)
+        plan = folds[d.name]
         if config.select_per_fold:
-            return run_cell_per_fold(task, classifiers, settings)
-        selected, selection_cpu = select(task, d, None)
+            # Stricter protocol: no row a fold scores on helps select its subset.
+            picks = [select(task, fold_view(d, f), f) for f in range(plan.n_folds)]
+        else:
+            picks = [select(task, d, None)]
+        subsets = [sel for sel, _ in picks]
+        n_selected = int(round(float(np.mean([len(sel) for sel in subsets]))))
+        selection_cpu = sum(cpu for _, cpu in picks)
         out = []
         for clf in classifiers:
             t1 = thread_cpu_time()
             mean, sd = cross_validate(
                 d,
-                selected,
+                subsets if config.select_per_fold else subsets[0],
                 clf,
-                folds[d.name],
+                plan,
                 scale_per_fold=config.scale_per_fold,
                 k_neighbors=config.k_neighbors,
                 forest=forest,
             )
             out.append(
-                record(
-                    task,
-                    clf,
-                    settings,
-                    n_selected=len(selected),
+                BenchmarkRecord(
+                    **task.cell(clf, config.seed),
+                    settings=settings,
+                    n_selected=n_selected,
                     cv_mean_accuracy=mean,
                     cv_sd=sd,
                     selection_cpu_seconds=selection_cpu,
@@ -411,60 +439,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
             )
         return out
 
-    def run_cell_per_fold(
-        task: _Task, classifiers: Sequence[str], settings: dict
-    ) -> list[BenchmarkRecord]:
-        # Stricter protocol: estimate and select inside each fold's training
-        # rows only, then score that fold with its own subset.
-        d = task.d
-        plan = folds[d.name]
-        selection_cpu = 0.0
-        n_sel: list[int] = []
-        accs = {clf: [] for clf in classifiers}
-        train_cpu = {clf: 0.0 for clf in classifiers}
-        for f in range(plan.n_folds):
-            train_rows = plan.train_rows(f)
-            test_rows = plan.fold_rows(f)
-            train_x = d.features[train_rows]
-            test_x = d.features[test_rows]
-            if config.scale_per_fold:
-                train_x, test_x = _scale_blocks(train_x, test_x)
-            sub = _subset_dataset(d, train_rows, train_x, f"#fold{f}")
-            selected, cpu = select(task, sub, f)
-            selection_cpu += cpu
-            sel = np.asarray(selected, dtype=np.int64)
-            n_sel.append(len(selected))
-            for clf in classifiers:
-                t1 = thread_cpu_time()
-                preds = classify(
-                    clf,
-                    train_x[:, sel],
-                    d.labels[train_rows],
-                    test_x[:, sel],
-                    n_classes=d.n_classes,
-                    k_neighbors=config.k_neighbors,
-                    forest=forest,
-                )
-                accs[clf].append(accuracy(preds, d.labels[test_rows]))
-                train_cpu[clf] += thread_cpu_time() - t1
-        out = []
-        for clf in classifiers:
-            arr = np.asarray(accs[clf])
-            out.append(
-                record(
-                    task,
-                    clf,
-                    settings,
-                    n_selected=int(round(float(np.mean(n_sel)))),
-                    cv_mean_accuracy=float(arr.mean()),
-                    cv_sd=float(arr.std()),
-                    selection_cpu_seconds=selection_cpu,
-                    training_cpu_seconds=train_cpu[clf],
-                )
-            )
-        return out
-
-    pending: list[tuple[_Task, list[str]]] = []
+    pending: list[tuple[_Task, list[str], dict]] = []
     for task in tasks:
         settings = cell_settings(task)
         todo = []
@@ -487,7 +462,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                 )
         stats["cells_skipped"] += len(config.classifiers) - len(todo)
         if todo:
-            pending.append((task, todo))
+            pending.append((task, todo, settings))
             if task.mrmr is not None:
                 key = (task.d.name, task.variant)
                 greedy_k[key] = max(greedy_k.get(key, 0), task.k)
@@ -500,8 +475,8 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     with records_path.open("a", encoding="utf-8") as sink:
-        for task, todo in pending:
-            batch = run_cell(task, todo)
+        for task, todo, settings in pending:
+            batch = run_cell(task, todo, settings)
             for rec in batch:
                 sink.write(json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
             sink.flush()

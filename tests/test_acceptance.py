@@ -17,7 +17,6 @@ from ffsel import (
     RelevanceVector,
     SweepConfig,
     compute_bins,
-    cpu_timer,
     cross_validate,
     load_csv,
     make_folds,
@@ -32,6 +31,7 @@ from ffsel.evaluate import TIMING_FIELDS
 from ffsel.forest import ForestParams
 from ffsel.relevance import ABS_PEARSON, FVALUE, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, QUOTIENT
+from ffsel.timing import thread_cpu_time
 
 CLASSIFIERS = ("KNN", "GNB", "RF")
 
@@ -189,29 +189,33 @@ class TestCpuCostOrdering:
         labels = np.repeat([0, 1], n_rows // 2)
         d = make_dataset(rng.normal(size=(n_rows, n_cols)), labels, "wide")
 
-        with cpu_timer() as t_top:
-            rel = relevance_all(d, MI)
-            select_kbest(rel, k)
-        with cpu_timer() as t_grouped:
-            rel = relevance_all(d, MI)
-            select_kgroups(d, rel, k, 1.0)
-        with cpu_timer() as t_greedy_mi:
-            rel = relevance_all(d, MI)
-            select_mrmr(d, rel, k, form=DIFFERENCE, redundancy=MI_PAIR)
-        with cpu_timer() as t_greedy_f:
-            rel = relevance_all(d, FVALUE)
-            select_mrmr(d, rel, k, form=DIFFERENCE, redundancy=ABS_PEARSON)
+        t0 = thread_cpu_time()
+        rel = relevance_all(d, MI)
+        select_kbest(rel, k)
+        t_top = thread_cpu_time() - t0
+        t0 = thread_cpu_time()
+        rel = relevance_all(d, MI)
+        select_kgroups(d, rel, k, 1.0)
+        t_grouped = thread_cpu_time() - t0
+        t0 = thread_cpu_time()
+        rel = relevance_all(d, MI)
+        select_mrmr(d, rel, k, form=DIFFERENCE, redundancy=MI_PAIR)
+        t_greedy_mi = thread_cpu_time() - t0
+        t0 = thread_cpu_time()
+        rel = relevance_all(d, FVALUE)
+        select_mrmr(d, rel, k, form=DIFFERENCE, redundancy=ABS_PEARSON)
+        t_greedy_f = thread_cpu_time() - t0
 
         def detail(name, num, den, op, bound):
-            ratio = num.seconds / max(den.seconds, 1e-9)
+            ratio = num / max(den, 1e-9)
             return (f"{name} ratio {ratio:.2f} {op} bound {bound}: "
-                    f"{num.seconds:.3f} s / {den.seconds:.3f} s")
+                    f"{num:.3f} s / {den:.3f} s")
 
-        assert t_grouped.seconds <= 3.0 * t_top.seconds, detail(
+        assert t_grouped <= 3.0 * t_top, detail(
             "grouped/top", t_grouped, t_top, "<=", 3.0)
-        assert t_greedy_mi.seconds >= 20.0 * t_grouped.seconds, detail(
+        assert t_greedy_mi >= 20.0 * t_grouped, detail(
             "greedy-MI/grouped", t_greedy_mi, t_grouped, ">=", 20.0)
-        assert t_greedy_mi.seconds >= 3.0 * t_greedy_f.seconds, detail(
+        assert t_greedy_mi >= 3.0 * t_greedy_f, detail(
             "greedy-MI/greedy-F", t_greedy_mi, t_greedy_f, ">=", 3.0)
 
 

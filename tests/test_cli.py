@@ -200,6 +200,16 @@ class TestBenchmark:
         assert code == EXIT_USAGE
         assert "unrecognized arguments: --bin-smoothing" in err
 
+    def test_string_datasets_exits_1(self, data_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"datasets": data_csv,
+                                        "output_dir": str(tmp_path / "o")}))
+        code = main(["benchmark", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "config key 'datasets' needs a list" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
     def test_bad_config_json_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{nope")

@@ -1,8 +1,4 @@
-"""Accuracy metrics, cross-validation, CPU timing, and benchmark records."""
-
-import hashlib
-import threading
-import time
+"""Accuracy metrics, cross-validation, and benchmark records."""
 
 import numpy as np
 import pytest
@@ -11,40 +7,12 @@ from conftest import make_dataset, random_dataset, separable_dataset
 from ffsel import (
     BenchmarkRecord,
     accuracy,
-    cpu_timer,
     cross_validate,
     make_folds,
     standard_scale,
 )
 from ffsel.classifiers import GNB, KNN, RF, classify
 from ffsel.evaluate import TIMING_FIELDS
-
-
-def spin(seconds):
-    """Burn CPU for roughly the given time.
-
-    It stops on the process clock, so it is not a per-thread workload and
-    cannot show parallel CPU.
-    """
-    t0 = time.process_time()
-    x = 1.0
-    while time.process_time() - t0 < seconds:
-        x = x * 1.0000001 % 97.0
-    return x
-
-
-# Hashing a buffer of 2 KiB or more releases the GIL, so threads that each
-# hash this buffer a fixed number of times run in parallel on separate cores.
-HASH_BUFFER = bytes(8 << 20)
-HASH_ROUNDS = 28
-
-
-def hash_rounds():
-    """Do a fixed amount of CPU work that releases the GIL."""
-    h = hashlib.sha256()
-    for _ in range(HASH_ROUNDS):
-        h.update(HASH_BUFFER)
-    return h.digest()
 
 
 class TestAccuracy:
@@ -85,6 +53,37 @@ class TestCrossValidate:
             accs.append(accuracy(pred, d.labels[te]))
         assert mean == np.mean(accs)
         assert sd == np.std(accs)  # population sd over folds
+
+    @pytest.mark.parametrize("scale_per_fold", [False, True])
+    def test_per_fold_subsets_match_manual_fold_loop(self, scale_per_fold):
+        rng = np.random.default_rng(98)
+        d = random_dataset(rng, 36, 7, n_classes=3)
+        folds = make_folds(d, 3, seed=4)
+        subsets = [[0, 2, 5], [6, 1], (3, 4, 0, 2)]
+        mean, sd = cross_validate(d, subsets, KNN, folds, scale_per_fold=scale_per_fold,
+                                  k_neighbors=3)
+        accs = []
+        for f, cols in enumerate(subsets):
+            tr, te = folds.train_rows(f), folds.fold_rows(f)
+            train_x, test_x = d.features[tr], d.features[te]
+            if scale_per_fold:
+                mu, sigma = train_x.mean(axis=0), train_x.std(axis=0)
+                train_x, test_x = (train_x - mu) / sigma, (test_x - mu) / sigma
+            cols = np.asarray(cols)
+            pred = classify(KNN, train_x[:, cols], d.labels[tr], test_x[:, cols],
+                            n_classes=3, k_neighbors=3)
+            accs.append(accuracy(pred, d.labels[te]))
+        assert mean == np.mean(accs)
+        assert sd == np.std(accs)
+
+    def test_per_fold_subsets_need_one_per_fold(self):
+        rng = np.random.default_rng(99)
+        d = random_dataset(rng, 20, 4)
+        folds = make_folds(d, 3, seed=0)
+        with pytest.raises(ValueError, match="2 feature subsets given for 3 folds"):
+            cross_validate(d, [[0, 1], [2]], KNN, folds)
+        with pytest.raises(ValueError, match="non-empty"):
+            cross_validate(d, [[0], [], [1]], KNN, folds)
 
     def test_separable_data_scores_high(self):
         rng = np.random.default_rng(92)
@@ -131,46 +130,6 @@ class TestCrossValidate:
         folds = make_folds(other, 2, seed=0)
         with pytest.raises(ValueError):
             cross_validate(d, [0], KNN, folds)
-
-
-class TestCpuTimer:
-    """Process CPU-time measurement."""
-
-    def test_captures_busy_loop(self):
-        with cpu_timer() as t:
-            spin(0.05)
-        assert t.seconds >= 0.04
-        assert t.seconds < 5.0
-
-    def test_nested_timers_consistent(self):
-        with cpu_timer() as outer:
-            with cpu_timer() as inner:
-                spin(0.03)
-        assert inner.seconds <= outer.seconds + 1e-6
-
-    def test_idle_sleep_is_cheap(self):
-        with cpu_timer() as t:
-            time.sleep(0.2)
-        assert t.seconds < 0.1
-
-    def test_two_workers_sum_their_thread_cpu(self):
-        # Each worker reads its own thread clock, so the expected total does
-        # not depend on whether the two ran on separate cores.
-        spent = []
-
-        def worker():
-            t0 = time.thread_time()
-            hash_rounds()
-            spent.append(time.thread_time() - t0)
-
-        with cpu_timer() as t:
-            threads = [threading.Thread(target=worker) for _ in range(2)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-        total = sum(spent)
-        assert abs(t.seconds - total) <= 0.3 * total
 
 
 class TestBenchmarkRecord:

@@ -86,6 +86,27 @@ class TestSweepConfig:
         assert cfg.alpha_grid == (0.5, 1.0)
         assert cfg.classifiers == ("KNN",)
 
+    @pytest.mark.parametrize("key, value", [
+        ("datasets", "data/colon.csv"),
+        ("estimators", "mi"),
+        ("algorithms", "kbest"),
+        ("classifiers", "knn"),
+        ("alpha_grid", "0.5"),
+        ("k_range", "25"),
+        ("tie_breaker_map", {"mi": "cosine"}),
+        ("tie_breaker_map", "mi"),
+    ])
+    def test_string_for_list_rejected(self, tmp_path, key, value):
+        raw = {"datasets": ["a.csv"], "output_dir": str(tmp_path), key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}' needs a list"):
+            SweepConfig.from_mapping(raw)
+
+    @pytest.mark.parametrize("k_range", [[5], [2, 5, 9]])
+    def test_k_range_needs_two_entries(self, tmp_path, k_range):
+        with pytest.raises(ValueError, match="'k_range' needs"):
+            SweepConfig.from_mapping({"datasets": ["a.csv"], "output_dir": str(tmp_path),
+                                      "k_range": k_range})
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             SweepConfig.from_mapping({
@@ -302,6 +323,21 @@ class TestRunSweep:
             assert rec.cv_mean_accuracy == np.mean(accs), cell
             assert rec.cv_sd == np.std(accs), cell
             assert rec.n_selected == round(float(np.mean(n_sel))), cell
+
+    def test_select_per_fold_builds_each_fold_view_once(self, tmp_path, monkeypatch):
+        built = []
+        subset = ffsel.sweep._subset_dataset
+
+        def counting_subset(d, rows, features, tag):
+            built.append((d.name, tag))
+            return subset(d, rows, features, tag)
+
+        monkeypatch.setattr(ffsel.sweep, "_subset_dataset", counting_subset)
+        csvs = (blob_csv(tmp_path, "a.csv"), blob_csv(tmp_path, "b.csv", seed=1))
+        cfg = tiny_config(tmp_path, datasets=tuple(map(str, csvs)), select_per_fold=True,
+                          scale_per_fold=True)
+        assert len(list(run_sweep(cfg))) == 2 * 16
+        assert sorted(built) == [(n, f"#fold{f}") for n in ("a", "b") for f in range(3)]
 
     def test_select_per_fold_estimates_relevance_once_per_fold(self, tmp_path):
         cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS, "MID"),
