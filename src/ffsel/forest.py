@@ -8,7 +8,8 @@ fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +30,7 @@ class ForestParams:
         return max(1, min(self.max_features, n_cols))
 
     def as_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_features": self.max_features,
-            "min_samples_split": self.min_samples_split,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def gini_index(counts: np.ndarray) -> float:
@@ -47,71 +42,46 @@ def gini_index(counts: np.ndarray) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-class _Tree:
-    """CART classification tree stored as parallel node arrays.
+class _Tree(NamedTuple):
+    """CART classification tree stored as node arrays.
 
     Internal nodes carry (feature, threshold); rows with value <= threshold
-    go left.  Leaves predict the majority class of their training rows,
+    go left.  A leaf has feature -1 and is its own left and right child.
+    Every node's leaf class is the majority class of its training rows,
     ties resolved toward the smaller class id.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class")
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_class: list[int] = []
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_class.append(-1)
-        return len(self.feature) - 1
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.leaf_class[node]
-                continue
-            goes_left = X[idx, f] <= self.threshold[node]
-            stack.append((self.left[node], idx[goes_left]))
-            stack.append((self.right[node], idx[~goes_left]))
-        return out
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray
 
 
-def _best_split_for_feature(values, cum, total_counts, node_gini):
-    """Best (gain, threshold) splitting sorted values at a class-count prefix.
+def _best_split(X, onehot, idx, candidates, counts, node_gini, sizes):
+    """First maximal Gini gain over a node's rows ``idx`` and ``candidates``.
 
-    ``cum`` is the cumulative one-hot class count matrix of the sorted rows;
-    only boundaries between distinct consecutive values are candidates.
-    Returns (-1.0, 0.0) when the feature is constant at this node.
+    Sorts every candidate column at once, counts the classes left of each
+    boundary between sorted rows from the (rows x classes) indicator
+    ``onehot`` as (boundaries x candidates x classes), and scores all
+    boundaries as one (boundaries x candidates) array.  Classes stay on the
+    last, contiguous axis, so each boundary sums its class terms in the
+    order a one-column search would.  A boundary between equal values is no
+    split.  The first column in ``candidates`` order wins a tie, and within
+    it the first boundary.  Returns (gain, candidate position, threshold);
+    the gain is -inf when every candidate is constant at this node.
     """
-    n = values.shape[0]
-    boundaries = np.flatnonzero(values[1:] > values[:-1]) + 1
-    if boundaries.size == 0:
-        return -1.0, 0.0
-    nl = boundaries.astype(np.float64)
-    nr = n - nl
-    lc = cum[boundaries - 1]
-    rc = total_counts[None, :] - lc
-    gini_l = 1.0 - np.square(lc / nl[:, None]).sum(axis=1)
-    gini_r = 1.0 - np.square(rc / nr[:, None]).sum(axis=1)
-    weighted = (nl * gini_l + nr * gini_r) / n
-    gains = node_gini - weighted
-    best = int(np.argmax(gains))
-    i = boundaries[best]
-    threshold = 0.5 * (values[i - 1] + values[i])
-    return float(gains[best]), float(threshold)
+    n = idx.shape[0]
+    rows = idx[X[idx[:, None], candidates].argsort(axis=0, kind="stable")]
+    values = X[rows, candidates]
+    lc = onehot[rows[:-1]].cumsum(axis=0)
+    nl, nr = sizes[1:n, None], sizes[n - 1:0:-1, None]
+    gini_l = 1.0 - np.square(lc / nl[..., None]).sum(axis=2)
+    gini_r = 1.0 - np.square((counts - lc) / nr[..., None]).sum(axis=2)
+    gains = node_gini - (nl * gini_l + nr * gini_r) / n
+    gains = np.where(values[1:] > values[:-1], gains, -np.inf)
+    j, i = divmod(int(gains.T.argmax()), n - 1)
+    return gains[i, j], j, 0.5 * (values[i, j] + values[i + 1, j])
 
 
 class RandomForest:
@@ -124,13 +94,11 @@ class RandomForest:
         self.n_classes = n_classes
         self.trees: list[_Tree] = []
         self._raw_importances: np.ndarray | None = None
-        self._n_cols: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n_rows, n_cols = X.shape
-        self._n_cols = n_cols
         max_features = self.params.resolve_max_features(n_cols)
         importances = np.zeros(n_cols, dtype=np.float64)
         self.trees = []
@@ -148,59 +116,65 @@ class RandomForest:
         return self
 
     def _grow_tree(self, X, y, sample, max_features, rng, importances) -> _Tree:
-        tree = _Tree()
         n_total = sample.shape[0]
         n_cols = X.shape[1]
         min_split = max(2, self.params.min_samples_split)
-        root = tree._new_node()
-        stack = [(root, sample)]
+        onehot = y[:, None] == np.arange(self.n_classes)
+        sizes = np.arange(n_total + 1, dtype=np.float64)  # row counts either side of a boundary
+        feature, threshold, left, right, leaf_class = [-1], [0.0], [0], [0], [0]
+        stack = [(0, sample)]
         while stack:
             node, idx = stack.pop()
             counts = np.bincount(y[idx], minlength=self.n_classes)
+            leaf_class[node] = int(counts.argmax())
             node_gini = gini_index(counts)
             if idx.shape[0] < min_split or node_gini == 0.0:
-                tree.leaf_class[node] = int(np.argmax(counts))
                 continue
             if max_features >= n_cols:
                 candidates = np.arange(n_cols)
             else:
                 candidates = rng.choice(n_cols, size=max_features, replace=False)
-            best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-            y_node = y[idx]
-            for f in candidates:
-                v = X[idx, f]
-                order = np.argsort(v, kind="stable")
-                vs = v[order]
-                onehot = np.zeros((idx.shape[0], self.n_classes), dtype=np.float64)
-                onehot[np.arange(idx.shape[0]), y_node[order]] = 1.0
-                cum = onehot.cumsum(axis=0)
-                gain, threshold = _best_split_for_feature(vs, cum, counts.astype(np.float64), node_gini)
-                if gain > best_gain:
-                    best_gain, best_feature, best_threshold = gain, int(f), threshold
-            if best_feature < 0:
-                tree.leaf_class[node] = int(np.argmax(counts))
+            gain, j, split = _best_split(X, onehot, idx, candidates, counts, node_gini, sizes)
+            if gain <= 0.0:
                 continue
-            importances[best_feature] += (idx.shape[0] / n_total) * best_gain
-            goes_left = X[idx, best_feature] <= best_threshold
-            left = tree._new_node()
-            right = tree._new_node()
-            tree.feature[node] = best_feature
-            tree.threshold[node] = best_threshold
-            tree.left[node] = left
-            tree.right[node] = right
-            stack.append((left, idx[goes_left]))
-            stack.append((right, idx[~goes_left]))
-        return tree
+            f = int(candidates[j])
+            importances[f] += (idx.shape[0] / n_total) * gain
+            goes_left = X[idx, f] <= split
+            # Two new leaves, each its own child until it splits.
+            child = len(feature)
+            feature[node], threshold[node] = f, float(split)
+            left[node], right[node] = child, child + 1
+            feature += (-1, -1)
+            threshold += (0.0, 0.0)
+            left += (child, child + 1)
+            right += (child, child + 1)
+            leaf_class += (0, 0)
+            stack.append((child, idx[goes_left]))
+            stack.append((child + 1, idx[~goes_left]))
+        return _Tree(*map(np.array, (feature, threshold, left, right, leaf_class)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote over trees; vote ties go to the smaller class id."""
+        """Majority vote over trees; vote ties go to the smaller class id.
+
+        All trees walk together over their concatenated node arrays, every
+        (tree, row) pair moving down one level per step; a pair that reached
+        a leaf stays there, since a leaf is its own child.
+        """
         if not self.trees:
             raise RuntimeError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
+        n_nodes = [len(t.feature) for t in self.trees]
+        start = np.cumsum([0] + n_nodes[:-1])
+        feature, threshold, left, right, leaf_class = map(np.concatenate, zip(*self.trees))
+        shift = np.repeat(start, n_nodes)
+        left, right = left + shift, right + shift
+        rows = np.arange(X.shape[0])
+        node = np.repeat(start[:, None], X.shape[0], axis=1)
+        while not (feature[node] < 0).all():
+            goes_left = X[rows, feature[node]] <= threshold[node]
+            node = np.where(goes_left, left[node], right[node])
         votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-        for tree in self.trees:
-            pred = tree.predict(X)
-            votes[np.arange(X.shape[0]), pred] += 1
+        np.add.at(votes, (rows, leaf_class[node]), 1)
         return votes.argmax(axis=1)
 
     def feature_importances(self) -> np.ndarray:

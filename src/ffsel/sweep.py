@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .classifiers import CLASSIFIERS, GNB, KNN, RF
-from .data import DataError, Dataset, load_csv, make_folds, standard_scale, standardize
+from .data import DataError, Dataset, _stem, load_csv, make_folds, standard_scale, standardize
 from .evaluate import CELL_KEY_FIELDS, BenchmarkRecord, cross_validate
 from .forest import ForestParams
 from .relevance import (
@@ -106,6 +106,16 @@ class SweepConfig:
     def validate(self) -> None:
         if not self.datasets:
             raise ValueError("config needs at least one dataset path")
+        # Records, resume and the per-dataset caches key by the name load_csv
+        # gives a dataset, its file stem.
+        first_path: dict[str, str] = {}
+        for path in map(str, self.datasets):
+            name = _stem(path)
+            if name in first_path:
+                raise ValueError(
+                    f"datasets {first_path[name]!r} and {path!r} share the name {name!r}"
+                )
+            first_path[name] = path
         if self.k_min > self.k_max:
             raise ValueError(f"empty k range [{self.k_min}, {self.k_max}]")
         if not self.algorithms:

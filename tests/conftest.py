@@ -43,3 +43,17 @@ def write_csv(path, features, labels, label_name="label", class_names=None):
         lines.append(",".join(repr(float(v)) for v in row) + f",{lab}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def same_stem_csvs(tmp_path):
+    """Two 20x6 files named x.csv in sibling directories, the class signal in
+    column 0 of the first and column 5 of the second."""
+    paths = []
+    for sub, col in (("a", 0), ("b", 5)):
+        rng = np.random.default_rng(7)
+        labels = np.repeat([0, 1], 10)
+        x = rng.normal(size=(20, 6))
+        x[:, col] += 3.0 * labels
+        (tmp_path / sub).mkdir()
+        paths.append(str(write_csv(tmp_path / sub / "x.csv", x, labels)))
+    return paths

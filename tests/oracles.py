@@ -2,10 +2,12 @@
 
 Deliberately slow and obvious: a full re-sort, a per-step rescan with no
 caching, a direct interval scan for the binning, and per-column and
-per-pair estimators of their own.  Integration tests require the fast
+per-pair estimators of their own, and a forest that searches each node's
+split one candidate column at a time.  Integration tests require the fast
 paths to reproduce these outputs exactly, so score arithmetic here mirrors
 the fast code term for term.  Nothing here calls an estimator or
-redundancy function of ``ffsel.relevance``; GINI comes from the forest.
+redundancy function of ``ffsel.relevance``, or the forest of
+``ffsel.forest``; GINI comes from ``oracle_forest``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ffsel.data import Dataset
-from ffsel.forest import ForestParams, RandomForest
+from ffsel.forest import ForestParams
 from ffsel.relevance import (
     ABS_PEARSON,
     COSINE,
@@ -46,6 +48,7 @@ __all__ = [
     "oracle_f_value",
     "oracle_cosine",
     "oracle_abs_pearson",
+    "oracle_forest",
     "oracle_kbest",
     "oracle_mrmr",
     "oracle_kgroups",
@@ -128,6 +131,110 @@ def oracle_abs_pearson(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return min(abs(float(np.dot(a_c, b_c))) / denom, 1.0)
+
+
+def _oracle_gini(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.dot(p, p))
+
+
+def _oracle_column_split(values, ys, n_classes, total, node_gini):
+    """Best (gain, threshold) of one column, scanning its sorted boundaries."""
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), ys[order]] = 1.0
+    left = onehot.cumsum(axis=0)
+    boundaries = np.flatnonzero(vs[1:] > vs[:-1]) + 1
+    if boundaries.size == 0:
+        return -1.0, 0.0
+    nl = boundaries.astype(np.float64)
+    nr = n - nl
+    lc = left[boundaries - 1]
+    rc = total[None, :] - lc
+    gini_l = 1.0 - np.square(lc / nl[:, None]).sum(axis=1)
+    gini_r = 1.0 - np.square(rc / nr[:, None]).sum(axis=1)
+    gains = node_gini - (nl * gini_l + nr * gini_r) / n
+    best = int(np.argmax(gains))
+    i = boundaries[best]
+    return float(gains[best]), float(0.5 * (vs[i - 1] + vs[i]))
+
+
+def oracle_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    params: ForestParams,
+    X_test: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Normalized importances, majority-vote predictions and total node count.
+
+    Each tree grows depth first (right child first) from a node stack, and
+    each node scores its candidate columns one at a time in ``candidates``
+    order, keeping a column only when its gain is strictly greater.  Each
+    tree predicts by walking a stack of (node, rows).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_rows, n_cols = X.shape
+    max_features = params.resolve_max_features(n_cols)
+    min_split = max(2, params.min_samples_split)
+    raw = np.zeros(n_cols, dtype=np.float64)
+    votes = np.zeros((X_test.shape[0], n_classes), dtype=np.int64)
+    n_nodes = 0
+    for seed in np.random.SeedSequence(params.seed).spawn(params.n_trees):
+        rng = np.random.default_rng(seed)
+        if params.bootstrap:
+            sample = rng.integers(0, n_rows, size=n_rows)
+        else:
+            sample = np.arange(n_rows)
+        nodes: list[list] = [[-1, 0.0, -1, -1, -1]]  # feature, threshold, left, right, class
+        stack = [(0, sample)]
+        while stack:
+            node, idx = stack.pop()
+            counts = np.bincount(y[idx], minlength=n_classes)
+            node_gini = _oracle_gini(counts)
+            if idx.shape[0] < min_split or node_gini == 0.0:
+                nodes[node][4] = int(np.argmax(counts))
+                continue
+            if max_features >= n_cols:
+                candidates = np.arange(n_cols)
+            else:
+                candidates = rng.choice(n_cols, size=max_features, replace=False)
+            best_gain, best_f, best_t = 0.0, -1, 0.0
+            for f in candidates:
+                gain, t = _oracle_column_split(
+                    X[idx, f], y[idx], n_classes, counts.astype(np.float64), node_gini
+                )
+                if gain > best_gain:
+                    best_gain, best_f, best_t = gain, int(f), t
+            if best_f < 0:
+                nodes[node][4] = int(np.argmax(counts))
+                continue
+            raw[best_f] += (idx.shape[0] / n_rows) * best_gain
+            goes_left = X[idx, best_f] <= best_t
+            nodes[node][:4] = [best_f, best_t, len(nodes), len(nodes) + 1]
+            nodes += [[-1, 0.0, -1, -1, -1], [-1, 0.0, -1, -1, -1]]
+            stack.append((nodes[node][2], idx[goes_left]))
+            stack.append((nodes[node][3], idx[~goes_left]))
+        n_nodes += len(nodes)
+        walk = [(0, np.arange(X_test.shape[0]))]
+        while walk:
+            node, rows = walk.pop()
+            f, t, left, right, label = nodes[node]
+            if f < 0:
+                votes[rows, label] += 1
+                continue
+            goes_left = X_test[rows, f] <= t
+            walk += [(left, rows[goes_left]), (right, rows[~goes_left])]
+    raw /= params.n_trees
+    total = raw.sum()
+    importances = np.zeros_like(raw) if total == 0.0 else raw / total
+    return importances, votes.argmax(axis=1), n_nodes
 
 
 def oracle_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
@@ -232,9 +339,9 @@ def _estimate_one(
         return oracle_cosine(d.features[:, col], d.labels)
     if name == GINI:
         if "vec" not in gini_memo:
-            model = RandomForest(forest or ForestParams(), n_classes=d.n_classes)
-            model.fit(d.features, d.labels)
-            gini_memo["vec"] = model.feature_importances()
+            gini_memo["vec"] = oracle_forest(
+                d.features, d.labels, d.n_classes, forest or ForestParams(), d.features[:0]
+            )[0]
         return float(gini_memo["vec"][col])
     raise ValueError(f"unknown tie-breaker estimator: {name!r}")
 

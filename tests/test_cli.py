@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import write_csv
+from conftest import same_stem_csvs, write_csv
 from ffsel.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -208,6 +208,16 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "config key 'datasets' needs a list" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+    def test_datasets_sharing_a_file_stem_exit_1(self, tmp_path, capsys):
+        a, b = same_stem_csvs(tmp_path)
+        code = main(["benchmark", "--datasets", f"{a},{b}",
+                     "--output-dir", str(tmp_path / "o"), "--estimators", "mi",
+                     "--algorithms", "kbest", "--k-min", "1", "--k-max", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert a in err and b in err
         assert not (tmp_path / "o" / "config.json").exists()
 
     def test_bad_config_json_exits_1(self, tmp_path, capsys):

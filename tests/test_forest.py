@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest, gini_index
+from oracles import oracle_forest
 
 
 class TestGiniIndex:
@@ -120,3 +121,39 @@ class TestRandomForest:
         f = RandomForest(ForestParams(n_trees=2, seed=0), n_classes=2)
         with pytest.raises((RuntimeError, ValueError)):
             f.predict(np.zeros((3, 2)))
+
+
+def forest_case(case: int):
+    """Seeded inputs: ties, a duplicated and a constant column, 2-12 classes."""
+    rng = np.random.default_rng(4000 + case)
+    n_rows = int(rng.integers(2, 121))
+    n_cols = int(rng.integers(1, 13))
+    n_classes = 2 + case % 11
+    x = np.round(rng.normal(size=(n_rows, n_cols)), case % 4)
+    if n_cols >= 3:
+        x[:, 1] = x[:, 0]
+        x[:, 2] = 0.25
+    y = rng.integers(0, n_classes, size=n_rows)
+    y[: min(n_rows, n_classes)] = np.arange(min(n_rows, n_classes))
+    params = ForestParams(
+        n_trees=3,
+        max_features=(1, None, n_cols)[case % 3],
+        min_samples_split=2 + (case // 6) % 3,
+        bootstrap=bool((case // 3) % 2),
+        seed=case,
+    )
+    test_x = np.round(rng.normal(size=(17, n_cols)), case % 4)
+    return x, y, n_classes, params, test_x
+
+
+class TestAgainstOracle:
+    """The array split search reproduces a per-candidate, stack-walk forest."""
+
+    def test_importances_predictions_and_node_count_exact(self):
+        for case in range(102):
+            x, y, n_classes, params, test_x = forest_case(case)
+            imp, pred, n_nodes = oracle_forest(x, y, n_classes, params, test_x)
+            f = RandomForest(params, n_classes=n_classes).fit(x, y)
+            assert f.feature_importances().tolist() == imp.tolist(), case
+            assert f.predict(test_x).tolist() == pred.tolist(), case
+            assert sum(len(t.feature) for t in f.trees) == n_nodes, case

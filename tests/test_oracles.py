@@ -10,6 +10,7 @@ import oracles
 from conftest import make_dataset, random_dataset
 from oracles import oracle_kbest, oracle_kgroups, oracle_mrmr
 from ffsel import (
+    ForestParams,
     RelevanceVector,
     select_kbest,
     select_kgroups,
@@ -39,24 +40,34 @@ def messy_instance(rng, max_cols=25):
     return d, values
 
 
+def oracle_imports():
+    """(module, name, object) of every name ``oracles.py`` imports from ffsel."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ffsel.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ffsel"):
+            module = importlib.import_module(node.module)
+            imported += [(node.module, a.name, getattr(module, a.name)) for a in node.names]
+    assert imported
+    return imported
+
+
 class TestIndependence:
-    """The oracles never call the relevance code they check."""
+    """The oracles never call the relevance or forest code they check."""
 
     def test_no_estimator_or_redundancy_function_imported(self):
-        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                assert not any(a.name.startswith("ffsel.relevance") for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ffsel"):
-                module = importlib.import_module(node.module)
-                imported += [(a.name, getattr(module, a.name)) for a in node.names]
-        assert imported
-        for name, obj in imported:
+        for _, name, obj in oracle_imports():
             # Constants and the result container may come from ffsel.relevance;
             # anything callable defined there (estimators, the cache) may not.
             if getattr(obj, "__module__", None) == "ffsel.relevance":
                 assert obj is RelevanceVector or not callable(obj), name
+
+    def test_no_forest_code_imported(self):
+        for module, name, obj in oracle_imports():
+            if module == "ffsel.forest" or getattr(obj, "__module__", None) == "ffsel.forest":
+                assert obj is ForestParams, name
 
 
 class TestKBestOracle:

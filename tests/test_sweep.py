@@ -1,14 +1,17 @@
 """Benchmark sweep: configuration, resumable runs, and report aggregation."""
 
+import dataclasses
+import importlib.util
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ffsel.selectors
 import ffsel.sweep
-from conftest import make_dataset, write_csv
+from conftest import make_dataset, same_stem_csvs, write_csv
 from ffsel import (
     BenchmarkRecord,
     DataError,
@@ -185,6 +188,14 @@ class TestRunSweep:
         assert kg and all(r.alpha == 1.0 for r in kg)
         assert all(r.alpha is None for r in records
                    if r.algorithm not in (KGROUPS,))
+
+    def test_datasets_sharing_a_file_stem_rejected(self, tmp_path):
+        a, b = same_stem_csvs(tmp_path)
+        cfg = tiny_config(tmp_path, datasets=(a, b), algorithms=(KBEST,), k_min=1, k_max=1)
+        with pytest.raises(ValueError, match="share the name 'x'") as err:
+            list(run_sweep(cfg))
+        assert a in str(err.value) and b in str(err.value)
+        assert not (tmp_path / "out").exists()
 
     def test_output_files_written(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -483,3 +494,30 @@ class TestReports:
         (row,) = n_selected_distributions(records)
         assert row["n_selected"] == [2, 5, 6]
         assert row["algorithm"] == KGROUPS
+
+
+class TestRecordDigest:
+    """`tools/record_digest.py` digests record content, not timing or order."""
+
+    def test_timing_and_order_ignored_content_not(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parent.parent / "tools" / "record_digest.py"
+        spec = importlib.util.spec_from_file_location("record_digest", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        records = [mk_record(k=2), mk_record(k=3)]
+        variants = {
+            "base": records,
+            "retimed": [dataclasses.replace(r, selection_cpu_seconds=9.0) for r in records[::-1]],
+            "changed": [records[0], dataclasses.replace(records[1], cv_mean_accuracy=0.8)],
+        }
+        for name, recs in variants.items():
+            (tmp_path / f"{name}.jsonl").write_text(
+                "".join(json.dumps(r.as_dict()) + "\n" for r in recs)
+            )
+        lines = {}
+        for name in variants:
+            assert tool.main([str(tmp_path / f"{name}.jsonl")]) == 0
+            lines[name] = capsys.readouterr().out
+        assert lines["base"].startswith("2 records sha256 ")
+        assert lines["retimed"] == lines["base"]
+        assert lines["changed"] != lines["base"]
