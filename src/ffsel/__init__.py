@@ -14,7 +14,6 @@ from .relevance import (
     REDUNDANCY_MEASURES,
     RedundancyCache,
     RelevanceVector,
-    gini_importance,
     relevance_all,
 )
 from .selectors import (
@@ -25,7 +24,6 @@ from .selectors import (
     MRMR_Q,
     MRMR_VARIANTS,
     QUOTIENT,
-    BinningScheme,
     SelectionResult,
     compute_bins,
     select_kbest,

@@ -7,6 +7,7 @@ works on the immutable :class:`Dataset` produced here.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -153,7 +154,7 @@ def load_csv(path, label_column: str | int | None = None, name: str | None = Non
                     raise DataError(
                         f"{path}: row {row_no}, column {header[col_no]!r}: cannot parse {cell!r} as a real number"
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DataError(f"{path}: row {row_no}, column {header[col_no]!r}: non-finite value {cell!r}")
                 values.append(v)
             rows.append(values)

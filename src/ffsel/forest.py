@@ -68,8 +68,10 @@ def _best_split(X, onehot, idx, candidates, counts, node_gini, sizes):
     last, contiguous axis, so each boundary sums its class terms in the
     order a one-column search would.  A boundary between equal values is no
     split.  The first column in ``candidates`` order wins a tie, and within
-    it the first boundary.  Returns (gain, candidate position, threshold);
-    the gain is -inf when every candidate is constant at this node.
+    it the first boundary.  Returns (gain, candidate position, threshold,
+    left rows, right rows, left class counts); the gain is -inf when every
+    candidate is constant at this node.  The threshold is the boundary's
+    midpoint, or its lower value if the midpoint rounds up to the upper.
     """
     n = idx.shape[0]
     rows = idx[X[idx[:, None], candidates].argsort(axis=0, kind="stable")]
@@ -81,7 +83,10 @@ def _best_split(X, onehot, idx, candidates, counts, node_gini, sizes):
     gains = node_gini - (nl * gini_l + nr * gini_r) / n
     gains = np.where(values[1:] > values[:-1], gains, -np.inf)
     j, i = divmod(int(gains.T.argmax()), n - 1)
-    return gains[i, j], j, 0.5 * (values[i, j] + values[i + 1, j])
+    split = 0.5 * (values[i, j] + values[i + 1, j])
+    if split == values[i + 1, j]:
+        split = values[i, j]
+    return gains[i, j], j, split, rows[: i + 1, j], rows[i + 1 :, j], lc[i, j]
 
 
 class RandomForest:
@@ -122,10 +127,9 @@ class RandomForest:
         onehot = y[:, None] == np.arange(self.n_classes)
         sizes = np.arange(n_total + 1, dtype=np.float64)  # row counts either side of a boundary
         feature, threshold, left, right, leaf_class = [-1], [0.0], [0], [0], [0]
-        stack = [(0, sample)]
+        stack = [(0, sample, np.bincount(y[sample], minlength=self.n_classes))]
         while stack:
-            node, idx = stack.pop()
-            counts = np.bincount(y[idx], minlength=self.n_classes)
+            node, idx, counts = stack.pop()
             leaf_class[node] = int(counts.argmax())
             node_gini = gini_index(counts)
             if idx.shape[0] < min_split or node_gini == 0.0:
@@ -134,12 +138,11 @@ class RandomForest:
                 candidates = np.arange(n_cols)
             else:
                 candidates = rng.choice(n_cols, size=max_features, replace=False)
-            gain, j, split = _best_split(X, onehot, idx, candidates, counts, node_gini, sizes)
+            gain, j, split, rows_l, rows_r, counts_l = _best_split(X, onehot, idx, candidates, counts, node_gini, sizes)
             if gain <= 0.0:
                 continue
             f = int(candidates[j])
             importances[f] += (idx.shape[0] / n_total) * gain
-            goes_left = X[idx, f] <= split
             # Two new leaves, each its own child until it splits.
             child = len(feature)
             feature[node], threshold[node] = f, float(split)
@@ -149,8 +152,8 @@ class RandomForest:
             left += (child, child + 1)
             right += (child, child + 1)
             leaf_class += (0, 0)
-            stack.append((child, idx[goes_left]))
-            stack.append((child + 1, idx[~goes_left]))
+            stack.append((child, rows_l, counts_l))
+            stack.append((child + 1, rows_r, counts - counts_l))
         return _Tree(*map(np.array, (feature, threshold, left, right, leaf_class)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:

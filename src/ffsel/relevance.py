@@ -32,7 +32,6 @@ __all__ = [
     "RedundancyCache",
     "discretize_columns",
     "mutual_info_from_counts",
-    "gini_importance",
     "relevance_all",
 ]
 
@@ -170,18 +169,6 @@ def _cosines(d: Dataset) -> np.ndarray:
     return values
 
 
-def gini_importance(d: Dataset, forest: ForestParams | None = None) -> RelevanceVector:
-    """Normalized mean-decrease-in-impurity importances from a random forest."""
-    forest = forest or ForestParams()
-    model = RandomForest(forest, n_classes=d.n_classes)
-    model.fit(d.features, d.labels)
-    return RelevanceVector(
-        estimator=GINI,
-        values=model.feature_importances(),
-        params=forest.as_dict(),
-    )
-
-
 def relevance_all(
     d: Dataset,
     estimator: str,
@@ -191,7 +178,14 @@ def relevance_all(
 ) -> RelevanceVector:
     """Apply the named estimator to every column of the dataset."""
     if estimator == GINI:
-        return gini_importance(d, forest)
+        forest = forest or ForestParams()
+        model = RandomForest(forest, n_classes=d.n_classes)
+        model.fit(d.features, d.labels)
+        return RelevanceVector(
+            estimator=GINI,
+            values=model.feature_importances(),
+            params=forest.as_dict(),
+        )
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == MI:

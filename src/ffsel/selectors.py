@@ -25,7 +25,6 @@ from .relevance import (
     MI_PAIR,
     RedundancyCache,
     RelevanceVector,
-    gini_importance,
     relevance_all,
 )
 from .timing import thread_cpu_time
@@ -40,7 +39,6 @@ __all__ = [
     "MRMR_VARIANTS",
     "TIE_EPS",
     "QUOTIENT_EPS",
-    "BinningScheme",
     "SelectionResult",
     "select_kbest",
     "select_mrmr",
@@ -79,38 +77,6 @@ TIE_EPS = 1e-12
 # Denominator guard for the quotient form; a zero-redundancy candidate
 # then dominates, which is the point of maximizing the ratio.
 QUOTIENT_EPS = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class BinningScheme:
-    """Power-law relevance bins: k upper edges plus per-feature cluster ids."""
-
-    k: int
-    alpha: float
-    rel_min: float
-    rel_max: float
-    edges: np.ndarray
-    assignments: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        edges = np.ascontiguousarray(self.edges, dtype=np.float64)
-        assignments = np.ascontiguousarray(self.assignments, dtype=np.int64)
-        if edges.shape != (self.k,):
-            raise ValueError(f"expected {self.k} edges, got shape {edges.shape}")
-        if np.any(np.diff(edges) < 0):
-            raise ValueError("edges must be non-decreasing")
-        if edges[-1] != self.rel_max:
-            raise ValueError("last edge must equal rel_max exactly")
-        if assignments.size and (assignments.min() < 0 or assignments.max() >= self.k):
-            raise ValueError("cluster ids must lie in [0, k)")
-        edges.flags.writeable = False
-        assignments.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "assignments", assignments)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,13 +208,14 @@ def select_mrmr(
     )
 
 
-def compute_bins(rel: RelevanceVector, k: int, alpha: float) -> BinningScheme:
+def compute_bins(rel: RelevanceVector, k: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Bin relevance values into k clusters with power-law upper edges.
 
     edges[j-1] = rel_min + (rel_max - rel_min) * (j/k)^alpha for j = 1..k.
     A feature lands in the first cluster whose edge reaches its relevance,
     so the first bin is closed at rel_min and no feature is left out.  When
-    all values are equal everything falls in cluster 0.
+    all values are equal everything falls in cluster 0.  Returns the edges
+    and each feature's cluster id.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -266,15 +233,7 @@ def compute_bins(rel: RelevanceVector, k: int, alpha: float) -> BinningScheme:
         # value range, and anchor the final edge at the exact maximum.
         edges = np.minimum(np.maximum.accumulate(edges), rel_max)
     edges[-1] = rel_max
-    assignments = np.searchsorted(edges, values, side="left").astype(np.int64)
-    return BinningScheme(
-        k=k,
-        alpha=float(alpha),
-        rel_min=rel_min,
-        rel_max=rel_max,
-        edges=edges,
-        assignments=assignments,
-    )
+    return edges, np.searchsorted(edges, values, side="left")
 
 
 def select_kgroups(
@@ -307,11 +266,11 @@ def select_kgroups(
     for name in tie_breakers:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown tie-breaker estimator {name!r}")
-    scheme = compute_bins(rel, k, alpha)
+    _, bins = compute_bins(rel, k, alpha)
     gini = None  # the whole-data forest's importances, fitted on first use
     chosen: list[int] = []
-    for j in np.unique(scheme.assignments):
-        members = np.flatnonzero(scheme.assignments == j)
+    for j in np.unique(bins):
+        members = np.flatnonzero(bins == j)
         vmax = float(values[members].max())
         tol = TIE_EPS * max(1.0, abs(vmax))
         survivors = members[vmax - values[members] <= tol]
@@ -320,7 +279,7 @@ def select_kgroups(
                 break
             if name == GINI:
                 if gini is None:
-                    gini = gini_importance(d, forest=forest).values
+                    gini = relevance_all(d, GINI, forest=forest).values
                 tvals = gini[survivors]
             else:
                 # The survivors' columns scored as a dataset of their own.

@@ -375,7 +375,6 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                 )
             run = greedy_runs[run_key]
             return run.selected[: task.k], rel_cpu + run.pick_cpu_seconds[task.k - 1]
-        t0 = thread_cpu_time()
         if task.algorithm == KBEST:
             result = select_kbest(rel, task.k)
         else:
@@ -388,7 +387,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
                 mi_bins=config.mi_bins,
                 forest=forest,
             )
-        return result.selected, rel_cpu + (thread_cpu_time() - t0)
+        return result.selected, rel_cpu + result.cpu_time_seconds
 
     def cell_settings(task: _Task) -> dict:
         settings = dict(base_settings)

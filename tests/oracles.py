@@ -142,7 +142,11 @@ def _oracle_gini(counts: np.ndarray) -> float:
 
 
 def _oracle_column_split(values, ys, n_classes, total, node_gini):
-    """Best (gain, threshold) of one column, scanning its sorted boundaries."""
+    """Best (gain, threshold) of one column, scanning its sorted boundaries.
+
+    The threshold is the midpoint of the boundary's two values, or the lower
+    value when the midpoint reaches the upper one.
+    """
     n = values.shape[0]
     order = np.argsort(values, kind="stable")
     vs = values[order]
@@ -161,7 +165,10 @@ def _oracle_column_split(values, ys, n_classes, total, node_gini):
     gains = node_gini - (nl * gini_l + nr * gini_r) / n
     best = int(np.argmax(gains))
     i = boundaries[best]
-    return float(gains[best]), float(0.5 * (vs[i - 1] + vs[i]))
+    threshold = 0.5 * (vs[i - 1] + vs[i])
+    if threshold >= vs[i]:  # adjacent doubles: the midpoint rounded up
+        threshold = vs[i - 1]
+    return float(gains[best]), float(threshold)
 
 
 def oracle_forest(

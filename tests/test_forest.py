@@ -1,8 +1,15 @@
 """Random forest learner: impurity math, determinism, and prediction."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ffsel
 from conftest import random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest, gini_index
 from oracles import oracle_forest
@@ -157,3 +164,51 @@ class TestAgainstOracle:
             assert f.feature_importances().tolist() == imp.tolist(), case
             assert f.predict(test_x).tolist() == pred.tolist(), case
             assert sum(len(t.feature) for t in f.trees) == n_nodes, case
+            # Every split leaves rows on both sides, so at most n leaves.
+            assert all(len(t.feature) <= 2 * len(x) - 1 for t in f.trees), case
+
+
+# Fits one tree on three rows whose first two values are adjacent doubles,
+# so their midpoint rounds up to the larger one, and prints what it grew.
+ADJACENT_DOUBLES_FIT = """
+import json
+import numpy as np
+from ffsel import ForestParams, RandomForest
+from oracles import oracle_forest
+
+x = np.array([[1 + 2.0**-52], [1 + 2.0**-51], [2 + 2.0**-51]])
+y = np.array([0, 1, 1])
+params = ForestParams(n_trees=1, bootstrap=False, seed=0)
+f = RandomForest(params, n_classes=2).fit(x, y)
+imp, pred, n_nodes = oracle_forest(x, y, 2, params, x)
+print(json.dumps({
+    "nodes": len(f.trees[0].feature),
+    "threshold": float(f.trees[0].threshold[0]),
+    "predict": f.predict(x).tolist(),
+    "importances": f.feature_importances().tolist(),
+    "oracle": [imp.tolist(), pred.tolist(), n_nodes],
+}))
+"""
+
+
+class TestAdjacentDoubles:
+    """A midpoint that rounds up to the upper value must not regrow the node."""
+
+    def test_split_between_adjacent_doubles_terminates(self):
+        # A child that equals its parent would grow forever, so the fit runs
+        # in a child process that the test can stop.
+        paths = [str(Path(ffsel.__file__).parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", ADJACENT_DOUBLES_FIT],
+                capture_output=True, text=True, env=env, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("one-tree fit on adjacent doubles did not finish in 30 s")
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        assert got["nodes"] == 3
+        assert got["threshold"] == 1 + 2.0**-52
+        assert got["predict"] == [0, 1, 1]
+        assert got["oracle"] == [got["importances"], got["predict"], got["nodes"]]

@@ -27,7 +27,6 @@ from ffsel.relevance import (
     MI,
     MI_PAIR,
     discretize_columns,
-    gini_importance,
     mutual_info_from_counts,
 )
 
@@ -235,14 +234,14 @@ class TestGiniImportance:
         signal = labels * 10.0 + rng.normal(size=40) * 0.01
         x = np.column_stack([noise[:, :2], signal, noise[:, 2:]])
         d = make_dataset(x, labels)
-        rel = gini_importance(d, ForestParams(n_trees=20, seed=0))
+        rel = relevance_all(d, GINI, forest=ForestParams(n_trees=20, seed=0))
         assert int(np.argmax(rel.values)) == 2
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(19)
         d = random_dataset(rng, 30, 5)
-        a = gini_importance(d, ForestParams(n_trees=10, seed=4))
-        b = gini_importance(d, ForestParams(n_trees=10, seed=4))
+        a = relevance_all(d, GINI, forest=ForestParams(n_trees=10, seed=4))
+        b = relevance_all(d, GINI, forest=ForestParams(n_trees=10, seed=4))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_single_tree_hand_trace_one_split(self):
@@ -250,7 +249,7 @@ class TestGiniImportance:
                              np.array([10.0, 20.0, 20.0, 20.0, 20.0, 20.0])])
         d = make_dataset(x, [0, 0, 0, 1, 1, 1])
         params = ForestParams(n_trees=1, bootstrap=False, max_features=2, seed=0)
-        rel = gini_importance(d, params)
+        rel = relevance_all(d, GINI, forest=params)
         # column 0 splits perfectly at 3.5; the root consumes all impurity
         np.testing.assert_allclose(rel.values, [1.0, 0.0], atol=1e-12)
 
@@ -259,7 +258,7 @@ class TestGiniImportance:
                       [0.0, 9.0], [1.0, 9.0], [2.0, 9.0]])
         d = make_dataset(x, [0, 0, 1, 1, 1, 1])
         params = ForestParams(n_trees=1, bootstrap=False, max_features=2, seed=0)
-        rel = gini_importance(d, params)
+        rel = relevance_all(d, GINI, forest=params)
         # root on column 1 and the left child on column 0 each decrease
         # weighted impurity by 2/9, so normalized importances split evenly
         np.testing.assert_allclose(rel.values, [0.5, 0.5], atol=1e-12)
@@ -267,7 +266,7 @@ class TestGiniImportance:
     def test_normalized_when_any_split_exists(self):
         rng = np.random.default_rng(20)
         d = random_dataset(rng, 40, 6, n_classes=2)
-        rel = gini_importance(d, ForestParams(n_trees=5, seed=1))
+        rel = relevance_all(d, GINI, forest=ForestParams(n_trees=5, seed=1))
         assert rel.values.min() >= 0.0
         np.testing.assert_allclose(rel.values.sum(), 1.0, rtol=1e-12)
 

@@ -8,7 +8,6 @@ import pytest
 from conftest import make_dataset, random_dataset
 from ffsel import (
     MRMR_VARIANTS,
-    BinningScheme,
     RelevanceVector,
     SelectionResult,
     compute_bins,
@@ -63,32 +62,31 @@ class TestComputeBins:
     """Power-law bin edges over the relevance range."""
 
     def test_unit_range_alpha_one(self):
-        scheme = compute_bins(rel_vec([0.0, 1.0]), 4, 1.0)
-        np.testing.assert_allclose(scheme.edges, [0.25, 0.5, 0.75, 1.0],
+        edges, _ = compute_bins(rel_vec([0.0, 1.0]), 4, 1.0)
+        np.testing.assert_allclose(edges, [0.25, 0.5, 0.75, 1.0],
                                    atol=1e-15)
 
     def test_unit_range_alpha_half(self):
-        scheme = compute_bins(rel_vec([0.0, 1.0]), 4, 0.5)
+        edges, _ = compute_bins(rel_vec([0.0, 1.0]), 4, 0.5)
         np.testing.assert_allclose(
-            scheme.edges,
+            edges,
             [0.5, math.sqrt(2.0) / 2.0, math.sqrt(3.0) / 2.0, 1.0],
             atol=1e-15)
 
     def test_hand_assignment_case(self):
-        scheme = compute_bins(rel_vec([0.1, 0.2, 0.9, 0.85]), 2, 1.0)
-        np.testing.assert_allclose(scheme.edges, [0.5, 0.9], atol=1e-15)
-        np.testing.assert_array_equal(scheme.assignments, [0, 0, 1, 1])
-        assert scheme.rel_min == 0.1
-        assert scheme.rel_max == 0.9
+        edges, bins = compute_bins(rel_vec([0.1, 0.2, 0.9, 0.85]), 2, 1.0)
+        np.testing.assert_allclose(edges, [0.5, 0.9], atol=1e-15)
+        np.testing.assert_array_equal(bins, [0, 0, 1, 1])
+        assert edges[-1] == 0.9
 
     def test_degenerate_equal_relevance(self):
-        scheme = compute_bins(rel_vec([0.4, 0.4, 0.4]), 3, 1.0)
-        np.testing.assert_array_equal(scheme.assignments, [0, 0, 0])
-        assert scheme.edges[-1] == 0.4
+        edges, bins = compute_bins(rel_vec([0.4, 0.4, 0.4]), 3, 1.0)
+        np.testing.assert_array_equal(bins, [0, 0, 0])
+        assert edges[-1] == 0.4
 
     def test_minimum_value_joins_first_cluster(self):
-        scheme = compute_bins(rel_vec([0.2, 0.6, 1.0]), 5, 1.0)
-        assert scheme.assignments[0] == 0
+        _, bins = compute_bins(rel_vec([0.2, 0.6, 1.0]), 5, 1.0)
+        assert bins[0] == 0
 
     def test_membership_invariants_random(self):
         rng = np.random.default_rng(41)
@@ -99,13 +97,13 @@ class TestComputeBins:
                 values = np.round(values, 1)
             k = int(rng.integers(1, 12))
             alpha = float(rng.uniform(0.05, 3.0))
-            scheme = compute_bins(rel_vec(values), k, alpha)
-            assert (np.diff(scheme.edges) >= 0).all()
-            assert scheme.edges[-1] == values.max()
-            for i, j in enumerate(scheme.assignments):
-                assert values[i] <= scheme.edges[j]
+            edges, bins = compute_bins(rel_vec(values), k, alpha)
+            assert (np.diff(edges) >= 0).all()
+            assert edges[-1] == values.max()
+            for i, j in enumerate(bins):
+                assert values[i] <= edges[j]
                 if j > 0:
-                    assert values[i] > scheme.edges[j - 1]
+                    assert values[i] > edges[j - 1]
 
     def test_edges_decrease_as_alpha_shrinks(self):
         rng = np.random.default_rng(42)
@@ -113,39 +111,15 @@ class TestComputeBins:
             values = rng.uniform(0, 1, size=10)
             k = int(rng.integers(1, 9))
             a1, a2 = sorted(rng.uniform(0.05, 3.0, size=2))
-            lo = compute_bins(rel_vec(values), k, a1)
-            hi = compute_bins(rel_vec(values), k, a2)
-            assert (lo.edges >= hi.edges - 1e-15).all()
+            lo, _ = compute_bins(rel_vec(values), k, a1)
+            hi, _ = compute_bins(rel_vec(values), k, a2)
+            assert (lo >= hi - 1e-15).all()
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             compute_bins(rel_vec([0.1, 0.9]), 2, 0.0)
         with pytest.raises(ValueError):
             compute_bins(rel_vec([0.1, 0.9]), 2, -1.0)
-
-
-class TestBinningSchemeValidation:
-    """Constructor invariants of the frozen scheme."""
-
-    def test_rejects_unsorted_edges(self):
-        with pytest.raises(ValueError):
-            BinningScheme(2, 1.0, 0.0, 1.0, np.array([0.9, 0.5]),
-                          np.array([0, 1]))
-
-    def test_rejects_last_edge_mismatch(self):
-        with pytest.raises(ValueError):
-            BinningScheme(2, 1.0, 0.0, 1.0, np.array([0.5, 0.99]),
-                          np.array([0, 1]))
-
-    def test_rejects_out_of_range_assignment(self):
-        with pytest.raises(ValueError):
-            BinningScheme(2, 1.0, 0.0, 1.0, np.array([0.5, 1.0]),
-                          np.array([0, 2]))
-
-    def test_arrays_frozen(self):
-        scheme = compute_bins(rel_vec([0.0, 1.0]), 2, 1.0)
-        with pytest.raises(ValueError):
-            scheme.edges[0] = 0.0
 
 
 class TestSelectMrmr:
@@ -334,13 +308,13 @@ class TestSelectKGroups:
             k = int(rng.integers(1, 10))
             alpha = float(rng.uniform(0.3, 2.0))
             r = select_kgroups(d, rel_vec(values), k, alpha)
-            scheme = compute_bins(rel_vec(values), k, alpha)
-            clusters = scheme.assignments[np.asarray(r.selected)]
+            _, bins = compute_bins(rel_vec(values), k, alpha)
+            clusters = bins[np.asarray(r.selected)]
             assert len(set(clusters.tolist())) == len(r.selected)
             for feat in r.selected:
-                members = scheme.assignments == scheme.assignments[feat]
+                members = bins == bins[feat]
                 assert values[feat] == values[members].max()
-            assert len(r.selected) == len(set(scheme.assignments.tolist()))
+            assert len(r.selected) == len(set(bins.tolist()))
 
     def test_scaling_invariance_of_selected_sets(self):
         rng = np.random.default_rng(58)
