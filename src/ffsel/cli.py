@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -68,15 +69,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _split(raw: str | None) -> list[str] | None:
-    if raw is None:
-        return None
+def _split(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _parse_label_col(raw: str | None) -> str | int | None:
-    if raw is None:
-        return None
+def _parse_label_col(raw: str) -> str | int:
     try:
         return int(raw)
     except ValueError:
@@ -114,7 +111,7 @@ def _write_csv(rows: list[dict], path: Path) -> None:
 
 
 def _load_scaled(args):
-    d = load_csv(args.data, label_column=_parse_label_col(args.label_col))
+    d = load_csv(args.data, label_column=args.label_column)
     return d if args.no_scale else standard_scale(d)
 
 
@@ -199,28 +196,9 @@ def _cmd_benchmark(args) -> int:
         if not isinstance(raw, dict):
             raise _UsageError("config file must hold a JSON object")
 
-    overrides = {
-        "datasets": _split(args.datasets),
-        "output_dir": args.output_dir,
-        "estimators": _split(args.estimators),
-        "algorithms": _split(args.algorithms),
-        "classifiers": _split(args.classifiers),
-        "alpha_grid": args.alpha_grid and [float(a) for a in _split(args.alpha_grid)],
-        "k_min": args.k_min,
-        "k_max": args.k_max,
-        "n_folds": args.n_folds,
-        "seed": args.seed,
-        "label_column": _parse_label_col(args.label_col),
-        "mi_bins": args.mi_bins,
-        "beta": args.beta,
-        "scale": args.scale,
-        "scale_per_fold": args.scale_per_fold,
-        "select_per_fold": args.select_per_fold,
-        "k_neighbors": args.k_neighbors,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
+    for field in dataclasses.fields(SweepConfig):
+        if getattr(args, field.name, None) is not None:
+            raw[field.name] = getattr(args, field.name)
     if "datasets" not in raw:
         raise _UsageError("no datasets given (config key 'datasets' or --datasets)")
     if "output_dir" not in raw:
@@ -280,6 +258,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument(
         "--label-col",
+        dest="label_column",
+        type=_parse_label_col,
         default=None,
         help="label column name or integer index (default: last column)",
     )
@@ -329,21 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="run a sweep and append JSON-lines records")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--datasets", default=None, help="comma list of CSV paths")
+    p.add_argument("--datasets", type=_split, default=None, help="comma list of CSV paths")
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--estimators", default=None, help="comma list (mi,fvalue,gini)")
+    p.add_argument("--estimators", type=_split, default=None, help="comma list (mi,fvalue,gini)")
     p.add_argument(
         "--algorithms",
+        type=_split,
         default=None,
         help=f"comma list (kbest, kgroups, {', '.join(map(str.lower, MRMR_VARIANTS))})",
     )
-    p.add_argument("--classifiers", default=None, help="comma list (knn,gnb,rf)")
-    p.add_argument("--alpha-grid", default=None, help="comma list of reals")
+    p.add_argument("--classifiers", type=_split, default=None, help="comma list (knn,gnb,rf)")
+    p.add_argument("--alpha-grid", type=_split, default=None, help="comma list of reals")
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--n-folds", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--label-col", default=None)
+    p.add_argument("--label-col", dest="label_column", type=_parse_label_col, default=None)
     p.add_argument("--mi-bins", type=int, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--k-neighbors", type=int, default=None)

@@ -5,7 +5,7 @@ F-value, random-forest Gini importance, and absolute cosine similarity
 with the integer-encoded label.  `relevance_all` scores every column of
 a dataset at once; to score some columns, pass it a dataset of those
 columns.  Redundancy: pairwise plug-in mutual information or absolute
-Pearson correlation, memoized symmetrically.
+Pearson correlation, symmetric in the pair.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def relevance_all(
 
 
 class RedundancyCache:
-    """Symmetric memo of pairwise redundancy values for one dataset.
+    """Pairwise redundancy values for one dataset, each computed when asked for.
 
     MI pair lookups read codes from one discretization of the whole matrix;
     Pearson lookups read centered columns and their norms, prepared once.
@@ -212,7 +212,7 @@ class RedundancyCache:
         if measure not in REDUNDANCY_MEASURES:
             raise ValueError(f"unknown redundancy measure {measure!r}")
         self.measure = measure
-        self._entries: dict[tuple[int, int], float] = {}
+        self._computed = 0
         if measure == MI_PAIR:
             self._codes = discretize_columns(d.features, mi_bins).T
         else:
@@ -225,21 +225,15 @@ class RedundancyCache:
     def get(self, i: int, j: int) -> float:
         if i == j:
             raise ValueError("redundancy is defined for distinct columns only")
-        key = (i, j) if i < j else (j, i)
-        value = self._entries.get(key)
-        if value is not None:
-            return value
-        a, b = key
+        a, b = (i, j) if i < j else (j, i)
+        self._computed += 1
         if self.measure == MI_PAIR:
-            value = mutual_info_from_counts(_joint_counts(self._codes[a], self._codes[b]))
-        else:
-            denom = self._norms[a] * self._norms[b]
-            if denom == 0.0:
-                value = 0.0
-            else:
-                value = min(abs(float(np.dot(self._centered[a], self._centered[b]))) / denom, 1.0)
-        self._entries[key] = value
-        return value
+            return mutual_info_from_counts(_joint_counts(self._codes[a], self._codes[b]))
+        denom = self._norms[a] * self._norms[b]
+        if denom == 0.0:
+            return 0.0
+        return min(abs(float(np.dot(self._centered[a], self._centered[b]))) / denom, 1.0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Pair values computed so far."""
+        return self._computed

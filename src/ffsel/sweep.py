@@ -1,19 +1,22 @@
 """Benchmark sweep over datasets, estimators, selectors, and classifiers.
 
 Produces one JSON-lines record per (dataset, estimator, algorithm variant,
-k, classifier) cell.  A cell selects on the whole dataset, or with
-`select_per_fold` inside each fold's training view (built once per dataset
-and fold), and scores its subsets through `cross_validate`.  Relevance
-vectors are computed once per dataset and estimator (and fold), then shared
-across every k and alpha.  Each greedy mRMR variant runs once from cold to
-the largest pending k, and each k's record takes its first k picks, so a
-record's selection cost does not depend on which cells ran first.  An
-interrupted sweep resumes by skipping cells already present in the output.
+k, classifier) cell.  The whole sweep is planned, and checked against the
+records already stored, before anything is written; then it runs one
+dataset at a time.  A cell selects on the whole dataset, or with
+`select_per_fold` inside each fold's training view (built once per fold),
+and scores its subsets through `cross_validate`.  Relevance vectors are
+computed once per estimator (and fold), then shared across every k and
+alpha.  Each greedy mRMR variant runs once from cold to the largest pending
+k, and each k's record takes its first k picks, so a record's selection
+cost does not depend on which cells ran first.  An interrupted sweep
+resumes by skipping cells already present in the output.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .classifiers import CLASSIFIERS, GNB, KNN, RF
-from .data import DataError, Dataset, _stem, load_csv, make_folds, standard_scale, standardize
+from .data import DataError, Dataset, FoldPlan, _stem, load_csv, make_folds, standard_scale, standardize
 from .evaluate import CELL_KEY_FIELDS, BenchmarkRecord, cross_validate
 from .forest import ForestParams
 from .relevance import (
@@ -127,7 +130,7 @@ class SweepConfig:
             raise ValueError("KBEST and KGROUPS need at least one estimator")
         if not self.alpha_grid and KGROUPS in self.algorithms:
             raise ValueError("KGROUPS needs at least one alpha value")
-        if any(a <= 0 for a in self.alpha_grid):
+        if any(not a > 0 for a in self.alpha_grid):
             raise ValueError("alpha values must be > 0")
         for est in self.estimators:
             if est not in ESTIMATORS:
@@ -196,20 +199,18 @@ class SweepConfig:
 
 @dataclasses.dataclass(frozen=True)
 class _Task:
-    """One selection cell: everything but the classifier axis."""
+    """One selection cell of a dataset: everything but the classifier axis."""
 
-    d: Dataset
     algorithm: str
     variant: str
     estimator: str
     k: int
     alpha: float | None
-    mrmr: tuple[str, str, bool] | None  # form, redundancy, mean_normalized
 
-    def cell(self, classifier: str, seed: int) -> dict:
-        """Record fields naming this task's cell for one classifier."""
+    def cell(self, dataset: str, classifier: str, seed: int) -> dict:
+        """Record fields naming this task's cell on a dataset for one classifier."""
         return {
-            "dataset": self.d.name,
+            "dataset": dataset,
             "algorithm": self.algorithm,
             "variant": self.variant,
             "estimator": self.estimator,
@@ -245,6 +246,27 @@ def _records_in(path: Path, *, skip_malformed: bool) -> Iterator[BenchmarkRecord
             yield rec
 
 
+def _end_last_line(path: Path) -> None:
+    """Make the file end in a newline before records are appended to it.
+
+    Bytes after the last newline that hold a whole record get the newline;
+    any other trailing bytes (a write cut short) are dropped.
+    """
+    data = path.read_bytes()
+    cut = data.rfind(b"\n") + 1
+    if cut == len(data):
+        return
+    try:
+        BenchmarkRecord.from_dict(json.loads(data[cut:]))
+    except (TypeError, ValueError):
+        log.warning("dropping the unfinished last line of %s (interrupted write?)", path)
+        with path.open("r+b") as f:
+            f.truncate(cut)
+    else:
+        with path.open("ab") as f:
+            f.write(b"\n")
+
+
 def _subset_dataset(d: Dataset, rows: np.ndarray, features: np.ndarray, tag: str) -> Dataset:
     """Dataset restricted to the given rows, with labels compacted so the
     constructor's every-class-present invariant holds."""
@@ -259,6 +281,127 @@ def _subset_dataset(d: Dataset, rows: np.ndarray, features: np.ndarray, tag: str
         labels=remap[labels],
         class_names=tuple(d.class_names[c] for c in present),
     )
+
+
+def _tasks(config: SweepConfig, ks: range) -> list[tuple[_Task, dict]]:
+    """Every dataset's selection cells in run order, with the settings their
+    records store, which a resumed sweep must match."""
+    keys = ("n_folds", "scale", "scale_per_fold", "select_per_fold", "mi_bins", "beta", "k_neighbors")
+    base = {key: getattr(config, key) for key in keys}
+    tasks: list[tuple[_Task, dict]] = []
+    for algo in config.algorithms:
+        if algo == KBEST:
+            for est in config.estimators:
+                tasks.extend((_Task(KBEST, "", est, k, None), base) for k in ks)
+        elif algo == KGROUPS:
+            for est in config.estimators:
+                settings = {**base, "tie_breakers": list(config.tie_breaker_map.get(est, ()))}
+                for alpha in config.alpha_grid:
+                    tasks.extend((_Task(KGROUPS, f"alpha={alpha:g}", est, k, alpha), settings) for k in ks)
+        else:
+            est, form, _, meann = MRMR_VARIANTS[algo]
+            name = MRMR_D if form == DIFFERENCE else MRMR_Q
+            settings = {**base, "mean_normalized": meann}
+            tasks.extend((_Task(name, algo, est, k, None), settings) for k in ks)
+    return tasks
+
+
+def _run_dataset(
+    config: SweepConfig,
+    d: Dataset,
+    folds: FoldPlan,
+    pending: Sequence[tuple[_Task, list[str], dict]],
+    forest: ForestParams,
+    stats: dict,
+) -> Iterator[list[BenchmarkRecord]]:
+    """Run one dataset's pending tasks, yielding each task's records."""
+    # Keyed by fold, None when selecting on the whole dataset.
+    relevance: dict[tuple[str, int | None], tuple[RelevanceVector, float]] = {}
+    greedy_runs: dict[tuple[str, int | None], SelectionResult] = {}
+    fold_views: dict[int, Dataset] = {}  # training rows of each fold
+    greedy_k: dict[str, int] = {}  # largest pending k per variant
+    for task, _, _ in pending:
+        if task.algorithm in (MRMR_D, MRMR_Q):
+            greedy_k[task.variant] = max(greedy_k.get(task.variant, 0), task.k)
+
+    def fold_view(f: int) -> Dataset:
+        """Fold f's training rows, standardized on them when scaling per fold."""
+        if f not in fold_views:
+            rows = folds.train_rows(f)
+            x = d.features[rows]
+            if config.scale_per_fold:
+                (x,) = standardize(x)
+            fold_views[f] = _subset_dataset(d, rows, x, f"#fold{f}")
+        return fold_views[f]
+
+    def select(task: _Task, fold: int | None) -> tuple[tuple[int, ...], float]:
+        """The task's picks in the fold and their thread CPU, relevance included."""
+        target = d if fold is None else fold_view(fold)
+        if (task.estimator, fold) not in relevance:
+            t0 = thread_cpu_time()
+            vec = relevance_all(target, task.estimator, mi_bins=config.mi_bins, forest=forest)
+            relevance[task.estimator, fold] = (vec, thread_cpu_time() - t0)
+            counter = "relevance_estimations" if fold is None else "fold_relevance_estimations"
+            stats[counter] = stats.get(counter, 0) + 1
+        rel, rel_cpu = relevance[task.estimator, fold]
+        if task.algorithm in (MRMR_D, MRMR_Q):
+            # One cold run to the largest pending k: the picks for k are its
+            # first k picks, and their cost is the CPU spent up to the k-th.
+            if (task.variant, fold) not in greedy_runs:
+                _, form, red, meann = MRMR_VARIANTS[task.variant]
+                greedy_runs[task.variant, fold] = select_mrmr(
+                    target, rel, greedy_k[task.variant], form, red,
+                    beta=config.beta, mean_normalized=meann, mi_bins=config.mi_bins,
+                )
+            run = greedy_runs[task.variant, fold]
+            return run.selected[: task.k], rel_cpu + run.pick_cpu_seconds[task.k - 1]
+        if task.algorithm == KBEST:
+            result = select_kbest(rel, task.k)
+        else:
+            result = select_kgroups(
+                target,
+                rel,
+                task.k,
+                task.alpha,
+                config.tie_breaker_map.get(task.estimator, ()),
+                mi_bins=config.mi_bins,
+                forest=forest,
+            )
+        return result.selected, rel_cpu + result.cpu_time_seconds
+
+    for task, classifiers, settings in pending:
+        if config.select_per_fold:
+            # Stricter protocol: no row a fold scores on helps select its subset.
+            picks = [select(task, f) for f in range(folds.n_folds)]
+        else:
+            picks = [select(task, None)]
+        subsets = [sel for sel, _ in picks]
+        n_selected = int(round(float(np.mean([len(sel) for sel in subsets]))))
+        selection_cpu = sum(cpu for _, cpu in picks)
+        batch = []
+        for clf in classifiers:
+            t1 = thread_cpu_time()
+            mean, sd = cross_validate(
+                d,
+                subsets if config.select_per_fold else subsets[0],
+                clf,
+                folds,
+                scale_per_fold=config.scale_per_fold,
+                k_neighbors=config.k_neighbors,
+                forest=forest,
+            )
+            batch.append(
+                BenchmarkRecord(
+                    **task.cell(d.name, clf, config.seed),
+                    settings=settings,
+                    n_selected=n_selected,
+                    cv_mean_accuracy=mean,
+                    cv_sd=sd,
+                    selection_cpu_seconds=selection_cpu,
+                    training_cpu_seconds=thread_cpu_time() - t1,
+                )
+            )
+        yield batch
 
 
 def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[BenchmarkRecord]:
@@ -312,185 +455,53 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     if k_lo > k_hi:
         log.error("k range empty after clamping; nothing to do")
         return
-    ks = range(k_lo, k_hi + 1)
 
-    folds = {d.name: make_folds(d, config.n_folds, config.seed) for d in datasets}
-    forest = ForestParams(seed=config.seed)
-
-    tasks: list[_Task] = []
+    tasks = _tasks(config, range(k_lo, k_hi + 1))
+    plans: list[tuple[Dataset, FoldPlan, list[tuple[_Task, list[str], dict]]]] = []
     for d in datasets:
-        for algo in config.algorithms:
-            if algo == KBEST:
-                for est in config.estimators:
-                    tasks.extend(_Task(d, KBEST, "", est, k, None, None) for k in ks)
-            elif algo == KGROUPS:
-                for est in config.estimators:
-                    for alpha in config.alpha_grid:
-                        tasks.extend(
-                            _Task(d, KGROUPS, f"alpha={alpha:g}", est, k, alpha, None)
-                            for k in ks
-                        )
-            else:
-                est, form, red, meann = MRMR_VARIANTS[algo]
-                name = MRMR_D if form == DIFFERENCE else MRMR_Q
-                tasks.extend(
-                    _Task(d, name, algo, est, k, None, (form, red, meann)) for k in ks
-                )
-
-    base_settings = {
-        "n_folds": config.n_folds,
-        "scale": config.scale,
-        "scale_per_fold": config.scale_per_fold,
-        "select_per_fold": config.select_per_fold,
-        "mi_bins": config.mi_bins,
-        "beta": config.beta,
-        "k_neighbors": config.k_neighbors,
-    }
-
-    # Keyed by (dataset, estimator or variant, fold), fold None when pooled.
-    relevance: dict[tuple[str, str, int | None], tuple[RelevanceVector, float]] = {}
-    fold_views: dict[tuple[str, int], Dataset] = {}  # training rows of the current dataset's folds
-    greedy_k: dict[tuple[str, str], int] = {}  # largest pending k per variant
-    greedy_runs: dict[tuple[str, str, int | None], SelectionResult] = {}
-
-    def select(task: _Task, target: Dataset, fold: int | None) -> tuple[tuple[int, ...], float]:
-        """The task's picks on `target` and their thread CPU, relevance included."""
-        rel_key = (task.d.name, task.estimator, fold)
-        if rel_key not in relevance:
-            t0 = thread_cpu_time()
-            vec = relevance_all(target, task.estimator, mi_bins=config.mi_bins, forest=forest)
-            relevance[rel_key] = (vec, thread_cpu_time() - t0)
-            counter = "relevance_estimations" if fold is None else "fold_relevance_estimations"
-            stats[counter] = stats.get(counter, 0) + 1
-        rel, rel_cpu = relevance[rel_key]
-        if task.mrmr is not None:
-            # One cold run to the largest pending k: the picks for k are its
-            # first k picks, and their cost is the CPU spent up to the k-th.
-            run_key = (task.d.name, task.variant, fold)
-            if run_key not in greedy_runs:
-                form, red, meann = task.mrmr
-                greedy_runs[run_key] = select_mrmr(
-                    target, rel, greedy_k[run_key[:2]], form, red,
-                    beta=config.beta, mean_normalized=meann, mi_bins=config.mi_bins,
-                )
-            run = greedy_runs[run_key]
-            return run.selected[: task.k], rel_cpu + run.pick_cpu_seconds[task.k - 1]
-        if task.algorithm == KBEST:
-            result = select_kbest(rel, task.k)
-        else:
-            result = select_kgroups(
-                target,
-                rel,
-                task.k,
-                task.alpha,
-                config.tie_breaker_map.get(task.estimator, ()),
-                mi_bins=config.mi_bins,
-                forest=forest,
-            )
-        return result.selected, rel_cpu + result.cpu_time_seconds
-
-    def cell_settings(task: _Task) -> dict:
-        settings = dict(base_settings)
-        if task.mrmr is not None:
-            settings["mean_normalized"] = task.mrmr[2]
-        if task.algorithm == KGROUPS:
-            settings["tie_breakers"] = list(
-                config.tie_breaker_map.get(task.estimator, ())
-            )
-        return settings
-
-    def fold_view(d: Dataset, f: int) -> Dataset:
-        """Fold f's training rows of d, standardized on them when scaling per fold."""
-        key = (d.name, f)
-        if key not in fold_views:
-            if any(name != d.name for name, _ in fold_views):
-                fold_views.clear()  # cells run dataset by dataset
-            rows = folds[d.name].train_rows(f)
-            x = d.features[rows]
-            if config.scale_per_fold:
-                (x,) = standardize(x)
-            fold_views[key] = _subset_dataset(d, rows, x, f"#fold{f}")
-        return fold_views[key]
-
-    def run_cell(task: _Task, classifiers: Sequence[str], settings: dict) -> list[BenchmarkRecord]:
-        d = task.d
-        plan = folds[d.name]
-        if config.select_per_fold:
-            # Stricter protocol: no row a fold scores on helps select its subset.
-            picks = [select(task, fold_view(d, f), f) for f in range(plan.n_folds)]
-        else:
-            picks = [select(task, d, None)]
-        subsets = [sel for sel, _ in picks]
-        n_selected = int(round(float(np.mean([len(sel) for sel in subsets]))))
-        selection_cpu = sum(cpu for _, cpu in picks)
-        out = []
-        for clf in classifiers:
-            t1 = thread_cpu_time()
-            mean, sd = cross_validate(
-                d,
-                subsets if config.select_per_fold else subsets[0],
-                clf,
-                plan,
-                scale_per_fold=config.scale_per_fold,
-                k_neighbors=config.k_neighbors,
-                forest=forest,
-            )
-            out.append(
-                BenchmarkRecord(
-                    **task.cell(clf, config.seed),
-                    settings=settings,
-                    n_selected=n_selected,
-                    cv_mean_accuracy=mean,
-                    cv_sd=sd,
-                    selection_cpu_seconds=selection_cpu,
-                    training_cpu_seconds=thread_cpu_time() - t1,
-                )
-            )
-        return out
-
-    pending: list[tuple[_Task, list[str], dict]] = []
-    for task in tasks:
-        settings = cell_settings(task)
-        todo = []
-        for clf in config.classifiers:
-            cell = task.cell(clf, config.seed)
-            stored = existing.get(tuple(cell[f] for f in CELL_KEY_FIELDS))
-            if stored is None:
-                todo.append(clf)
-            elif stored != settings:
-                # Skipping this cell would leave a record that config.json
-                # no longer describes.
-                differ = "; ".join(
-                    f"{key} {stored.get(key)!r} stored, {settings.get(key)!r} now"
-                    for key in sorted(stored.keys() | settings.keys())
-                    if stored.get(key) != settings.get(key)
-                )
-                raise DataError(
-                    f"{records_path} holds cell {cell} computed under other settings "
-                    f"({differ}); rerun with the stored settings or another output directory"
-                )
-        stats["cells_skipped"] += len(config.classifiers) - len(todo)
-        if todo:
-            pending.append((task, todo, settings))
-            if task.mrmr is not None:
-                key = (task.d.name, task.variant)
-                greedy_k[key] = max(greedy_k.get(key, 0), task.k)
+        pending = []
+        for task, settings in tasks:
+            todo = []
+            for clf in config.classifiers:
+                cell = task.cell(d.name, clf, config.seed)
+                stored = existing.get(tuple(cell[f] for f in CELL_KEY_FIELDS))
+                if stored is None:
+                    todo.append(clf)
+                elif stored != settings:
+                    # Skipping this cell would leave a record that config.json
+                    # no longer describes.
+                    differ = "; ".join(
+                        f"{key} {stored.get(key)!r} stored, {settings.get(key)!r} now"
+                        for key in sorted(stored.keys() | settings.keys())
+                        if stored.get(key) != settings.get(key)
+                    )
+                    raise DataError(
+                        f"{records_path} holds cell {cell} computed under other settings "
+                        f"({differ}); rerun with the stored settings or another output directory"
+                    )
+            stats["cells_skipped"] += len(config.classifiers) - len(todo)
+            if todo:
+                pending.append((task, todo, settings))
+        plans.append((d, make_folds(d, config.n_folds, config.seed), pending))
 
     log.info(
         "sweep: %d datasets, %d cells pending, %d skipped",
-        len(datasets), len(pending), stats["cells_skipped"],
+        len(datasets), sum(len(pending) for _, _, pending in plans), stats["cells_skipped"],
     )
     (out_dir / "config.json").write_text(
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    if records_path.exists():
+        _end_last_line(records_path)
+    forest = ForestParams(seed=config.seed)
     with records_path.open("a", encoding="utf-8") as sink:
-        for task, todo, settings in pending:
-            batch = run_cell(task, todo, settings)
-            for rec in batch:
-                sink.write(json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
-            sink.flush()
-            stats["cells_run"] += len(batch)
-            yield from batch
+        for d, folds, pending in plans:
+            for batch in _run_dataset(config, d, folds, pending, forest, stats):
+                for rec in batch:
+                    sink.write(json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
+                sink.flush()
+                stats["cells_run"] += len(batch)
+                yield from batch
 
 
 def read_records(path: str | Path) -> list[BenchmarkRecord]:
@@ -521,6 +532,15 @@ def _pick_best(cells: Sequence[BenchmarkRecord]) -> BenchmarkRecord:
     )
 
 
+def _by_classifier(records: Iterable[BenchmarkRecord]) -> dict[tuple[str, str, str, str], list[BenchmarkRecord]]:
+    """Records grouped by (dataset, estimator, algorithm label, classifier), in key order."""
+    groups: dict[tuple[str, str, str, str], list[BenchmarkRecord]] = {}
+    for rec in records:
+        key = (rec.dataset, rec.estimator, algorithm_label(rec), rec.classifier)
+        groups.setdefault(key, []).append(rec)
+    return {key: groups[key] for key in sorted(groups)}
+
+
 def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dict]]:
     """Aggregate records into best-configuration and win/draw tables.
 
@@ -528,17 +548,32 @@ def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dic
     decimals of percent.  Among equal-accuracy cells the smallest k (then
     smallest alpha) is reported.
     """
-    records = list(records)
-    if not records:
+    groups = _by_classifier(records)
+    if not groups:
         raise ValueError("no records to report on")
 
-    groups: dict[tuple[str, str, str], list[BenchmarkRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.dataset, rec.estimator, algorithm_label(rec)), []).append(rec)
+    per_classifier_best = []
+    bests: dict[tuple[str, str, str], list[BenchmarkRecord]] = {}  # one per classifier
+    for (dataset, estimator, label, clf), cells in groups.items():
+        best = _pick_best(cells)
+        bests.setdefault((dataset, estimator, label), []).append(best)
+        per_classifier_best.append(
+            {
+                "dataset": dataset,
+                "estimator": estimator,
+                "algorithm": label,
+                "classifier": clf,
+                "best_accuracy": best.cv_mean_accuracy,
+                "k": best.k,
+                "alpha": best.alpha,
+                "n_selected": best.n_selected,
+            }
+        )
 
     best_overall = []
-    for (dataset, estimator, label) in sorted(groups):
-        best = _pick_best(groups[(dataset, estimator, label)])
+    per_classifier_summary = []
+    for (dataset, estimator, label), clf_bests in bests.items():
+        best = _pick_best(clf_bests)
         best_overall.append(
             {
                 "dataset": dataset,
@@ -552,28 +587,7 @@ def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dic
                 "n_selected": best.n_selected,
             }
         )
-
-    per_classifier_best = []
-    per_classifier_summary = []
-    for (dataset, estimator, label) in sorted(groups):
-        cells = groups[(dataset, estimator, label)]
-        bests = []
-        for clf in sorted({r.classifier for r in cells}):
-            best = _pick_best([r for r in cells if r.classifier == clf])
-            bests.append(best.cv_mean_accuracy)
-            per_classifier_best.append(
-                {
-                    "dataset": dataset,
-                    "estimator": estimator,
-                    "algorithm": label,
-                    "classifier": clf,
-                    "best_accuracy": best.cv_mean_accuracy,
-                    "k": best.k,
-                    "alpha": best.alpha,
-                    "n_selected": best.n_selected,
-                }
-            )
-        arr = np.asarray(bests)
+        arr = np.asarray([r.cv_mean_accuracy for r in clf_bests])
         per_classifier_summary.append(
             {
                 "dataset": dataset,
@@ -585,45 +599,28 @@ def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dic
             }
         )
 
-    # Win/draw tallies between algorithm labels sharing an estimator,
-    # accumulated over datasets.
-    best_by = {
-        (row["dataset"], row["estimator"], row["algorithm"]): row["best_accuracy"]
-        for row in best_overall
-    }
-    contexts: dict[str, set[str]] = {}
-    labels_by_est: dict[str, set[str]] = {}
-    for dataset, estimator, label in best_by:
-        contexts.setdefault(estimator, set()).add(dataset)
-        labels_by_est.setdefault(estimator, set()).add(label)
+    # Win/draw tallies between algorithm labels sharing an estimator, over
+    # the datasets both labels have records on.
+    rounded: dict[str, dict[str, dict[str, float]]] = {}  # estimator -> label -> dataset
+    for row in best_overall:
+        by_dataset = rounded.setdefault(row["estimator"], {}).setdefault(row["algorithm"], {})
+        by_dataset[row["dataset"]] = round(100 * row["best_accuracy"], 2)
     pairwise = []
-    for estimator in sorted(labels_by_est):
-        labels = sorted(labels_by_est[estimator])
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                wins_a = wins_b = draws = 0
-                for dataset in sorted(contexts[estimator]):
-                    acc_a = best_by.get((dataset, estimator, a))
-                    acc_b = best_by.get((dataset, estimator, b))
-                    if acc_a is None or acc_b is None:
-                        continue
-                    ra, rb = round(100 * acc_a, 2), round(100 * acc_b, 2)
-                    if ra == rb:
-                        draws += 1
-                    elif ra > rb:
-                        wins_a += 1
-                    else:
-                        wins_b += 1
-                pairwise.append(
-                    {
-                        "estimator": estimator,
-                        "algorithm_a": a,
-                        "algorithm_b": b,
-                        "wins_a": wins_a,
-                        "wins_b": wins_b,
-                        "draws": draws,
-                    }
-                )
+    for estimator, by_label in sorted(rounded.items()):
+        for a, b in itertools.combinations(sorted(by_label), 2):
+            shared = by_label[a].keys() & by_label[b].keys()
+            wins_a = sum(by_label[a][ds] > by_label[b][ds] for ds in shared)
+            wins_b = sum(by_label[a][ds] < by_label[b][ds] for ds in shared)
+            pairwise.append(
+                {
+                    "estimator": estimator,
+                    "algorithm_a": a,
+                    "algorithm_b": b,
+                    "wins_a": wins_a,
+                    "wins_b": wins_b,
+                    "draws": len(shared) - wins_a - wins_b,
+                }
+            )
 
     return {
         "best_overall": best_overall,
@@ -635,21 +632,15 @@ def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dic
 
 def n_selected_distributions(records: Iterable[BenchmarkRecord]) -> list[dict]:
     """Boxplot-ready n_selected distributions per classifier and algorithm."""
-    groups: dict[tuple[str, str, str, str], list[BenchmarkRecord]] = {}
-    for rec in records:
-        key = (rec.dataset, rec.estimator, algorithm_label(rec), rec.classifier)
-        groups.setdefault(key, []).append(rec)
-    rows = []
-    for key in sorted(groups):
-        cells = sorted(groups[key], key=lambda r: (r.k, _alpha_key(r.alpha)))
-        dataset, estimator, label, clf = key
-        rows.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "classifier": clf,
-                "n_selected": [r.n_selected for r in cells],
-            }
-        )
-    return rows
+    return [
+        {
+            "dataset": dataset,
+            "estimator": estimator,
+            "algorithm": label,
+            "classifier": clf,
+            "n_selected": [
+                r.n_selected for r in sorted(cells, key=lambda r: (r.k, _alpha_key(r.alpha)))
+            ],
+        }
+        for (dataset, estimator, label, clf), cells in _by_classifier(records).items()
+    ]

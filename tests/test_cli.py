@@ -220,6 +220,16 @@ class TestBenchmark:
         assert a in err and b in err
         assert not (tmp_path / "o" / "config.json").exists()
 
+    def test_nan_alpha_exits_1(self, data_csv, tmp_path, capsys):
+        code = main(["benchmark", "--datasets", data_csv,
+                     "--output-dir", str(tmp_path / "o"), "--estimators", "mi",
+                     "--algorithms", "kgroups", "--k-min", "2", "--k-max", "2",
+                     "--classifiers", "knn", "--n-folds", "3", "--alpha-grid", "nan"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "alpha values must be > 0" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
     def test_bad_config_json_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{nope")

@@ -129,6 +129,8 @@ class TestSweepConfig:
             SweepConfig(**base, n_folds=1).validate()
         with pytest.raises(ValueError):
             SweepConfig(**base, alpha_grid=(0.0,)).validate()
+        with pytest.raises(ValueError, match="alpha"):
+            SweepConfig(**base, alpha_grid=(1.0, float("nan"))).validate()
         with pytest.raises(ValueError):
             SweepConfig(**base, mi_bins=0).validate()
         with pytest.raises(ValueError):
@@ -243,6 +245,32 @@ class TestRunSweep:
         added = list(run_sweep(tiny_config(tmp_path, mi_bins=10, k_max=4), stats))
         assert {r.k for r in added} == {4}
         assert stats["cells_skipped"] == 16
+
+    def test_resume_drops_a_torn_last_line(self, tmp_path, caplog):
+        cfg = tiny_config(tmp_path)
+        first = list(run_sweep(cfg))
+        path = tmp_path / "out" / "records.jsonl"
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:4]) + "\n" + lines[4][: len(lines[4]) // 2])
+        with caplog.at_level(logging.WARNING, logger="ffsel.sweep"):
+            redone = list(run_sweep(cfg))
+        assert any("records.jsonl" in msg for msg in caplog.messages)
+        assert [r.cell_key() for r in redone] == [r.cell_key() for r in first[4:]]
+        stored = read_records(path)
+        assert [r.cell_key() for r in stored] == [r.cell_key() for r in first]
+        assert path.read_text().split("\n")[:4] == lines[:4]
+
+    def test_resume_ends_a_whole_last_record_with_a_newline(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        first = list(run_sweep(cfg))
+        path = tmp_path / "out" / "records.jsonl"
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:5]))
+        redone = list(run_sweep(cfg))
+        assert [r.cell_key() for r in redone] == [r.cell_key() for r in first[5:]]
+        assert path.read_text().split("\n")[:5] == lines[:5]
+        stored = read_records(path)
+        assert [r.cell_key() for r in stored] == [r.cell_key() for r in first]
 
     @pytest.mark.parametrize("line", ['{"dataset":"t"}', "[1,2]"])
     def test_resume_rejects_non_record_line(self, tmp_path, line):
@@ -480,6 +508,21 @@ class TestReports:
         ]
         report = best_config_report(records)
         assert report["pairwise_wins"] == []
+
+    def test_pairs_count_only_datasets_both_labels_have(self):
+        records = [
+            mk_record(dataset="d1", algorithm=KBEST, variant="", alpha=None,
+                      cv_mean_accuracy=0.80),
+            mk_record(dataset="d2", algorithm=KBEST, variant="", alpha=None,
+                      cv_mean_accuracy=0.70),
+            mk_record(dataset="d1", algorithm=MRMR_D, variant="MID",
+                      alpha=None, cv_mean_accuracy=0.90),
+        ]
+        report = best_config_report(records)
+        assert report["pairwise_wins"] == [{
+            "estimator": "MI", "algorithm_a": KBEST, "algorithm_b": "MID",
+            "wins_a": 0, "wins_b": 1, "draws": 0,
+        }]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
