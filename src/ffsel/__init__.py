@@ -1,7 +1,7 @@
 """ffsel: filter feature selection with relevance binning, ranking, and mRMR."""
 
 from .data import DataError, Dataset, FoldPlan, load_csv, make_folds, standard_scale
-from .forest import ForestParams, RandomForest, gini_index
+from .forest import ForestParams, RandomForest
 from .relevance import (
     ABS_PEARSON,
     COSINE,

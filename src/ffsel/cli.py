@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from time import thread_time
 
 from .data import DataError, load_csv, standard_scale
 from .forest import ForestParams
@@ -45,7 +46,6 @@ from .sweep import (
     read_records,
     run_sweep,
 )
-from .timing import thread_cpu_time
 
 __all__ = ["main"]
 
@@ -71,13 +71,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _split(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
-
-
-def _parse_label_col(raw: str) -> str | int:
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
 
 
 def _parse_tie_breakers(raw: str | None, estimator: str) -> tuple[str, ...]:
@@ -110,18 +103,19 @@ def _write_csv(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _load_scaled(args):
+def _relevance(args):
+    """Load, scale and time one relevance estimation: (dataset, forest, relevance, CPU s)."""
     d = load_csv(args.data, label_column=args.label_column)
-    return d if args.no_scale else standard_scale(d)
+    if not args.no_scale:
+        d = standard_scale(d)
+    forest = ForestParams(n_trees=args.trees, seed=args.seed)
+    t0 = thread_time()
+    rel = relevance_all(d, _EST[args.estimator], mi_bins=args.mi_bins, forest=forest)
+    return d, forest, rel, thread_time() - t0
 
 
 def _cmd_estimate(args) -> int:
-    d = _load_scaled(args)
-    estimator = _EST[args.estimator]
-    forest = ForestParams(n_trees=args.trees, seed=args.seed)
-    t0 = thread_cpu_time()
-    rel = relevance_all(d, estimator, mi_bins=args.mi_bins, forest=forest)
-    cpu = thread_cpu_time() - t0
+    d, _, rel, cpu = _relevance(args)
     _write_json(
         {
             "dataset": d.name,
@@ -137,19 +131,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    d = _load_scaled(args)
-    estimator = _EST[args.estimator]
-    forest = ForestParams(n_trees=args.trees, seed=args.seed)
-    t0 = thread_cpu_time()
-    rel = relevance_all(d, estimator, mi_bins=args.mi_bins, forest=forest)
-    rel_cpu = thread_cpu_time() - t0
+    d, forest, rel, rel_cpu = _relevance(args)
     if args.algo == "kbest":
         result = select_kbest(rel, args.k)
     elif args.algo == "mrmr":
         if args.redundancy is not None:
             redundancy = _RED[args.redundancy]
         else:
-            redundancy = MI_PAIR if estimator == MI else ABS_PEARSON
+            redundancy = MI_PAIR if rel.estimator == MI else ABS_PEARSON
         result = select_mrmr(
             d,
             rel,
@@ -161,7 +150,7 @@ def _cmd_select(args) -> int:
             mi_bins=args.mi_bins,
         )
     else:
-        tie = _parse_tie_breakers(args.tie_breakers, estimator)
+        tie = _parse_tie_breakers(args.tie_breakers, rel.estimator)
         result = select_kgroups(
             d, rel, args.k, args.alpha, tie, mi_bins=args.mi_bins, forest=forest
         )
@@ -227,10 +216,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _read_records_strict(path: str):
-    try:
-        records = read_records(path)
-    except ValueError as exc:  # undecodable bytes
-        raise DataError(f"bad record in {path}: {exc}")
+    records = read_records(path)
     if not records:
         raise DataError(f"no records found in {path}")
     return records
@@ -259,7 +245,6 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--label-col",
         dest="label_column",
-        type=_parse_label_col,
         default=None,
         help="label column name or integer index (default: last column)",
     )
@@ -324,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--n-folds", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--label-col", dest="label_column", type=_parse_label_col, default=None)
+    p.add_argument("--label-col", dest="label_column", default=None)
     p.add_argument("--mi-bins", type=int, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--k-neighbors", type=int, default=None)
@@ -370,10 +355,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -102,11 +102,12 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
-def load_csv(path, label_column: str | int | None = None, name: str | None = None) -> Dataset:
+def load_csv(path, label_column: str | int | None = None) -> Dataset:
     """Load a UTF-8 comma-separated file with one header row into a Dataset.
 
     ``label_column`` selects the class column by header name or 0-based
-    index; it defaults to the last column.  Labels are encoded to 0..C-1 in
+    index; an int, or a string of digits with an optional leading ``-``, is
+    an index.  It defaults to the last column.  Labels are encoded to 0..C-1 in
     first-appearance order and the original strings kept in ``class_names``.
     All remaining cells must parse as finite reals.
     """
@@ -174,7 +175,7 @@ def load_csv(path, label_column: str | int | None = None, name: str | None = Non
         raise DataError(f"{path}: label column is constant ({class_names[0]!r}); need at least 2 classes")
 
     return Dataset(
-        name=name if name is not None else _stem(path),
+        name=_stem(path),
         features=np.array(rows, dtype=np.float64),
         feature_names=feature_names,
         labels=labels,

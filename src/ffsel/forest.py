@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["ForestParams", "RandomForest", "gini_index"]
+__all__ = ["ForestParams", "RandomForest"]
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,6 @@ class ForestParams:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def gini_index(counts: np.ndarray) -> float:
-    """Gini impurity 1 - sum(p_c^2) from per-class counts."""
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.dot(p, p))
 
 
 class _Tree(NamedTuple):
@@ -131,7 +122,8 @@ class RandomForest:
         while stack:
             node, idx, counts = stack.pop()
             leaf_class[node] = int(counts.argmax())
-            node_gini = gini_index(counts)
+            p = counts / idx.shape[0]  # a node's counts sum to its row count
+            node_gini = float(1.0 - np.dot(p, p))
             if idx.shape[0] < min_split or node_gini == 0.0:
                 continue
             if max_features >= n_cols:

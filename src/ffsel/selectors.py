@@ -9,6 +9,7 @@ bin's most relevant feature, resolving ties with further estimators.
 from __future__ import annotations
 
 import dataclasses
+from time import thread_time
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from .relevance import (
     RelevanceVector,
     relevance_all,
 )
-from .timing import thread_cpu_time
 
 __all__ = [
     "KBEST",
@@ -58,7 +58,6 @@ QUOTIENT = "QUOTIENT"
 
 # Named greedy-search variants: estimator, form, redundancy, mean-normalized.
 # The named difference forms assume beta = 1, except MIFS, whose beta is free.
-# The sweep's default study runs the first five, so their order matters.
 MRMR_VARIANTS: dict[str, tuple[str, str, str, bool]] = {
     "MID": (MI, DIFFERENCE, MI_PAIR, True),
     "MIQ": (MI, QUOTIENT, MI_PAIR, True),
@@ -115,7 +114,7 @@ def select_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
     Output is in descending relevance order; exact ties fall back to
     ascending feature index.
     """
-    t0 = thread_cpu_time()
+    t0 = thread_time()
     values = rel.values
     _check_k(k, values.shape[0])
     # Stable sort of the negated values: descending score, ascending index.
@@ -127,7 +126,7 @@ def select_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
         selected=selected,
         requested_k=k,
         hyperparams={},
-        cpu_time_seconds=thread_cpu_time() - t0,
+        cpu_time_seconds=thread_time() - t0,
     )
 
 
@@ -150,7 +149,7 @@ def select_mrmr(
     set, divided by its size when mean_normalized.  Score ties go to the
     lower feature index.  No pick depends on k, so runs nest as prefixes.
     """
-    t0 = thread_cpu_time()
+    t0 = thread_time()
     values = rel.values
     n = values.shape[0]
     if d.n_cols != n:
@@ -166,7 +165,7 @@ def select_mrmr(
 
     first = int(np.argmax(values))
     selected = [first]
-    pick_cpu = [thread_cpu_time() - t0]
+    pick_cpu = [thread_time() - t0]
     available = np.ones(n, dtype=bool)
     available[first] = False
     # Running sum of redundancies against the selected set, grown one term
@@ -188,7 +187,7 @@ def select_mrmr(
         nxt = int(np.argmax(scores))  # first max == lowest tied index
         selected.append(nxt)
         available[nxt] = False
-        pick_cpu.append(thread_cpu_time() - t0)
+        pick_cpu.append(thread_time() - t0)
 
     hyperparams: dict[str, object] = {
         "form": form,
@@ -203,7 +202,7 @@ def select_mrmr(
         selected=tuple(selected),
         requested_k=k,
         hyperparams=hyperparams,
-        cpu_time_seconds=thread_cpu_time() - t0,
+        cpu_time_seconds=thread_time() - t0,
         pick_cpu_seconds=tuple(pick_cpu),
     )
 
@@ -256,7 +255,7 @@ def select_kgroups(
     is ordered by descending relevance.  k larger than the feature count
     is allowed; surplus bins are simply empty.
     """
-    t0 = thread_cpu_time()
+    t0 = thread_time()
     values = rel.values
     if d.n_cols != values.shape[0]:
         raise ValueError(
@@ -303,5 +302,5 @@ def select_kgroups(
         selected=selected,
         requested_k=k,
         hyperparams={"alpha": float(alpha), "tie_breakers": tuple(tie_breakers)},
-        cpu_time_seconds=thread_cpu_time() - t0,
+        cpu_time_seconds=thread_time() - t0,
     )

@@ -20,6 +20,7 @@ import itertools
 import json
 import logging
 from pathlib import Path
+from time import thread_time
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -50,7 +51,6 @@ from .selectors import (
     select_kgroups,
     select_mrmr,
 )
-from .timing import thread_cpu_time
 
 __all__ = [
     "SweepConfig",
@@ -63,8 +63,7 @@ __all__ = [
 
 log = logging.getLogger("ffsel.sweep")
 
-# The default study runs every named variant but the last two, RFCD and MIFS.
-DEFAULT_ALGORITHMS = (KBEST, *list(MRMR_VARIANTS)[:5], KGROUPS)
+DEFAULT_ALGORITHMS = (KBEST, "MID", "MIQ", "FCD", "FCQ", "RFCQ", KGROUPS)
 DEFAULT_ALPHA_GRID = (0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 1.7)
 DEFAULT_TIE_BREAKERS: dict[str, tuple[str, ...]] = {
     MI: (COSINE,),
@@ -75,10 +74,6 @@ DEFAULT_TIE_BREAKERS: dict[str, tuple[str, ...]] = {
 
 # Config keys whose value is a list; a string there would split into characters.
 _LIST_KEYS = ("datasets", "estimators", "algorithms", "classifiers", "alpha_grid", "k_range")
-
-
-def _default_tie_breakers() -> dict[str, tuple[str, ...]]:
-    return dict(DEFAULT_TIE_BREAKERS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +88,7 @@ class SweepConfig:
     k_max: int = 100
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     tie_breaker_map: Mapping[str, tuple[str, ...]] = dataclasses.field(
-        default_factory=_default_tie_breakers
+        default_factory=DEFAULT_TIE_BREAKERS.copy
     )
     classifiers: tuple[str, ...] = (KNN, GNB, RF)
     n_folds: int = 5
@@ -157,9 +152,7 @@ class SweepConfig:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
     def as_dict(self) -> dict:
-        row = dataclasses.asdict(self)
-        row["tie_breaker_map"] = {k: list(v) for k, v in self.tie_breaker_map.items()}
-        return row
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, object]) -> "SweepConfig":
@@ -225,11 +218,14 @@ def _records_in(path: Path, *, skip_malformed: bool) -> Iterator[BenchmarkRecord
     """Records of a JSON-lines file, raising DataError on a line that is not one.
 
     With `skip_malformed`, a line that is not JSON (an interrupted write) is
-    logged and skipped instead.
+    logged and skipped instead; a line that is not UTF-8 still raises.
     """
-    with path.open(encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
+    with path.open("rb") as f:
+        for n, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path} line {n} is not UTF-8 text: {exc}") from None
             if not line:
                 continue
             try:
@@ -306,6 +302,19 @@ def _tasks(config: SweepConfig, ks: range) -> list[tuple[_Task, dict]]:
     return tasks
 
 
+def _check_folds(config: SweepConfig, d: Dataset, folds: FoldPlan) -> None:
+    """Check that every fold's training rows hold `k_neighbors` rows for KNN
+    (else ValueError) and, when selecting per fold, two classes (else DataError)."""
+    train = [d.labels[folds.train_rows(f)] for f in range(folds.n_folds)]
+    n_train = min(len(labels) for labels in train)
+    if KNN in config.classifiers and config.k_neighbors > n_train:
+        raise ValueError(f"{d.name}: k_neighbors must lie in [1, {n_train}], got {config.k_neighbors}")
+    if config.select_per_fold:
+        for f, labels in enumerate(train):
+            if np.unique(labels).size < 2:
+                raise DataError(f"{d.name}#fold{f}: training rows hold only one class")
+
+
 def _run_dataset(
     config: SweepConfig,
     d: Dataset,
@@ -338,9 +347,9 @@ def _run_dataset(
         """The task's picks in the fold and their thread CPU, relevance included."""
         target = d if fold is None else fold_view(fold)
         if (task.estimator, fold) not in relevance:
-            t0 = thread_cpu_time()
+            t0 = thread_time()
             vec = relevance_all(target, task.estimator, mi_bins=config.mi_bins, forest=forest)
-            relevance[task.estimator, fold] = (vec, thread_cpu_time() - t0)
+            relevance[task.estimator, fold] = (vec, thread_time() - t0)
             counter = "relevance_estimations" if fold is None else "fold_relevance_estimations"
             stats[counter] = stats.get(counter, 0) + 1
         rel, rel_cpu = relevance[task.estimator, fold]
@@ -380,7 +389,7 @@ def _run_dataset(
         selection_cpu = sum(cpu for _, cpu in picks)
         batch = []
         for clf in classifiers:
-            t1 = thread_cpu_time()
+            t1 = thread_time()
             mean, sd = cross_validate(
                 d,
                 subsets if config.select_per_fold else subsets[0],
@@ -398,7 +407,7 @@ def _run_dataset(
                     cv_mean_accuracy=mean,
                     cv_sd=sd,
                     selection_cpu_seconds=selection_cpu,
-                    training_cpu_seconds=thread_cpu_time() - t1,
+                    training_cpu_seconds=thread_time() - t1,
                 )
             )
         yield batch
@@ -482,7 +491,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
             stats["cells_skipped"] += len(config.classifiers) - len(todo)
             if todo:
                 pending.append((task, todo, settings))
-        plans.append((d, make_folds(d, config.n_folds, config.seed), pending))
+        folds = make_folds(d, config.n_folds, config.seed)
+        _check_folds(config, d, folds)
+        plans.append((d, folds, pending))
 
     log.info(
         "sweep: %d datasets, %d cells pending, %d skipped",

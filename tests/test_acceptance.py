@@ -31,7 +31,6 @@ from ffsel.evaluate import TIMING_FIELDS
 from ffsel.forest import ForestParams
 from ffsel.relevance import ABS_PEARSON, FVALUE, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, QUOTIENT
-from ffsel.timing import thread_cpu_time
 
 CLASSIFIERS = ("KNN", "GNB", "RF")
 
@@ -189,22 +188,22 @@ class TestCpuCostOrdering:
         labels = np.repeat([0, 1], n_rows // 2)
         d = make_dataset(rng.normal(size=(n_rows, n_cols)), labels, "wide")
 
-        t0 = thread_cpu_time()
+        t0 = time.thread_time()
         rel = relevance_all(d, MI)
         select_kbest(rel, k)
-        t_top = thread_cpu_time() - t0
-        t0 = thread_cpu_time()
+        t_top = time.thread_time() - t0
+        t0 = time.thread_time()
         rel = relevance_all(d, MI)
         select_kgroups(d, rel, k, 1.0)
-        t_grouped = thread_cpu_time() - t0
-        t0 = thread_cpu_time()
+        t_grouped = time.thread_time() - t0
+        t0 = time.thread_time()
         rel = relevance_all(d, MI)
         select_mrmr(d, rel, k, form=DIFFERENCE, redundancy=MI_PAIR)
-        t_greedy_mi = thread_cpu_time() - t0
-        t0 = thread_cpu_time()
+        t_greedy_mi = time.thread_time() - t0
+        t0 = time.thread_time()
         rel = relevance_all(d, FVALUE)
         select_mrmr(d, rel, k, form=DIFFERENCE, redundancy=ABS_PEARSON)
-        t_greedy_f = thread_cpu_time() - t0
+        t_greedy_f = time.thread_time() - t0
 
         def detail(name, num, den, op, bound):
             ratio = num / max(den, 1e-9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import same_stem_csvs, write_csv
+from ffsel import read_records
 from ffsel.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -17,6 +18,18 @@ def data_csv(tmp_path):
     x[:, 1] += 2.5 * labels
     return str(write_csv(tmp_path / "data.csv", x, labels,
                          class_names=("neg", "pos")))
+
+
+def label_first_csv(tmp_path):
+    """A 24-row CSV whose first column, "cls", holds the label; f2 carries it."""
+    rng = np.random.default_rng(5)
+    labels = np.repeat(["neg", "pos"], 12)
+    x = rng.normal(size=(24, 3))
+    x[:, 2] += 3.0 * (labels == "pos")
+    lines = ["cls,f0,f1,f2"] + [f"{lab}," + ",".join(map(repr, row)) for lab, row in zip(labels, x.tolist())]
+    path = tmp_path / "first.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestEstimate:
@@ -44,6 +57,16 @@ class TestEstimate:
         code = main(["estimate", "--data", str(tmp_path / "nope.csv"),
                      "--estimator", "mi"])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("label_col", ["0", "cls"])
+    def test_label_col_by_index_or_name(self, tmp_path, label_col, capsys):
+        csv = str(label_first_csv(tmp_path))
+        code = main(["estimate", "--data", csv, "--estimator", "fvalue", "--label-col", label_col])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["feature_names"] == ["f0", "f1", "f2"]
+        # the shifted column scores highest only if the label was read right
+        assert int(np.argmax(payload["values"])) == 2
 
     def test_unknown_estimator_exits_1(self, data_csv, capsys):
         code = main(["estimate", "--data", data_csv, "--estimator", "chi2"])
@@ -189,6 +212,69 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert "mi_bins 10 stored, 3 now" in err
+
+    def test_resume_over_non_utf8_records_exits_2(self, data_csv, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        args = ["benchmark", "--datasets", data_csv, "--output-dir", str(out_dir),
+                "--estimators", "mi", "--algorithms", "kbest",
+                "--k-min", "2", "--k-max", "2", "--classifiers", "knn",
+                "--n-folds", "3"]
+        assert main(args) == EXIT_OK
+        records = out_dir / "records.jsonl"
+        with records.open("ab") as f:
+            f.write(b"\xff\xfe garbage\n")
+        (out_dir / "config.json").unlink()
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        assert "records.jsonl line 2 is not UTF-8" in capsys.readouterr().err
+        assert not (out_dir / "config.json").exists()
+        assert main(["report", "--records", str(records),
+                     "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
+        capsys.readouterr()
+
+    def test_knn_needing_more_rows_than_a_fold_trains_on_exits_1(self, data_csv, tmp_path, capsys):
+        # 24 rows in 4 folds leave 18 training rows in each fold.
+        code = main(["benchmark", "--datasets", data_csv,
+                     "--output-dir", str(tmp_path / "o"), "--estimators", "mi",
+                     "--algorithms", "kbest", "--k-min", "2", "--k-max", "2",
+                     "--classifiers", "gnb,knn", "--n-folds", "4", "--k-neighbors", "19"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "k_neighbors must lie in [1, 18]" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+    def test_per_fold_selection_on_a_one_class_fold_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        csv = write_csv(tmp_path / "one_b.csv", rng.normal(size=(20, 4)),
+                        np.array([0] * 19 + [1]), class_names=("a", "b"))
+        with pytest.warns(UserWarning, match="span only 1 folds"):
+            code = main(["benchmark", "--datasets", str(csv),
+                         "--output-dir", str(tmp_path / "o"), "--estimators", "mi",
+                         "--algorithms", "kbest", "--k-min", "2", "--k-max", "2",
+                         "--classifiers", "gnb", "--n-folds", "5", "--select-per-fold"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "one_b#fold" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+    def test_label_col_flag_and_config_key_agree(self, tmp_path, capsys):
+        csv = str(label_first_csv(tmp_path))
+        common = {"estimators": ["mi"], "algorithms": ["kbest"], "k_range": [1, 2],
+                  "classifiers": ["gnb"], "n_folds": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**common, "datasets": [csv],
+                                        "output_dir": str(tmp_path / "a"),
+                                        "label_column": "0"}))
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_OK
+        cfg_path.write_text(json.dumps({**common, "datasets": [csv],
+                                        "output_dir": str(tmp_path / "b")}))
+        assert main(["benchmark", "--config", str(cfg_path), "--label-col", "0"]) == EXIT_OK
+        capsys.readouterr()
+        runs = [read_records(tmp_path / sub / "records.jsonl") for sub in ("a", "b")]
+        assert [r.comparable_dict() for r in runs[0]] == [r.comparable_dict() for r in runs[1]]
+        assert len(runs[0]) == 2
+        for sub in ("a", "b"):
+            assert json.loads((tmp_path / sub / "config.json").read_text())["label_column"] == "0"
 
     def test_bin_smoothing_exits_1(self, data_csv, tmp_path, capsys):
         code = main(["benchmark", "--datasets", data_csv,

@@ -1,4 +1,4 @@
-"""Random forest learner: impurity math, determinism, and prediction."""
+"""Random forest learner: determinism, oracle agreement, and prediction."""
 
 import json
 import os
@@ -11,28 +11,8 @@ import pytest
 
 import ffsel
 from conftest import random_dataset, separable_dataset
-from ffsel import ForestParams, RandomForest, gini_index
+from ffsel import ForestParams, RandomForest
 from oracles import oracle_forest
-
-
-class TestGiniIndex:
-    """Impurity of a class-count vector."""
-
-    def test_frozen_values(self):
-        assert gini_index(np.array([2, 2])) == 0.5
-        assert gini_index(np.array([4, 0])) == 0.0
-        np.testing.assert_allclose(gini_index(np.array([1, 1, 2])), 0.625,
-                                   rtol=1e-12)
-
-    def test_empty_counts(self):
-        assert gini_index(np.zeros(3, dtype=np.int64)) == 0.0
-
-    def test_bounds(self):
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            counts = rng.integers(0, 20, size=rng.integers(2, 6))
-            g = gini_index(counts)
-            assert 0.0 <= g <= 1.0 - 1.0 / max(len(counts), 1) + 1e-12
 
 
 class TestForestParams:

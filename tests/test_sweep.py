@@ -4,6 +4,8 @@ import dataclasses
 import importlib.util
 import json
 import logging
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +283,23 @@ class TestRunSweep:
         with pytest.raises(DataError, match="line 17"):
             list(run_sweep(cfg))
 
+    def test_knn_needing_more_rows_than_a_fold_trains_on_rejected(self, tmp_path):
+        # 20 rows in 5 folds leave 16 training rows in each fold.
+        cfg = tiny_config(tmp_path, classifiers=("GNB", "KNN"), n_folds=5, k_neighbors=17)
+        with pytest.raises(ValueError, match=r"blobs: k_neighbors must lie in \[1, 16\]"):
+            list(run_sweep(cfg))
+        assert not (tmp_path / "out" / "config.json").exists()
+
+    def test_per_fold_selection_on_a_one_class_fold_rejected(self, tmp_path):
+        labels = np.array([0] * 19 + [1])
+        csv = write_csv(tmp_path / "one_b.csv", np.random.default_rng(0).normal(size=(20, 6)),
+                        labels, class_names=("a", "b"))
+        cfg = tiny_config(tmp_path, datasets=(str(csv),), n_folds=5, select_per_fold=True)
+        with pytest.warns(UserWarning, match="span only 1 folds"):
+            with pytest.raises(DataError, match=r"one_b#fold\d: training rows hold only one class"):
+                list(run_sweep(cfg))
+        assert not (tmp_path / "out" / "config.json").exists()
+
     def test_deterministic_modulo_cpu_time(self, tmp_path):
         csv = blob_csv(tmp_path)
         runs = []
@@ -417,8 +436,8 @@ class TestSelectionCost:
             return float(computed[0])
 
         monkeypatch.setattr(RedundancyCache, "get", counting_get)
-        monkeypatch.setattr(ffsel.selectors, "thread_cpu_time", pair_clock)
-        monkeypatch.setattr(ffsel.sweep, "thread_cpu_time", pair_clock)
+        monkeypatch.setattr(ffsel.selectors, "thread_time", pair_clock)
+        monkeypatch.setattr(ffsel.sweep, "thread_time", pair_clock)
         csv = blob_csv(tmp_path, name="wide.csv", n_cols=8)
         cfg = tiny_config(tmp_path, datasets=(str(csv),), algorithms=("MID", "MIQ"),
                           k_max=5, classifiers=("GNB",))
@@ -564,3 +583,13 @@ class TestRecordDigest:
         assert lines["base"].startswith("2 records sha256 ")
         assert lines["retimed"] == lines["base"]
         assert lines["changed"] != lines["base"]
+
+    def test_rejected_file_exits_2_without_traceback(self, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "tools" / "record_digest.py"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(mk_record().as_dict()).encode() + b"\n\xff\xfe garbage\n")
+        run = subprocess.run([sys.executable, str(path), str(bad)], capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: ") and "bad.jsonl line 2 is not UTF-8" in run.stderr
+        assert "Traceback" not in run.stderr

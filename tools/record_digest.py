@@ -5,7 +5,8 @@
 Prints the number of records and the SHA-256 of their sorted,
 newline-joined ``json.dumps(r.comparable_dict(), sort_keys=True)`` rows,
 read through ``ffsel.read_records``.  Two sweeps whose records differ only
-in timing give the same line, whatever order their cells ran in.
+in timing give the same line, whatever order their cells ran in.  A file
+that ``read_records`` rejects prints ``error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ffsel import read_records  # noqa: E402
+from ffsel import DataError, read_records  # noqa: E402
 
 
 def record_digest(paths) -> tuple[int, str]:
@@ -31,7 +32,11 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 1
-    count, digest = record_digest(argv)
+    try:
+        count, digest = record_digest(argv)
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{count} records sha256 {digest}")
     return 0
 
