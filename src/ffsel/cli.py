@@ -20,20 +20,12 @@ from time import thread_time
 
 from .data import DataError, load_csv, standard_scale
 from .forest import ForestParams
-from .relevance import (
-    ABS_PEARSON,
-    COSINE,
-    DEFAULT_MI_BINS,
-    FVALUE,
-    GINI,
-    MI,
-    MI_PAIR,
-    relevance_all,
-)
+from .relevance import DEFAULT_MI_BINS, ESTIMATORS, GINI, MI, relevance_all
 from .selectors import (
     DIFFERENCE,
+    KBEST,
+    KGROUPS,
     MRMR_VARIANTS,
-    QUOTIENT,
     select_kbest,
     select_kgroups,
     select_mrmr,
@@ -52,10 +44,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-_EST = {"mi": MI, "fvalue": FVALUE, "gini": GINI, "cosine": COSINE}
-_RED = {"mi": MI_PAIR, "pearson": ABS_PEARSON}
-_FORM = {"diff": DIFFERENCE, "quot": QUOTIENT}
 
 
 class _UsageError(Exception):
@@ -78,12 +66,11 @@ def _parse_tie_breakers(raw: str | None, estimator: str) -> tuple[str, ...]:
         return DEFAULT_TIE_BREAKERS.get(estimator, ())
     if raw.lower() in ("", "none"):
         return ()
-    names = []
-    for part in _split(raw):
-        if part.lower() not in _EST:
-            raise _UsageError(f"unknown tie-breaker estimator: {part!r}")
-        names.append(_EST[part.lower()])
-    return tuple(names)
+    names = tuple(part.upper() for part in _split(raw))
+    for name in names:
+        if name not in ESTIMATORS:
+            raise _UsageError(f"unknown tie-breaker estimator: {name!r}")
+    return names
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -103,24 +90,25 @@ def _write_csv(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _relevance(args):
+def _relevance(args, estimator: str):
     """Load, scale and time one relevance estimation: (dataset, forest, relevance, CPU s)."""
     d = load_csv(args.data, label_column=args.label_column)
     if not args.no_scale:
         d = standard_scale(d)
     forest = ForestParams(n_trees=args.trees, seed=args.seed)
     t0 = thread_time()
-    rel = relevance_all(d, _EST[args.estimator], mi_bins=args.mi_bins, forest=forest)
+    rel = relevance_all(d, estimator, mi_bins=args.mi_bins, forest=forest)
     return d, forest, rel, thread_time() - t0
 
 
 def _cmd_estimate(args) -> int:
-    d, _, rel, cpu = _relevance(args)
+    d, forest, rel, cpu = _relevance(args, args.estimator)
+    params = {MI: {"mi_bins": args.mi_bins}, GINI: dataclasses.asdict(forest)}
     _write_json(
         {
             "dataset": d.name,
             "estimator": rel.estimator,
-            "params": dict(rel.params),
+            "params": params.get(rel.estimator, {}),
             "cpu_seconds": cpu,
             "feature_names": list(d.feature_names),
             "values": [float(v) for v in rel.values],
@@ -131,39 +119,49 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    d, forest, rel, rel_cpu = _relevance(args)
-    if args.algo == "kbest":
+    estimator = args.estimator
+    if args.algo in MRMR_VARIANTS:
+        # A named variant fixes its estimator; --estimator may only repeat it.
+        variant_estimator, form, redundancy, mean_normalized = MRMR_VARIANTS[args.algo]
+        if estimator not in (None, variant_estimator):
+            raise _UsageError(f"{args.algo} uses the {variant_estimator} estimator, not {estimator}")
+        estimator = variant_estimator
+    elif estimator is None:
+        raise _UsageError(f"{args.algo} needs --estimator")
+    d, forest, rel, rel_cpu = _relevance(args, estimator)
+    if args.algo == KBEST:
+        hyperparams = {}
         result = select_kbest(rel, args.k)
-    elif args.algo == "mrmr":
-        if args.redundancy is not None:
-            redundancy = _RED[args.redundancy]
-        else:
-            redundancy = MI_PAIR if rel.estimator == MI else ABS_PEARSON
+    elif args.algo == KGROUPS:
+        tie = _parse_tie_breakers(args.tie_breakers, estimator)
+        hyperparams = {"alpha": args.alpha, "tie_breakers": tie}
+        result = select_kgroups(
+            d, rel, args.k, args.alpha, tie, mi_bins=args.mi_bins, forest=forest
+        )
+    else:
+        hyperparams = {"form": form, "redundancy": redundancy, "mean_normalized": mean_normalized}
+        if form == DIFFERENCE:
+            hyperparams["beta"] = args.beta
         result = select_mrmr(
             d,
             rel,
             args.k,
-            _FORM[args.form],
+            form,
             redundancy,
             beta=args.beta,
-            mean_normalized=args.mean_normalized,
+            mean_normalized=mean_normalized,
             mi_bins=args.mi_bins,
-        )
-    else:
-        tie = _parse_tie_breakers(args.tie_breakers, rel.estimator)
-        result = select_kgroups(
-            d, rel, args.k, args.alpha, tie, mi_bins=args.mi_bins, forest=forest
         )
     _write_json(
         {
             "dataset": d.name,
             "algorithm": result.algorithm,
-            "estimator": result.estimator,
-            "requested_k": result.requested_k,
+            "estimator": estimator,
+            "requested_k": args.k,
             "selected": list(result.selected),
             "selected_names": [d.feature_names[i] for i in result.selected],
-            "n_selected": result.n_selected,
-            "hyperparams": result.hyperparams,
+            "n_selected": len(result.selected),
+            "hyperparams": hyperparams,
             "relevance_cpu_seconds": rel_cpu,
             "cpu_time_seconds": result.cpu_time_seconds,
         },
@@ -266,25 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="score every feature with one estimator")
     _add_input_args(p)
-    p.add_argument("--estimator", required=True, choices=sorted(_EST))
+    p.add_argument("--estimator", required=True, type=str.upper, choices=ESTIMATORS)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("select", help="run one feature-selection configuration")
     _add_input_args(p)
-    p.add_argument("--algo", required=True, choices=["kbest", "mrmr", "kgroups"])
-    p.add_argument("--estimator", required=True, choices=["mi", "fvalue", "gini"])
+    p.add_argument("--algo", required=True, type=str.upper, choices=(KBEST, KGROUPS, *MRMR_VARIANTS))
+    p.add_argument("--estimator", type=str.upper, choices=ESTIMATORS, help="kbest, kgroups: required")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--alpha", type=float, default=1.0, help="kgroups bin exponent")
-    p.add_argument("--form", choices=sorted(_FORM), default="diff")
-    p.add_argument("--redundancy", choices=sorted(_RED), default=None,
-                   help="default: mi for the MI estimator, else pearson")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument(
-        "--mean-normalized",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="divide redundancy sums by the selected-set size",
-    )
+    p.add_argument("--beta", type=float, default=1.0, help="redundancy weight of difference variants")
     p.add_argument(
         "--tie-breakers",
         default=None,
@@ -296,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--datasets", type=_split, default=None, help="comma list of CSV paths")
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--estimators", type=_split, default=None, help="comma list (mi,fvalue,gini)")
+    p.add_argument("--estimators", type=_split, default=None, help="comma list (mi,fvalue,gini,cosine)")
     p.add_argument(
         "--algorithms",
         type=_split,

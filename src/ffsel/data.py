@@ -106,7 +106,7 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     """Load a UTF-8 comma-separated file with one header row into a Dataset.
 
     ``label_column`` selects the class column by header name or 0-based
-    index; an int, or a string of digits with an optional leading ``-``, is
+    index; an int, or a decimal string with an optional leading ``-``, is
     an index.  It defaults to the last column.  Labels are encoded to 0..C-1 in
     first-appearance order and the original strings kept in ``class_names``.
     All remaining cells must parse as finite reals.
@@ -121,7 +121,7 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
         header = [h.strip() for h in header]
         if label_column is None:
             label_idx = len(header) - 1
-        elif isinstance(label_column, int) or (isinstance(label_column, str) and label_column.lstrip("-").isdigit()):
+        elif isinstance(label_column, int) or (isinstance(label_column, str) and label_column.removeprefix("-").isdecimal()):
             label_idx = int(label_column)
             if label_idx < 0:
                 label_idx += len(header)

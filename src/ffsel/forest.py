@@ -8,7 +8,7 @@ fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +28,6 @@ class ForestParams:
         if self.max_features is None:
             return max(1, int(np.sqrt(n_cols)))
         return max(1, min(self.max_features, n_cols))
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class _Tree(NamedTuple):

@@ -10,7 +10,7 @@ Pearson correlation, symmetric in the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class RelevanceVector:
 
     estimator: str
     values: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -181,11 +180,7 @@ def relevance_all(
         forest = forest or ForestParams()
         model = RandomForest(forest, n_classes=d.n_classes)
         model.fit(d.features, d.labels)
-        return RelevanceVector(
-            estimator=GINI,
-            values=model.feature_importances(),
-            params=forest.as_dict(),
-        )
+        return RelevanceVector(GINI, model.feature_importances())
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == MI:
@@ -195,8 +190,7 @@ def relevance_all(
         values = _f_values(d)
     else:
         values = _cosines(d)
-    params = {"mi_bins": mi_bins} if estimator == MI else {}
-    return RelevanceVector(estimator=estimator, values=values, params=params)
+    return RelevanceVector(estimator, values)
 
 
 class RedundancyCache:

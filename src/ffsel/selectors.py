@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from time import thread_time
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +57,8 @@ DIFFERENCE = "DIFFERENCE"
 QUOTIENT = "QUOTIENT"
 
 # Named greedy-search variants: estimator, form, redundancy, mean-normalized.
-# The named difference forms assume beta = 1, except MIFS, whose beta is free.
+# A run's beta (default 1, the named difference forms' value; MIFS leaves it
+# free) weights redundancy in every difference variant.
 MRMR_VARIANTS: dict[str, tuple[str, str, str, bool]] = {
     "MID": (MI, DIFFERENCE, MI_PAIR, True),
     "MIQ": (MI, QUOTIENT, MI_PAIR, True),
@@ -80,13 +81,10 @@ QUOTIENT_EPS = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of one selection run: ordered indices plus provenance."""
+    """Outcome of one selection run: ordered indices and their CPU cost."""
 
     algorithm: str
-    estimator: str
     selected: tuple[int, ...]
-    requested_k: int
-    hyperparams: Mapping[str, object]
     cpu_time_seconds: float
     pick_cpu_seconds: tuple[float, ...] = ()  # greedy: CPU since start, after each pick
 
@@ -95,10 +93,6 @@ class SelectionResult:
             raise ValueError("selected indices must be unique")
         if self.cpu_time_seconds < 0:
             raise ValueError("cpu_time_seconds must be >= 0")
-
-    @property
-    def n_selected(self) -> int:
-        return len(self.selected)
 
 
 def _check_k(k: int, n_cols: int) -> None:
@@ -122,10 +116,7 @@ def select_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
     selected = tuple(int(i) for i in order[:k])
     return SelectionResult(
         algorithm=KBEST,
-        estimator=rel.estimator,
         selected=selected,
-        requested_k=k,
-        hyperparams={},
         cpu_time_seconds=thread_time() - t0,
     )
 
@@ -189,19 +180,9 @@ def select_mrmr(
         available[nxt] = False
         pick_cpu.append(thread_time() - t0)
 
-    hyperparams: dict[str, object] = {
-        "form": form,
-        "redundancy": redundancy,
-        "mean_normalized": mean_normalized,
-    }
-    if form == DIFFERENCE:
-        hyperparams["beta"] = float(beta)
     return SelectionResult(
         algorithm=MRMR_D if form == DIFFERENCE else MRMR_Q,
-        estimator=rel.estimator,
         selected=tuple(selected),
-        requested_k=k,
-        hyperparams=hyperparams,
         cpu_time_seconds=thread_time() - t0,
         pick_cpu_seconds=tuple(pick_cpu),
     )
@@ -298,9 +279,6 @@ def select_kgroups(
     selected = tuple(int(i) for i in idx[order])
     return SelectionResult(
         algorithm=KGROUPS,
-        estimator=rel.estimator,
         selected=selected,
-        requested_k=k,
-        hyperparams={"alpha": float(alpha), "tie_breakers": tuple(tie_breakers)},
         cpu_time_seconds=thread_time() - t0,
     )

@@ -452,18 +452,18 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         log.error("no loadable datasets; nothing to do")
         return
 
-    k_lo, k_hi = config.k_min, config.k_max
     smallest = min(d.n_cols for d in datasets)
-    if k_lo < 1 or k_hi > smallest:
-        new_lo, new_hi = max(k_lo, 1), min(k_hi, smallest)
+    k_lo, k_hi = max(config.k_min, 1), min(config.k_max, smallest)
+    if k_lo > k_hi:
+        raise ValueError(
+            f"k range [{config.k_min}, {config.k_max}] holds no k in [1, {smallest}] "
+            f"(smallest dataset has {smallest} features)"
+        )
+    if (k_lo, k_hi) != (config.k_min, config.k_max):
         log.warning(
             "k range [%d, %d] clamped to [%d, %d] (smallest dataset has %d features)",
-            k_lo, k_hi, new_lo, new_hi, smallest,
+            config.k_min, config.k_max, k_lo, k_hi, smallest,
         )
-        k_lo, k_hi = new_lo, new_hi
-    if k_lo > k_hi:
-        log.error("k range empty after clamping; nothing to do")
-        return
 
     tasks = _tasks(config, range(k_lo, k_hi + 1))
     plans: list[tuple[Dataset, FoldPlan, list[tuple[_Task, list[str], dict]]]] = []

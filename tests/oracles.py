@@ -252,10 +252,7 @@ def oracle_kbest(rel: RelevanceVector, k: int) -> SelectionResult:
     order = sorted(range(n), key=lambda i: (-values[i], i))
     return SelectionResult(
         algorithm=KBEST,
-        estimator=rel.estimator,
         selected=tuple(order[:k]),
-        requested_k=k,
-        hyperparams={},
         cpu_time_seconds=0.0,
     )
 
@@ -312,19 +309,9 @@ def oracle_mrmr(
                 best_score = score
         selected.append(best_i)
 
-    hyperparams: dict[str, object] = {
-        "form": form,
-        "redundancy": redundancy,
-        "mean_normalized": mean_normalized,
-    }
-    if form == DIFFERENCE:
-        hyperparams["beta"] = float(beta)
     return SelectionResult(
         algorithm=MRMR_D if form == DIFFERENCE else MRMR_Q,
-        estimator=rel.estimator,
         selected=tuple(selected),
-        requested_k=k,
-        hyperparams=hyperparams,
         cpu_time_seconds=0.0,
     )
 
@@ -410,9 +397,6 @@ def oracle_kgroups(
     chosen.sort(key=lambda i: (-float(values[i]), i))
     return SelectionResult(
         algorithm=KGROUPS,
-        estimator=rel.estimator,
         selected=tuple(chosen),
-        requested_k=k,
-        hyperparams={"alpha": float(alpha), "tie_breakers": tuple(tie_breakers)},
         cpu_time_seconds=0.0,
     )

@@ -1,13 +1,32 @@
 """Command-line interface: subcommands, JSON output, and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import same_stem_csvs, write_csv
-from ffsel import read_records
+from ffsel import (
+    MRMR_VARIANTS,
+    ForestParams,
+    load_csv,
+    read_records,
+    relevance_all,
+    select_mrmr,
+    standard_scale,
+)
 from ffsel.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from ffsel.selectors import DIFFERENCE, MRMR_D, MRMR_Q
+
+CPU_FIELDS = ("cpu_seconds", "cpu_time_seconds", "relevance_cpu_seconds")
+
+
+def run_json(argv, capsys):
+    """Exit code and printed JSON of one command, CPU fields dropped."""
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    return code, {key: v for key, v in payload.items() if key not in CPU_FIELDS}
 
 
 @pytest.fixture()
@@ -73,6 +92,23 @@ class TestEstimate:
         capsys.readouterr()
         assert code == EXIT_USAGE
 
+    def test_params_name_the_estimators_settings(self, data_csv, capsys):
+        base = ["estimate", "--data", data_csv, "--mi-bins", "7", "--trees", "3", "--seed", "2"]
+        params = {}
+        for est in ("mi", "gini", "fvalue", "cosine"):
+            code, payload = run_json(base + ["--estimator", est], capsys)
+            assert code == EXIT_OK
+            params[est] = payload["params"]
+        assert params["mi"] == {"mi_bins": 7}
+        assert params["gini"] == dataclasses.asdict(ForestParams(n_trees=3, seed=2))
+        assert params["fvalue"] == params["cosine"] == {}
+
+    def test_label_col_int_cannot_read_exits_2(self, data_csv, capsys):
+        code = main(["estimate", "--data", data_csv, "--estimator", "mi", "--label-col=--1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "no column named '--1'" in err
+
 
 class TestSelect:
     """`select` runs one configuration and reports the picked features."""
@@ -89,18 +125,55 @@ class TestSelect:
         assert payload["cpu_time_seconds"] >= 0.0
 
     def test_mrmr_variants(self, data_csv, capsys):
-        code = main(["select", "--data", data_csv, "--algo", "mrmr",
-                     "--estimator", "mi", "--k", "3", "--form", "quot"])
+        code = main(["select", "--data", data_csv, "--algo", "miq", "--k", "3"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == "MRMR_Q"
+        assert payload["estimator"] == "MI"
         assert payload["hyperparams"]["redundancy"] == "MI_PAIR"
-        code = main(["select", "--data", data_csv, "--algo", "mrmr",
+        code = main(["select", "--data", data_csv, "--algo", "fcd",
                      "--estimator", "fvalue", "--k", "3", "--beta", "0.5"])
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert payload["hyperparams"]["redundancy"] == "ABS_PEARSON"
         assert payload["hyperparams"]["beta"] == 0.5
+
+    @pytest.mark.parametrize("name", list(MRMR_VARIANTS))
+    def test_variant_runs_its_table_row(self, data_csv, name, capsys):
+        code, payload = run_json(["select", "--data", data_csv, "--algo", name.lower(), "--k", "4",
+                                  "--beta", "0.5", "--mi-bins", "5", "--trees", "10"], capsys)
+        assert code == EXIT_OK
+        est, form, red, meann = MRMR_VARIANTS[name]
+        d = standard_scale(load_csv(data_csv))
+        rel = relevance_all(d, est, mi_bins=5, forest=ForestParams(n_trees=10))
+        direct = select_mrmr(d, rel, 4, form, red, beta=0.5, mean_normalized=meann, mi_bins=5)
+        assert payload["selected"] == list(direct.selected)
+        assert payload["algorithm"] == (MRMR_D if form == DIFFERENCE else MRMR_Q)
+        assert payload["estimator"] == est
+        row = {"form": form, "redundancy": red, "mean_normalized": meann}
+        assert payload["hyperparams"] == (row | {"beta": 0.5} if form == DIFFERENCE else row)
+
+    def test_names_ignore_case(self, data_csv, capsys):
+        for argv in (["--algo", "fcq", "--estimator", "fvalue"],
+                     ["--algo", "kgroups", "--estimator", "mi", "--tie-breakers", "cosine,fvalue"]):
+            lower = run_json(["select", "--data", data_csv, "--k", "3", *argv], capsys)
+            shouted = [a if a.startswith("--") else a.upper() for a in argv]
+            upper = run_json(["select", "--data", data_csv, "--k", "3", *shouted], capsys)
+            assert lower[0] == EXIT_OK
+            assert lower == upper
+
+    @pytest.mark.parametrize("argv", [
+        ["--algo", "mid", "--estimator", "fvalue"],  # not the variant's estimator
+        ["--algo", "kbest"],  # no estimator
+        ["--algo", "mrmr", "--estimator", "mi"],
+        ["--algo", "mid", "--form", "quot"],
+        ["--algo", "mid", "--redundancy", "pearson"],
+        ["--algo", "mid", "--no-mean-normalized"],
+    ])
+    def test_off_table_selection_exits_1(self, data_csv, argv, capsys):
+        code = main(["select", "--data", data_csv, "--k", "2", *argv])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
 
     def test_kgroups_with_breakers(self, data_csv, capsys):
         code = main(["select", "--data", data_csv, "--algo", "kgroups",
@@ -314,6 +387,23 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "alpha values must be > 0" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+    def test_label_col_int_cannot_read_exits_2(self, data_csv, tmp_path, capsys):
+        code = main(["benchmark", "--datasets", data_csv, "--output-dir", str(tmp_path / "o"),
+                     "--estimators", "mi", "--algorithms", "kbest", "--k-min", "2",
+                     "--k-max", "2", "--classifiers", "gnb", "--n-folds", "3", "--label-col=--1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "no dataset could be loaded" in err
+
+    def test_k_range_beyond_every_dataset_exits_1(self, data_csv, tmp_path, capsys):
+        code = main(["benchmark", "--datasets", data_csv, "--output-dir", str(tmp_path / "o"),
+                     "--estimators", "mi", "--algorithms", "kbest", "--k-min", "10",
+                     "--k-max", "12", "--classifiers", "gnb", "--n-folds", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "k range [10, 12]" in err
         assert not (tmp_path / "o" / "config.json").exists()
 
     def test_bad_config_json_exits_1(self, tmp_path, capsys):

@@ -70,6 +70,14 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(p, label_column="nope")
 
+    @pytest.mark.parametrize("name", ["--1", "\u00b2"])
+    def test_digit_like_strings_int_rejects_are_header_names(self, tmp_path, name):
+        # A superscript two is a digit but not a decimal, and "--1" is no number.
+        p = tmp_path / "lab.csv"
+        p.write_text("x,label\n1.0,a\n2.0,b\n")
+        with pytest.raises(DataError, match="no column named"):
+            load_csv(p, label_column=name)
+
 
 class TestDataset:
     """Container invariants and accessors."""

@@ -29,11 +29,6 @@ class TestForestParams:
         assert p.resolve_max_features(5) == 5
         assert p.resolve_max_features(20) == 8
 
-    def test_as_dict_round_trip(self):
-        p = ForestParams(n_trees=7, max_features=3, bootstrap=False, seed=5)
-        q = ForestParams(**p.as_dict())
-        assert p == q
-
 
 class TestRandomForest:
     """Fit/predict behavior of the ensemble."""

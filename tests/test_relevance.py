@@ -320,16 +320,6 @@ class TestRelevanceAll:
             np.testing.assert_array_equal(relevance_all(sub, est).values,
                                           relevance_all(d, est).values[cols])
 
-    def test_params_echo(self):
-        rng = np.random.default_rng(22)
-        d = random_dataset(rng, 20, 3)
-        mi = relevance_all(d, MI, mi_bins=7)
-        assert mi.params == {"mi_bins": 7}
-        assert mi.estimator == MI
-        gi = relevance_all(d, GINI, forest=ForestParams(n_trees=3, seed=2))
-        assert gi.params["n_trees"] == 3
-        assert gi.params["seed"] == 2
-
     def test_all_estimators_nonnegative(self):
         rng = np.random.default_rng(23)
         d = random_dataset(rng, 30, 5, n_classes=3)

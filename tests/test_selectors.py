@@ -30,8 +30,6 @@ class TestSelectKBest:
         r = select_kbest(rel_vec([0.1, 0.9, 0.5]), 2)
         assert r.selected == (1, 2)
         assert r.algorithm == KBEST
-        assert r.requested_k == 2
-        assert r.n_selected == 2
 
     def test_k_equals_n_cols_sorts_everything(self):
         r = select_kbest(rel_vec([0.3, 0.7, 0.1, 0.9]), 4)
@@ -193,18 +191,15 @@ class TestSelectMrmr:
                         redundancy=ABS_PEARSON)
         assert sorted(r.selected) == [0, 1, 2, 3, 4]
 
-    def test_hyperparams_echo(self):
+    def test_form_names_the_algorithm(self):
         rng = np.random.default_rng(47)
         d = random_dataset(rng, 12, 4)
         values = rel_vec(rng.uniform(0, 1, 4))
         diff = select_mrmr(d, values, 2, form=DIFFERENCE, redundancy=MI_PAIR,
                            beta=0.7)
         assert diff.algorithm == MRMR_D
-        assert diff.hyperparams["beta"] == 0.7
-        assert diff.hyperparams["form"] == DIFFERENCE
         quot = select_mrmr(d, values, 2, form=QUOTIENT, redundancy=MI_PAIR)
         assert quot.algorithm == MRMR_Q
-        assert "beta" not in quot.hyperparams
 
     @pytest.mark.parametrize("form", [DIFFERENCE, QUOTIENT])
     @pytest.mark.parametrize("redundancy", [MI_PAIR, ABS_PEARSON])
@@ -243,15 +238,13 @@ class TestSelectKGroups:
         r = select_kgroups(d, rel_vec([0.1, 0.2, 0.9, 0.85]), 2, 1.0)
         assert r.selected == (2, 1)
         assert r.algorithm == KGROUPS
-        assert r.hyperparams["alpha"] == 1.0
 
     def test_all_equal_with_no_breakers_returns_everything(self):
         rng = np.random.default_rng(52)
         d = random_dataset(rng, 12, 3)
         r = select_kgroups(d, rel_vec([0.4, 0.4, 0.4]), 1, 1.0)
         assert set(r.selected) == {0, 1, 2}
-        assert r.n_selected == 3
-        assert r.requested_k == 1
+        assert len(r.selected) == 3
 
     def test_identical_columns_exhaust_identical_breakers(self):
         rng = np.random.default_rng(53)
@@ -285,7 +278,6 @@ class TestSelectKGroups:
         d = random_dataset(rng, 10, 2)
         r = select_kgroups(d, rel_vec([0.3, 0.9]), 7, 1.0)
         assert set(r.selected) <= {0, 1}
-        assert r.requested_k == 7
 
     def test_output_sorted_by_descending_relevance(self):
         rng = np.random.default_rng(56)
@@ -366,8 +358,8 @@ class TestSelectionResult:
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            SelectionResult(KBEST, MI, (1, 1), 2, {}, 0.0)
+            SelectionResult(KBEST, (1, 1), 0.0)
 
     def test_negative_cpu_time_rejected(self):
         with pytest.raises(ValueError):
-            SelectionResult(KBEST, MI, (0,), 1, {}, -0.5)
+            SelectionResult(KBEST, (0,), -0.5)

@@ -316,6 +316,12 @@ class TestRunSweep:
         assert any("clamp" in m.lower() or "k_max" in m for m in caplog.messages)
         assert {r.k for r in records} == {2, 3, 4, 5, 6}
 
+    def test_k_range_beyond_every_dataset_rejected(self, tmp_path):
+        cfg = tiny_config(tmp_path, k_min=10, k_max=12, algorithms=(KBEST,))
+        with pytest.raises(ValueError, match=r"k range \[10, 12\].*6 features"):
+            list(run_sweep(cfg))
+        assert not (tmp_path / "out" / "config.json").exists()
+
     def test_unloadable_dataset_skipped(self, tmp_path, caplog):
         cfg = tiny_config(tmp_path,
                           datasets=(str(tmp_path / "missing.csv"),))
@@ -592,4 +598,13 @@ class TestRecordDigest:
         assert run.returncode == 2
         assert run.stdout == ""
         assert run.stderr.startswith("error: ") and "bad.jsonl line 2 is not UTF-8" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_missing_file_exits_2_without_traceback(self, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "tools" / "record_digest.py"
+        gone = tmp_path / "gone.jsonl"
+        run = subprocess.run([sys.executable, str(path), str(gone)], capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: ") and "gone.jsonl" in run.stderr
         assert "Traceback" not in run.stderr

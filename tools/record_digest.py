@@ -6,7 +6,8 @@ Prints the number of records and the SHA-256 of their sorted,
 newline-joined ``json.dumps(r.comparable_dict(), sort_keys=True)`` rows,
 read through ``ffsel.read_records``.  Two sweeps whose records differ only
 in timing give the same line, whatever order their cells ran in.  A file
-that ``read_records`` rejects prints ``error: <message>`` and exits 2.
+that cannot be read, or that ``read_records`` rejects, prints
+``error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def main(argv: list[str]) -> int:
         return 1
     try:
         count, digest = record_digest(argv)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{count} records sha256 {digest}")
