@@ -46,35 +46,141 @@ class _Tree(NamedTuple):
     leaf_class: np.ndarray
 
 
-def _best_split(X, onehot, idx, candidates, counts, node_gini, sizes):
-    """First maximal Gini gain over a node's rows ``idx`` and ``candidates``.
+# Most padded (rows x candidates) cells one split search scores at once.  A
+# step's nodes are searched in chunks of this size, so a fit's working
+# arrays stay small however many trees grow together.
+_CELLS = 8192
 
-    Sorts every candidate column at once, counts the classes left of each
-    boundary between sorted rows from the (rows x classes) indicator
-    ``onehot`` as (boundaries x candidates x classes), and scores all
-    boundaries as one (boundaries x candidates) array.  Classes stay on the
-    last, contiguous axis, so each boundary sums its class terms in the
-    order a one-column search would.  A boundary between equal values is no
-    split.  The first column in ``candidates`` order wins a tie, and within
-    it the first boundary.  Returns (gain, candidate position, threshold,
-    left rows, right rows, left class counts); the gain is -inf when every
-    candidate is constant at this node.  The threshold is the boundary's
-    midpoint, or its lower value if the midpoint rounds up to the upper.
+
+def _impurity(counts, sizes):
+    """Gini impurity of each row of ``counts`` (nodes x classes), whose rows
+    sum to ``sizes``.  A stacked ``matmul`` gives each node the bits of
+    ``np.dot(p, p)`` on its own class shares."""
+    p = counts / sizes[:, None]
+    return 1.0 - np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]
+
+
+def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
+    """First maximal Gini gain at each node of a chunk.
+
+    Node ``s`` holds the training rows ``rows[:sizes[s], s]``; the rest of
+    its column is padding, which sorts last as +inf.  Every node's candidate
+    columns (``candidates[s]``) are sorted at once, the classes left of each
+    boundary between sorted rows are counted from the (rows x classes)
+    indicator ``onehot`` as (boundaries x nodes x candidates x classes), and
+    every boundary is scored.  Boundaries lead, so the running count adds
+    whole contiguous blocks; classes stay on the last, contiguous axis, so
+    each boundary sums its class terms in the order a one-column search
+    would.  A boundary between equal values, or at or past a node's last
+    row, is no split.  The first column in ``candidates`` order wins a tie,
+    and within it the first boundary.
+
+    Returns per node (gain, candidate position, threshold, left size, the
+    winning column's sorted rows, left class counts); the gain is -inf when
+    every candidate is constant at that node.  The threshold is the
+    boundary's midpoint, or its lower value if the midpoint rounds up to the
+    upper.  The sorted rows are gathered into a new array, so children do
+    not keep the chunk's working arrays alive.
     """
-    n = idx.shape[0]
-    rows = idx[X[idx[:, None], candidates].argsort(axis=0, kind="stable")]
+    width, n_nodes = rows.shape
+    values = X[rows[:, :, None], candidates]
+    values[np.arange(width)[:, None] >= sizes] = np.inf
+    rows = rows[values.argsort(axis=0, kind="stable"), np.arange(n_nodes)[:, None]]
     values = X[rows, candidates]
     lc = onehot[rows[:-1]].cumsum(axis=0)
-    nl, nr = sizes[1:n, None], sizes[n - 1:0:-1, None]
-    gini_l = 1.0 - np.square(lc / nl[..., None]).sum(axis=2)
-    gini_r = 1.0 - np.square((counts - lc) / nr[..., None]).sum(axis=2)
-    gains = node_gini - (nl * gini_l + nr * gini_r) / n
-    gains = np.where(values[1:] > values[:-1], gains, -np.inf)
-    j, i = divmod(int(gains.T.argmax()), n - 1)
-    split = 0.5 * (values[i, j] + values[i + 1, j])
-    if split == values[i + 1, j]:
-        split = values[i, j]
-    return gains[i, j], j, split, rows[: i + 1, j], rows[i + 1 :, j], lc[i, j]
+    nl = np.arange(1, width, dtype=np.float64)[:, None, None]
+    nr = np.maximum(sizes[:, None] - nl, 1.0)  # 1 past a node's rows keeps padding finite
+    gini_l = 1.0 - np.square(lc / nl[..., None]).sum(axis=3)
+    gini_r = 1.0 - np.square((counts[:, None, :] - lc) / nr[..., None]).sum(axis=3)
+    gains = node_gini[:, None] - (nl * gini_l + nr * gini_r) / sizes[:, None]
+    inside = nl < sizes[:, None]
+    gains = np.where(inside & (values[1:] > values[:-1]), gains, -np.inf)
+    best = gains.transpose(1, 2, 0).reshape(n_nodes, -1).argmax(axis=1)
+    j, i = np.divmod(best, width - 1)
+    s = np.arange(n_nodes)
+    lo, hi = values[i, s, j], values[i + 1, s, j]
+    split = 0.5 * (lo + hi)
+    split = np.where(split == hi, lo, split)
+    return gains[i, s, j], j, split, i + 1, rows[:, s, j].T, lc[i, s, j]
+
+
+class _Growth:
+    """One tree while the forest grows: its generator, DFS stack and nodes.
+
+    A stack entry is (node, rows, class counts, impurity).  With one
+    candidate per node, ``draws`` yields the tree's candidate draws, made
+    in one call after the bootstrap draw; otherwise it is None.
+    """
+
+    def __init__(self, rng, draws, sample, counts, gini):
+        self.rng, self.draws = rng, draws
+        self.stack = [(0, sample, counts, gini)]
+        self.feature, self.threshold = [-1], [0.0]
+        self.left, self.right = [0], [0]
+        self.leaf_class = [int(counts.argmax())]
+        self.splits: list[tuple[int, float]] = []  # (feature, importance term), DFS order
+
+    def next_search(self, min_split):
+        """Pop the next node that may split, leaving the others as leaves."""
+        while self.stack:
+            entry = self.stack.pop()
+            if len(entry[1]) >= min_split and entry[3] != 0.0:
+                return entry
+        return None
+
+    def candidates(self, n_cols, max_features):
+        if max_features >= n_cols:
+            return np.arange(n_cols)
+        if self.draws is not None:
+            return (next(self.draws),)
+        return self.rng.choice(n_cols, size=max_features, replace=False)
+
+    def split(self, node, f, threshold, term, left, right):
+        """Turn leaf ``node`` into a split on column ``f`` with two new leaves,
+        each its own child until it splits.  ``left`` and ``right`` are the
+        children's (rows, class counts, impurity, leaf class)."""
+        child = len(self.feature)
+        self.splits.append((f, term))
+        self.feature[node], self.threshold[node] = f, threshold
+        self.left[node], self.right[node] = child, child + 1
+        self.feature += (-1, -1)
+        self.threshold += (0.0, 0.0)
+        self.left += (child, child + 1)
+        self.right += (child, child + 1)
+        self.leaf_class += (left[3], right[3])
+        self.stack.append((child, *left[:3]))
+        self.stack.append((child + 1, *right[:3]))
+
+    def tree(self) -> _Tree:
+        return _Tree(*map(np.array, (self.feature, self.threshold, self.left, self.right, self.leaf_class)))
+
+
+def _split_chunk(X, onehot, chunk, n_rows):
+    """Search a chunk of (growth, node, rows, class counts, impurity,
+    candidates) and split every node with a positive gain."""
+    growths, nodes, node_rows, counts, node_gini, candidates = zip(*chunk)
+    sizes = np.array([len(r) for r in node_rows])
+    rows = np.zeros((sizes[0], len(chunk)), dtype=np.int64)  # padded with row 0
+    for k, r in enumerate(node_rows):
+        rows[: len(r), k] = r
+    counts, candidates = np.stack(counts), np.array(candidates)
+    gain, j, split, n_left, win, counts_l = _best_splits(
+        X, onehot, rows, sizes, candidates, counts, np.array(node_gini)
+    )
+    counts_r = counts - counts_l
+    gini_l = _impurity(counts_l, n_left).tolist()
+    gini_r = _impurity(counts_r, sizes - n_left).tolist()
+    class_l, class_r = counts_l.argmax(axis=1).tolist(), counts_r.argmax(axis=1).tolist()
+    feature = candidates[np.arange(len(chunk)), j].tolist()
+    term = (sizes / n_rows * gain).tolist()
+    split, n_left = split.tolist(), n_left.tolist()
+    for k in np.flatnonzero(gain > 0.0).tolist():
+        m = n_left[k]
+        growths[k].split(
+            nodes[k], feature[k], split[k], term[k],
+            (win[k, :m], counts_l[k], gini_l[k], class_l[k]),
+            (win[k, m : sizes[k]], counts_r[k], gini_r[k], class_r[k]),
+        )
 
 
 class RandomForest:
@@ -87,63 +193,76 @@ class RandomForest:
         self.n_classes = n_classes
         self.trees: list[_Tree] = []
         self._raw_importances: np.ndarray | None = None
+        self._n_cols = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
+        """Grow all trees in lockstep.
+
+        Each tree keeps its own generator, bootstrap draw and depth-first
+        stack (right child first), so it grows exactly as it would alone.
+        Each step pops from every tree the next node that may split, draws
+        its candidates, and scores all popped nodes in a few chunked split
+        searches.  A fit takes about as many steps as its largest tree has
+        internal nodes.  Importances add each split's term in (tree, DFS)
+        order, the order a tree-by-tree fit would.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
+        if X.ndim != 2 or y.ndim != 1:
+            raise ValueError(f"need a 2-D X and 1-D y, got {X.ndim}-D and {y.ndim}-D")
         n_rows, n_cols = X.shape
+        if y.shape[0] != n_rows:
+            raise ValueError(f"X has {n_rows} rows but y has {y.shape[0]} labels")
+        if n_rows == 0 or n_cols == 0:
+            raise ValueError(f"cannot fit a forest on {n_rows} rows and {n_cols} columns")
+        if not np.isfinite(X).all():
+            raise ValueError("X holds NaN or infinite values")
+        if y.min() < 0 or y.max() >= self.n_classes:
+            raise ValueError(f"labels must lie in [0, {self.n_classes}), got {y.min()}..{y.max()}")
         max_features = self.params.resolve_max_features(n_cols)
-        importances = np.zeros(n_cols, dtype=np.float64)
-        self.trees = []
-        seeds = np.random.SeedSequence(self.params.seed).spawn(self.params.n_trees)
-        for t in range(self.params.n_trees):
-            rng = np.random.default_rng(seeds[t])
+        min_split = max(2, self.params.min_samples_split)
+        onehot = y[:, None] == np.arange(self.n_classes)
+        roots = []
+        for seed in np.random.SeedSequence(self.params.seed).spawn(self.params.n_trees):
+            rng = np.random.default_rng(seed)
             if self.params.bootstrap:
                 sample = rng.integers(0, n_rows, size=n_rows)
             else:
                 sample = np.arange(n_rows)
-            tree = self._grow_tree(X, y, sample, max_features, rng, importances)
-            self.trees.append(tree)
+            draws = None
+            if max_features == 1 < n_cols:
+                # Equals one rng.choice(n_cols, size=1, replace=False) per
+                # searched node; a tree on n rows has at most 2n - 1 nodes.
+                draws = iter(rng.integers(0, n_cols, size=2 * n_rows - 1).tolist())
+            roots.append((rng, draws, sample))
+        counts = np.stack([np.bincount(y[s], minlength=self.n_classes) for _, _, s in roots])
+        ginis = _impurity(counts, np.full(len(roots), n_rows)).tolist()
+        trees = [_Growth(*r, c, gini) for r, c, gini in zip(roots, counts, ginis)]
+        growing = trees
+        while growing:
+            batch = []
+            for g in growing:
+                entry = g.next_search(min_split)
+                if entry is not None:
+                    batch.append((g, *entry, g.candidates(n_cols, max_features)))
+            # Largest nodes first, so each chunk pads to its first node's rows.
+            batch.sort(key=lambda b: -len(b[2]))
+            start = 0
+            while start < len(batch):
+                stop = start + max(1, _CELLS // (len(batch[start][2]) * max_features))
+                _split_chunk(X, onehot, batch[start:stop], n_rows)
+                start = stop
+            growing = [b[0] for b in batch if b[0].stack]
+        importances = np.zeros(n_cols, dtype=np.float64)
+        splits = [s for g in trees for s in g.splits]
+        if splits:
+            f, term = zip(*splits)
+            np.add.at(importances, np.array(f), np.array(term))
         importances /= self.params.n_trees
+        self.trees = [g.tree() for g in trees]
         self._raw_importances = importances
+        self._n_cols = n_cols
         return self
-
-    def _grow_tree(self, X, y, sample, max_features, rng, importances) -> _Tree:
-        n_total = sample.shape[0]
-        n_cols = X.shape[1]
-        min_split = max(2, self.params.min_samples_split)
-        onehot = y[:, None] == np.arange(self.n_classes)
-        sizes = np.arange(n_total + 1, dtype=np.float64)  # row counts either side of a boundary
-        feature, threshold, left, right, leaf_class = [-1], [0.0], [0], [0], [0]
-        stack = [(0, sample, np.bincount(y[sample], minlength=self.n_classes))]
-        while stack:
-            node, idx, counts = stack.pop()
-            leaf_class[node] = int(counts.argmax())
-            p = counts / idx.shape[0]  # a node's counts sum to its row count
-            node_gini = float(1.0 - np.dot(p, p))
-            if idx.shape[0] < min_split or node_gini == 0.0:
-                continue
-            if max_features >= n_cols:
-                candidates = np.arange(n_cols)
-            else:
-                candidates = rng.choice(n_cols, size=max_features, replace=False)
-            gain, j, split, rows_l, rows_r, counts_l = _best_split(X, onehot, idx, candidates, counts, node_gini, sizes)
-            if gain <= 0.0:
-                continue
-            f = int(candidates[j])
-            importances[f] += (idx.shape[0] / n_total) * gain
-            # Two new leaves, each its own child until it splits.
-            child = len(feature)
-            feature[node], threshold[node] = f, float(split)
-            left[node], right[node] = child, child + 1
-            feature += (-1, -1)
-            threshold += (0.0, 0.0)
-            left += (child, child + 1)
-            right += (child, child + 1)
-            leaf_class += (0, 0)
-            stack.append((child, rows_l, counts_l))
-            stack.append((child + 1, rows_r, counts - counts_l))
-        return _Tree(*map(np.array, (feature, threshold, left, right, leaf_class)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority vote over trees; vote ties go to the smaller class id.
@@ -155,6 +274,10 @@ class RandomForest:
         if not self.trees:
             raise RuntimeError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self._n_cols:
+            raise ValueError(
+                f"need a 2-D X with the {self._n_cols} columns the forest was fitted on, got shape {X.shape}"
+            )
         n_nodes = [len(t.feature) for t in self.trees]
         start = np.cumsum([0] + n_nodes[:-1])
         feature, threshold, left, right, leaf_class = map(np.concatenate, zip(*self.trees))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import ffsel
 from conftest import random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest
+from ffsel import forest as forest_module
 from oracles import oracle_forest
 
 
@@ -105,6 +107,81 @@ class TestRandomForest:
             f.predict(np.zeros((3, 2)))
 
 
+class TestInputValidation:
+    """fit and predict reject malformed inputs with a ValueError naming the fault."""
+
+    def _forest(self):
+        return RandomForest(ForestParams(n_trees=3, seed=0), n_classes=2)
+
+    def _fitted(self):
+        rng = np.random.default_rng(39)
+        d = random_dataset(rng, 20, 4, n_classes=2)
+        return self._forest().fit(d.features, d.labels)
+
+    def test_label_equal_to_n_classes_rejected(self):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            self._forest().fit(np.zeros((4, 2)), np.array([0, 1, 2, 1]))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            self._forest().fit(np.zeros((4, 2)), np.array([0, 1, -1, 1]))
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="X has 5 rows but y has 4 labels"):
+            self._forest().fit(np.zeros((5, 2)), np.array([0, 1, 0, 1]))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="on 0 rows and 3 columns"):
+            self._forest().fit(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+    def test_non_finite_features_rejected(self):
+        x = np.arange(8.0).reshape(4, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            x[2, 1] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                self._forest().fit(x, np.array([0, 1, 0, 1]))
+
+    def test_predict_non_2d_rejected(self):
+        f = self._fitted()
+        for x in (np.zeros(4), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="2-D X with the 4 columns"):
+                f.predict(x)
+
+    def test_predict_column_count_mismatch_rejected(self):
+        f = self._fitted()
+        for n_cols in (3, 5):
+            with pytest.raises(ValueError, match="2-D X with the 4 columns"):
+                f.predict(np.zeros((6, n_cols)))
+
+
+class TestNumpyAssumptions:
+    """The lockstep fit leans on two NumPy behaviours; a NumPy change fails here
+    before it can move trees."""
+
+    def test_choice_of_one_equals_batched_integers(self):
+        # One integers(0, n, size=m) draw stands in for a tree's successive
+        # choice(n, size=1, replace=False) calls after its bootstrap draw.
+        for n in (2, 3, 7, 2000):
+            for seed in range(20):
+                one, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+                one.integers(0, 62, size=62)
+                batched.integers(0, 62, size=62)
+                per_node = [int(one.choice(n, size=1, replace=False)[0]) for _ in range(123)]
+                assert per_node == batched.integers(0, n, size=123).tolist(), (n, seed)
+
+    def test_batched_impurity_equals_per_node_dot(self):
+        rng = np.random.default_rng(41)
+        for n_classes in range(2, 13):
+            counts = rng.integers(0, 40, size=(500, n_classes))
+            counts[:, 0] += 1  # no empty node
+            sizes = counts.sum(axis=1)
+            per_node = []
+            for c, n in zip(counts, sizes):
+                p = c / n
+                per_node.append(float(1.0 - np.dot(p, p)))
+            assert forest_module._impurity(counts, sizes).tolist() == per_node, n_classes
+
+
 def forest_case(case: int):
     """Seeded inputs: ties, a duplicated and a constant column, 2-12 classes."""
     rng = np.random.default_rng(4000 + case)
@@ -143,12 +220,83 @@ class TestAgainstOracle:
             assert all(len(t.feature) <= 2 * len(x) - 1 for t in f.trees), case
 
 
+def lockstep_cases():
+    """Seeded many-tree fits whose lockstep steps take the shapes named."""
+    rng = np.random.default_rng(4200)
+    # 60 bootstrap roots of 90 rows x 3 candidates overflow one chunk.
+    x = np.round(rng.normal(size=(90, 12)), 1)
+    y = rng.integers(0, 3, size=90)
+    yield "two chunks", x, y, 3, ForestParams(n_trees=60, seed=5)
+    # One informative column among constant ones: with one candidate per
+    # node, most searched nodes in a step find no split.
+    x = np.full((40, 4), 0.5)
+    x[:, 3] = rng.normal(size=40)
+    y = (x[:, 3] + rng.normal(size=40) > 0).astype(np.int64)
+    yield "one split", x, y, 2, ForestParams(n_trees=40, max_features=1, seed=6)
+    # Whole data, a wider split threshold and four classes.
+    x = np.round(rng.normal(size=(70, 9)), 2)
+    y = rng.integers(0, 4, size=70)
+    params = ForestParams(n_trees=30, max_features=2, min_samples_split=3, bootstrap=False, seed=7)
+    yield "no bootstrap", x, y, 4, params
+
+
+class TestLockstepShapes:
+    """Many trees per step, mixed node sizes, chunked steps and lone splits
+    reproduce the per-candidate oracle exactly."""
+
+    def test_many_tree_fits_match_oracle(self, monkeypatch):
+        searches = []  # (node sizes, number of nodes that split) per chunk
+        search = forest_module._best_splits
+
+        def recorded(X, onehot, rows, sizes, *rest):
+            out = search(X, onehot, rows, sizes, *rest)
+            searches.append((sizes.tolist(), int((out[0] > 0.0).sum())))
+            return out
+
+        monkeypatch.setattr(forest_module, "_best_splits", recorded)
+        shapes = set()
+        for name, x, y, n_classes, params in lockstep_cases():
+            searches.clear()
+            test_x = np.round(np.random.default_rng(4201).normal(size=(25, x.shape[1])), 1)
+            imp, pred, n_nodes = oracle_forest(x, y, n_classes, params, test_x)
+            f = RandomForest(params, n_classes=n_classes).fit(x, y)
+            assert f.feature_importances().tolist() == imp.tolist(), name
+            assert f.predict(test_x).tolist() == pred.tolist(), name
+            assert sum(len(t.feature) for t in f.trees) == n_nodes, name
+            if any(len(set(sizes)) > 1 for sizes, _ in searches):
+                shapes.add("mixed sizes")
+            if sum(sizes == [len(x)] * len(sizes) for sizes, _ in searches) >= 2:
+                shapes.add("root step in chunks")  # only roots hold every row
+            if any(len(sizes) > 1 and splits == 1 for sizes, splits in searches):
+                shapes.add("one of many splits")
+        assert shapes == {"mixed sizes", "root step in chunks", "one of many splits"}
+
+
+class TestFitMemory:
+    """Chunked split searches keep a default fit's working arrays small."""
+
+    def test_peak_traced_memory_of_a_default_fit(self):
+        rng = np.random.default_rng(62)
+        y = np.repeat([0, 1], (22, 40))
+        x = rng.normal(size=(62, 2000))
+        x[:, :20] += 2.0 * y[:, None]
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        tracemalloc.start()
+        try:
+            RandomForest(ForestParams(), 2).fit(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 # Fits one tree on three rows whose first two values are adjacent doubles,
 # so their midpoint rounds up to the larger one, and prints what it grew.
 ADJACENT_DOUBLES_FIT = """
 import json
 import numpy as np
 from ffsel import ForestParams, RandomForest
+from ffsel import forest as forest_module
 from oracles import oracle_forest
 
 x = np.array([[1 + 2.0**-52], [1 + 2.0**-51], [2 + 2.0**-51]])
