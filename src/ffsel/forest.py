@@ -20,7 +20,6 @@ __all__ = ["ForestParams", "RandomForest"]
 class ForestParams:
     n_trees: int = 100
     max_features: int | None = None  # None -> floor(sqrt(n_cols)), min 1
-    min_samples_split: int = 2
     bootstrap: bool = True
     seed: int = 0
 
@@ -120,11 +119,12 @@ class _Growth:
         self.leaf_class = [int(counts.argmax())]
         self.splits: list[tuple[int, float]] = []  # (feature, importance term), DFS order
 
-    def next_search(self, min_split):
-        """Pop the next node that may split, leaving the others as leaves."""
+    def next_search(self):
+        """Pop the next impure node, leaving pure ones (one-row nodes among
+        them) as leaves."""
         while self.stack:
             entry = self.stack.pop()
-            if len(entry[1]) >= min_split and entry[3] != 0.0:
+            if entry[3] != 0.0:
                 return entry
         return None
 
@@ -220,7 +220,6 @@ class RandomForest:
         if y.min() < 0 or y.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes}), got {y.min()}..{y.max()}")
         max_features = self.params.resolve_max_features(n_cols)
-        min_split = max(2, self.params.min_samples_split)
         onehot = y[:, None] == np.arange(self.n_classes)
         roots = []
         for seed in np.random.SeedSequence(self.params.seed).spawn(self.params.n_trees):
@@ -242,7 +241,7 @@ class RandomForest:
         while growing:
             batch = []
             for g in growing:
-                entry = g.next_search(min_split)
+                entry = g.next_search()
                 if entry is not None:
                     batch.append((g, *entry, g.candidates(n_cols, max_features)))
             # Largest nodes first, so each chunk pads to its first node's rows.

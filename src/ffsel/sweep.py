@@ -74,6 +74,19 @@ DEFAULT_TIE_BREAKERS: dict[str, tuple[str, ...]] = {
 
 # Config keys whose value is a list; a string there would split into characters.
 _LIST_KEYS = ("datasets", "estimators", "algorithms", "classifiers", "alpha_grid", "k_range")
+# JSON types of the scalar config keys, and how a message names them.
+_SCALAR_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    **dict.fromkeys(("k_min", "k_max", "n_folds", "seed", "mi_bins", "k_neighbors"), ((int,), "an integer")),
+    **dict.fromkeys(("scale", "scale_per_fold", "select_per_fold"), ((bool,), "true or false")),
+    "beta": ((int, float), "a number"),
+    "output_dir": ((str,), "a string"),
+    "label_column": ((str, int, type(None)), "a string, an integer or null"),
+}
+
+
+def _has_type(value: object, types: tuple[type, ...]) -> bool:
+    """Whether a JSON value has one of `types`; a bool counts only as a bool."""
+    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,6 +140,11 @@ class SweepConfig:
             raise ValueError("KGROUPS needs at least one alpha value")
         if any(not a > 0 for a in self.alpha_grid):
             raise ValueError("alpha values must be > 0")
+        for key in ("estimators", "algorithms", "classifiers", "alpha_grid"):
+            values = getattr(self, key)
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"config key {key!r} repeats {repeats[0]!r}")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator: {est!r}")
@@ -163,14 +181,14 @@ class SweepConfig:
             if key in _LIST_KEYS and isinstance(value, str):
                 raise ValueError(f"config key {key!r} needs a list, got the string {value!r}")
             if key == "k_range":
-                if len(value) != 2:  # type: ignore[arg-type]
+                if len(value) != 2 or not all(_has_type(b, (int,)) for b in value):  # type: ignore
                     raise ValueError(f"config key 'k_range' needs [k_min, k_max], got {value!r}")
-                lo, hi = value  # type: ignore[misc]
-                kwargs["k_min"] = int(lo)
-                kwargs["k_max"] = int(hi)
+                kwargs["k_min"], kwargs["k_max"] = value  # type: ignore[misc]
                 continue
             if key not in known:
                 raise ValueError(f"unknown config key: {key!r}")
+            if key in _SCALAR_TYPES and not _has_type(value, _SCALAR_TYPES[key][0]):
+                raise ValueError(f"config key {key!r} needs {_SCALAR_TYPES[key][1]}, got {value!r}")
             kwargs[key] = value
         if "datasets" in kwargs:
             kwargs["datasets"] = tuple(str(p) for p in kwargs["datasets"])  # type: ignore[union-attr]
@@ -214,53 +232,31 @@ class _Task:
         }
 
 
-def _records_in(path: Path, *, skip_malformed: bool) -> Iterator[BenchmarkRecord]:
-    """Records of a JSON-lines file, raising DataError on a line that is not one.
+class _NotJson(DataError):
+    """A records line that is not JSON; as the last line, a write cut short."""
 
-    With `skip_malformed`, a line that is not JSON (an interrupted write) is
-    logged and skipped instead; a line that is not UTF-8 still raises.
+
+def _records_in(path: Path, data: bytes, first_line: int = 1) -> Iterator[BenchmarkRecord]:
+    """Records of JSON-lines bytes read from `path`, lines numbered from
+    `first_line`; DataError, naming the file and line, on a line that is not
+    blank and holds no record.
     """
-    with path.open("rb") as f:
-        for n, raw in enumerate(f, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path} line {n} is not UTF-8 text: {exc}") from None
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not skip_malformed:
-                    raise DataError(f"{path} line {n} is not valid JSON: {exc}") from None
-                log.warning("ignoring malformed line %d of %s (interrupted write?)", n, path)
-                continue
-            try:
-                rec = BenchmarkRecord.from_dict(row)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path} line {n} is not a benchmark record: {exc}") from None
-            yield rec
-
-
-def _end_last_line(path: Path) -> None:
-    """Make the file end in a newline before records are appended to it.
-
-    Bytes after the last newline that hold a whole record get the newline;
-    any other trailing bytes (a write cut short) are dropped.
-    """
-    data = path.read_bytes()
-    cut = data.rfind(b"\n") + 1
-    if cut == len(data):
-        return
-    try:
-        BenchmarkRecord.from_dict(json.loads(data[cut:]))
-    except (TypeError, ValueError):
-        log.warning("dropping the unfinished last line of %s (interrupted write?)", path)
-        with path.open("r+b") as f:
-            f.truncate(cut)
-    else:
-        with path.open("ab") as f:
-            f.write(b"\n")
+    for n, raw in enumerate(data.split(b"\n"), first_line):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} line {n} is not UTF-8 text: {exc}") from None
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _NotJson(f"{path} line {n} is not valid JSON: {exc}") from None
+        try:
+            rec = BenchmarkRecord.from_dict(row)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path} line {n} is not a benchmark record: {exc}") from None
+        yield rec
 
 
 def _subset_dataset(d: Dataset, rows: np.ndarray, features: np.ndarray, tag: str) -> Dataset:
@@ -321,7 +317,6 @@ def _run_dataset(
     folds: FoldPlan,
     pending: Sequence[tuple[_Task, list[str], dict]],
     forest: ForestParams,
-    stats: dict,
 ) -> Iterator[list[BenchmarkRecord]]:
     """Run one dataset's pending tasks, yielding each task's records."""
     # Keyed by fold, None when selecting on the whole dataset.
@@ -350,8 +345,6 @@ def _run_dataset(
             t0 = thread_time()
             vec = relevance_all(target, task.estimator, mi_bins=config.mi_bins, forest=forest)
             relevance[task.estimator, fold] = (vec, thread_time() - t0)
-            counter = "relevance_estimations" if fold is None else "fold_relevance_estimations"
-            stats[counter] = stats.get(counter, 0) + 1
         rel, rel_cpu = relevance[task.estimator, fold]
         if task.algorithm in (MRMR_D, MRMR_Q):
             # One cold run to the largest pending k: the picks for k are its
@@ -420,13 +413,17 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     file are skipped, so re-running an interrupted sweep adds no duplicates.
     A record's `selection_cpu_seconds` is its relevance estimation plus a
     cold selection of k features, whatever order the cells run in.
-    `stats`, when given, is filled with counters (relevance estimations,
-    cells skipped/run) that tests use to assert the reuse contract.
+    `stats`, when given, is filled with counters (datasets loaded, cells
+    skipped and run).
+
+    Every newline-terminated line of an existing records file must be a
+    record (DataError otherwise).  Bytes after the last newline that are not
+    JSON are a write cut short and are dropped with a warning; a whole
+    record there is kept and ended with a newline.
     """
     config.validate()
     if stats is None:
         stats = {}
-    stats.setdefault("relevance_estimations", 0)
     stats.setdefault("cells_skipped", 0)
     stats.setdefault("cells_run", 0)
 
@@ -434,10 +431,19 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
     existing: dict[tuple, dict] = {}
+    tail = b""  # bytes after the last newline
+    cut = None  # where the tail starts, when it is a torn write to drop
     if records_path.exists():
-        existing = {
-            r.cell_key(): r.settings for r in _records_in(records_path, skip_malformed=True)
-        }
+        data = records_path.read_bytes()
+        start = data.rfind(b"\n") + 1
+        tail = data[start:]
+        stored = list(_records_in(records_path, data[:start]))
+        try:
+            stored += _records_in(records_path, tail, data.count(b"\n") + 1)
+        except _NotJson:
+            log.warning("dropping the unfinished last line of %s (interrupted write?)", records_path)
+            cut = start
+        existing = {r.cell_key(): r.settings for r in stored}
 
     datasets: list[Dataset] = []
     for path in config.datasets:
@@ -502,12 +508,14 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     (out_dir / "config.json").write_text(
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if records_path.exists():
-        _end_last_line(records_path)
     forest = ForestParams(seed=config.seed)
     with records_path.open("a", encoding="utf-8") as sink:
+        if cut is not None:
+            sink.truncate(cut)
+        elif tail:
+            sink.write("\n")
         for d, folds, pending in plans:
-            for batch in _run_dataset(config, d, folds, pending, forest, stats):
+            for batch in _run_dataset(config, d, folds, pending, forest):
                 for rec in batch:
                     sink.write(json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
                 sink.flush()
@@ -520,7 +528,8 @@ def read_records(path: str | Path) -> list[BenchmarkRecord]:
 
     Raises DataError, naming the file and line, on a line that is not a record.
     """
-    return list(_records_in(Path(path), skip_malformed=False))
+    path = Path(path)
+    return list(_records_in(path, path.read_bytes()))
 
 
 def algorithm_label(rec: BenchmarkRecord) -> str:

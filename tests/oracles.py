@@ -189,7 +189,6 @@ def oracle_forest(
     y = np.asarray(y, dtype=np.int64)
     n_rows, n_cols = X.shape
     max_features = params.resolve_max_features(n_cols)
-    min_split = max(2, params.min_samples_split)
     raw = np.zeros(n_cols, dtype=np.float64)
     votes = np.zeros((X_test.shape[0], n_classes), dtype=np.int64)
     n_nodes = 0
@@ -205,7 +204,7 @@ def oracle_forest(
             node, idx = stack.pop()
             counts = np.bincount(y[idx], minlength=n_classes)
             node_gini = _oracle_gini(counts)
-            if idx.shape[0] < min_split or node_gini == 0.0:
+            if node_gini == 0.0:
                 nodes[node][4] = int(np.argmax(counts))
                 continue
             if max_features >= n_cols:

@@ -305,6 +305,66 @@ class TestBenchmark:
                      "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("at", [2, 3], ids=["mid-file", "last-line"])
+    def test_resume_over_a_whole_non_json_line_exits_2(self, data_csv, tmp_path, capsys, at):
+        out_dir = tmp_path / "o"
+        args = ["benchmark", "--datasets", data_csv, "--output-dir", str(out_dir),
+                "--estimators", "mi", "--algorithms", "kbest",
+                "--k-min", "2", "--k-max", "3", "--classifiers", "knn",
+                "--n-folds", "3"]
+        assert main(args) == EXIT_OK
+        records, config = out_dir / "records.jsonl", out_dir / "config.json"
+        lines = records.read_text().split("\n")[:2]
+        records.write_text("\n".join(lines[: at - 1] + ['{"garbage'] + lines[at - 1 :]) + "\n")
+        stored, echoed = records.read_bytes(), config.read_bytes()
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        assert f"records.jsonl line {at} is not valid JSON" in capsys.readouterr().err
+        assert records.read_bytes() == stored
+        assert config.read_bytes() == echoed
+
+    def test_repeated_entries_exit_1(self, data_csv, tmp_path, capsys):
+        code = main(["benchmark", "--datasets", data_csv, "--output-dir", str(tmp_path / "o"),
+                     "--estimators", "mi,MI", "--algorithms", "kbest,kgroups",
+                     "--alpha-grid", "0.5,0.50", "--classifiers", "knn,knn",
+                     "--k-min", "2", "--k-max", "2", "--n-folds", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "config key 'estimators' repeats 'MI'" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mi_bins", 2.5),
+        ("k_neighbors", 2.5),
+        ("n_folds", 2.5),
+        ("k_min", 2.0),
+        ("k_max", True),
+        ("seed", "x"),
+        ("seed", True),
+        ("output_dir", 5),
+        ("scale", "no"),
+        ("scale_per_fold", 1),
+        ("select_per_fold", "yes"),
+        ("k_range", [2, 3.7]),
+        ("k_range", ["2", 3]),
+        ("k_range", [False, 3]),
+        ("beta", "0.5"),
+        ("beta", True),
+        ("label_column", 1.5),
+        ("label_column", True),
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, data_csv, tmp_path, capsys, key, value):
+        config = {"datasets": [data_csv], "output_dir": str(tmp_path / "o"),
+                  "estimators": ["mi"], "algorithms": ["kbest"], "k_range": [2, 2],
+                  "classifiers": ["knn"], "n_folds": 3, key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["benchmark", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"config key {key!r}" in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
+
     def test_knn_needing_more_rows_than_a_fold_trains_on_exits_1(self, data_csv, tmp_path, capsys):
         # 24 rows in 4 folds leave 18 training rows in each fold.
         code = main(["benchmark", "--datasets", data_csv,

@@ -85,7 +85,7 @@ class TestRandomForest:
         assert set(pred.tolist()) <= set(range(4))
 
     def test_single_row_nodes_become_leaves(self):
-        # min_samples_split=2 with 2 rows still allows exactly one split
+        # 2 rows of different classes allow exactly one split
         x = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         f = RandomForest(ForestParams(n_trees=1, bootstrap=False, seed=0),
@@ -197,7 +197,6 @@ def forest_case(case: int):
     params = ForestParams(
         n_trees=3,
         max_features=(1, None, n_cols)[case % 3],
-        min_samples_split=2 + (case // 6) % 3,
         bootstrap=bool((case // 3) % 2),
         seed=case,
     )
@@ -233,10 +232,10 @@ def lockstep_cases():
     x[:, 3] = rng.normal(size=40)
     y = (x[:, 3] + rng.normal(size=40) > 0).astype(np.int64)
     yield "one split", x, y, 2, ForestParams(n_trees=40, max_features=1, seed=6)
-    # Whole data, a wider split threshold and four classes.
+    # Whole data and four classes.
     x = np.round(rng.normal(size=(70, 9)), 2)
     y = rng.integers(0, 4, size=70)
-    params = ForestParams(n_trees=30, max_features=2, min_samples_split=3, bootstrap=False, seed=7)
+    params = ForestParams(n_trees=30, max_features=2, bootstrap=False, seed=7)
     yield "no bootstrap", x, y, 4, params
 
 

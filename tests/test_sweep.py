@@ -63,6 +63,19 @@ def tiny_config(tmp_path, **over):
     return SweepConfig(**cfg)
 
 
+def count_relevance(monkeypatch):
+    """Names of the datasets `run_sweep` estimates relevance on, one per call."""
+    calls = []
+    estimate = ffsel.sweep.relevance_all
+
+    def counting(d, *args, **kwargs):
+        calls.append(d.name)
+        return estimate(d, *args, **kwargs)
+
+    monkeypatch.setattr(ffsel.sweep, "relevance_all", counting)
+    return calls
+
+
 def mk_record(**over):
     base = dict(dataset="d1", algorithm=KGROUPS, variant="alpha=1",
                 estimator="MI", classifier="KNN", k=5, alpha=1.0,
@@ -119,6 +132,18 @@ class TestSweepConfig:
                 "n_nieghbors": 3,
             })
 
+    @pytest.mark.parametrize("key, entries, repeat", [
+        ("estimators", ["mi", "MI"], "'MI'"),
+        ("algorithms", ["kbest", "kgroups", "KBest"], "'KBEST'"),
+        ("classifiers", ["knn", "gnb", "knn"], "'KNN'"),
+        ("alpha_grid", [0.5, 1, "0.50"], "0.5"),
+    ], ids=["estimators", "algorithms", "classifiers", "alpha_grid"])
+    def test_repeated_entry_rejected(self, tmp_path, key, entries, repeat):
+        cfg = SweepConfig.from_mapping({"datasets": ["a.csv"], "output_dir": str(tmp_path),
+                                        key: entries})
+        with pytest.raises(ValueError, match=f"config key '{key}' repeats {repeat}"):
+            cfg.validate()
+
     def test_validate_rejects_bad_values(self, tmp_path):
         base = dict(datasets=("a.csv",), output_dir=str(tmp_path))
         with pytest.raises(ValueError):
@@ -168,15 +193,16 @@ class TestSweepConfig:
 class TestRunSweep:
     """End-to-end sweep over a small on-disk dataset."""
 
-    def test_record_count_and_fields(self, tmp_path):
+    def test_record_count_and_fields(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
+        estimated = count_relevance(monkeypatch)
         stats = {}
         records = list(run_sweep(cfg, stats))
         # 4 algorithm cells per k (KBEST, MID, KGROUPS, FCQ), 2 ks, 2 classifiers
         assert len(records) == 16
         assert stats["cells_run"] == 16
         assert stats["datasets_loaded"] == 1
-        assert stats["relevance_estimations"] == 2  # MI + FVALUE (for FCQ)
+        assert estimated == ["blobs", "blobs"]  # MI + FVALUE (for FCQ)
         for rec in records:
             assert rec.k in (2, 3)
             assert rec.n_selected >= 1
@@ -220,20 +246,18 @@ class TestRunSweep:
         assert stats["cells_run"] == 0
         assert len(read_records(tmp_path / "out" / "records.jsonl")) == len(first)
 
-    def test_resume_recomputes_missing_and_skips_garbage(self, tmp_path, caplog):
+    @pytest.mark.parametrize("at", [3, 6], ids=["mid-file", "last-line"])
+    def test_resume_rejects_a_whole_non_json_line(self, tmp_path, at):
         cfg = tiny_config(tmp_path)
         list(run_sweep(cfg))
         path = tmp_path / "out" / "records.jsonl"
-        lines = path.read_text().strip().split("\n")
-        keep = lines[:5]
-        path.write_text("\n".join(keep + ["{not json"]) + "\n")
-        stats = {}
-        with caplog.at_level(logging.WARNING, logger="ffsel.sweep"):
-            redone = list(run_sweep(cfg, stats))
-        assert any("records.jsonl" in msg or "line" in msg.lower()
-                   for msg in caplog.messages)
-        assert stats["cells_skipped"] == 5
-        assert len(redone) == 11
+        lines = path.read_text().split("\n")[:5]
+        path.write_text("\n".join(lines[: at - 1] + ["{not json"] + lines[at - 1 :]) + "\n")
+        stored, echoed = path.read_bytes(), (tmp_path / "out" / "config.json").read_bytes()
+        with pytest.raises(DataError, match=f"records.jsonl line {at} is not valid JSON"):
+            list(run_sweep(cfg))
+        assert path.read_bytes() == stored
+        assert (tmp_path / "out" / "config.json").read_bytes() == echoed
 
     def test_resume_rejects_other_settings(self, tmp_path):
         list(run_sweep(tiny_config(tmp_path, mi_bins=10)))
@@ -403,17 +427,16 @@ class TestRunSweep:
         assert len(list(run_sweep(cfg))) == 2 * 16
         assert sorted(built) == [(n, f"#fold{f}") for n in ("a", "b") for f in range(3)]
 
-    def test_select_per_fold_estimates_relevance_once_per_fold(self, tmp_path):
+    def test_select_per_fold_estimates_relevance_once_per_fold(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS, "MID"),
                           estimators=("MI", "COSINE"), alpha_grid=(0.5, 1.0),
                           select_per_fold=True, k_max=4)
-        stats = {}
-        records = list(run_sweep(cfg, stats))
+        estimated = count_relevance(monkeypatch)
+        records = list(run_sweep(cfg))
         # 2 classifiers x 3 ks x (KBest and 2 KGroups alphas per estimator, MID)
         assert len(records) == 2 * 3 * (2 * (1 + 2) + 1)
-        # 3 folds for each of MI (KBest, KGroups, MID) and COSINE.
-        assert stats["fold_relevance_estimations"] == 2 * 3
-        assert stats["relevance_estimations"] == 0
+        # 3 folds for each of MI (KBest, KGroups, MID) and COSINE, never the whole dataset.
+        assert sorted(estimated) == sorted(f"blobs#fold{f}" for f in range(3) for _ in range(2))
 
     def test_smoothing_flag_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bin_smoothing"):
