@@ -61,6 +61,10 @@ def _split(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _reals(raw: str) -> list[float]:
+    return [float(part) for part in _split(raw)]
+
+
 def _parse_tie_breakers(raw: str | None, estimator: str) -> tuple[str, ...]:
     if raw is None:
         return DEFAULT_TIE_BREAKERS.get(estimator, ())
@@ -183,17 +187,17 @@ def _cmd_benchmark(args) -> int:
         if not isinstance(raw, dict):
             raise _UsageError("config file must hold a JSON object")
 
-    for field in dataclasses.fields(SweepConfig):
-        if getattr(args, field.name, None) is not None:
-            raw[field.name] = getattr(args, field.name)
-    if "datasets" not in raw:
+    # Flags form a second document, so a --k-min overrides the config's k_range.
+    fields = {field.name for field in dataclasses.fields(SweepConfig)}
+    flags = {key: value for key, value in vars(args).items() if key in fields and value is not None}
+    if "datasets" not in raw.keys() | flags.keys():
         raise _UsageError("no datasets given (config key 'datasets' or --datasets)")
-    if "output_dir" not in raw:
+    if "output_dir" not in raw.keys() | flags.keys():
         raise _UsageError(
             "no output directory given (config key 'output_dir' or --output-dir)"
         )
     try:
-        config = SweepConfig.from_mapping(raw)
+        config = SweepConfig.from_mapping(raw, flags)
         config.validate()
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc))
@@ -202,9 +206,6 @@ def _cmd_benchmark(args) -> int:
     count = 0
     for _ in run_sweep(config, stats):
         count += 1
-    if stats.get("datasets_loaded", 0) == 0:
-        print("data error: no dataset could be loaded", file=sys.stderr)
-        return EXIT_DATA
     out = Path(config.output_dir) / "records.jsonl"
     print(
         f"wrote {count} new records to {out} "
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list (kbest, kgroups, {', '.join(map(str.lower, MRMR_VARIANTS))})",
     )
     p.add_argument("--classifiers", type=_split, default=None, help="comma list (knn,gnb,rf)")
-    p.add_argument("--alpha-grid", type=_split, default=None, help="comma list of reals")
+    p.add_argument("--alpha-grid", type=_reals, default=None, help="comma list of reals")
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--n-folds", type=int, default=None)

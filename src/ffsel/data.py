@@ -109,56 +109,60 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     index; an int, or a decimal string with an optional leading ``-``, is
     an index.  It defaults to the last column.  Labels are encoded to 0..C-1 in
     first-appearance order and the original strings kept in ``class_names``.
-    All remaining cells must parse as finite reals.
+    All remaining cells must parse as finite reals.  A file that is not
+    UTF-8 text is a DataError naming it.
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column is None:
-            label_idx = len(header) - 1
-        elif isinstance(label_column, int) or (isinstance(label_column, str) and label_column.removeprefix("-").isdecimal()):
-            label_idx = int(label_column)
-            if label_idx < 0:
-                label_idx += len(header)
-            if not 0 <= label_idx < len(header):
-                raise DataError(f"{path}: label column index {label_column} out of range")
-        else:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise DataError(f"{path}: no column named {label_column!r} in header") from None
-
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        if not feature_names:
-            raise DataError(f"{path}: no feature columns besides the label")
-
-        rows: list[list[float]] = []
-        label_strings: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            values = []
-            for col_no, cell in enumerate(row):
-                if col_no == label_idx:
-                    label_strings.append(cell.strip())
-                    continue
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if label_column is None:
+                label_idx = len(header) - 1
+            elif isinstance(label_column, int) or (isinstance(label_column, str) and label_column.removeprefix("-").isdecimal()):
+                label_idx = int(label_column)
+                if label_idx < 0:
+                    label_idx += len(header)
+                if not 0 <= label_idx < len(header):
+                    raise DataError(f"{path}: label column index {label_column} out of range")
+            else:
                 try:
-                    v = float(cell)
+                    label_idx = header.index(label_column)
                 except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_no}, column {header[col_no]!r}: cannot parse {cell!r} as a real number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(f"{path}: row {row_no}, column {header[col_no]!r}: non-finite value {cell!r}")
-                values.append(v)
-            rows.append(values)
+                    raise DataError(f"{path}: no column named {label_column!r} in header") from None
+
+            feature_names = [h for i, h in enumerate(header) if i != label_idx]
+            if not feature_names:
+                raise DataError(f"{path}: no feature columns besides the label")
+
+            rows: list[list[float]] = []
+            label_strings: list[str] = []
+            for row_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+                values = []
+                for col_no, cell in enumerate(row):
+                    if col_no == label_idx:
+                        label_strings.append(cell.strip())
+                        continue
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {row_no}, column {header[col_no]!r}: cannot parse {cell!r} as a real number"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise DataError(f"{path}: row {row_no}, column {header[col_no]!r}: non-finite value {cell!r}")
+                    values.append(v)
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")

@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 from pathlib import Path
 from time import thread_time
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -72,8 +73,12 @@ DEFAULT_TIE_BREAKERS: dict[str, tuple[str, ...]] = {
 }
 
 
-# Config keys whose value is a list; a string there would split into characters.
-_LIST_KEYS = ("datasets", "estimators", "algorithms", "classifiers", "alpha_grid", "k_range")
+# JSON types of the entries of the list-valued config keys, and how a message names them.
+_LIST_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    **dict.fromkeys(("datasets", "estimators", "algorithms", "classifiers"), ((str,), "strings")),
+    "alpha_grid": ((int, float), "numbers"),
+    "k_range": ((int,), "integers"),
+}
 # JSON types of the scalar config keys, and how a message names them.
 _SCALAR_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
     **dict.fromkeys(("k_min", "k_max", "n_folds", "seed", "mi_bins", "k_neighbors"), ((int,), "an integer")),
@@ -87,6 +92,11 @@ _SCALAR_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
 def _has_type(value: object, types: tuple[type, ...]) -> bool:
     """Whether a JSON value has one of `types`; a bool counts only as a bool."""
     return isinstance(value, types) and isinstance(value, bool) == (bool in types)
+
+
+def _is_list_of(value: object, types: tuple[type, ...]) -> bool:
+    """Whether a JSON value is a list whose entries all have one of `types`."""
+    return isinstance(value, (list, tuple)) and all(_has_type(v, types) for v in value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,8 +148,8 @@ class SweepConfig:
             raise ValueError("KBEST and KGROUPS need at least one estimator")
         if not self.alpha_grid and KGROUPS in self.algorithms:
             raise ValueError("KGROUPS needs at least one alpha value")
-        if any(not a > 0 for a in self.alpha_grid):
-            raise ValueError("alpha values must be > 0")
+        if any(not 0 < a < math.inf for a in self.alpha_grid):
+            raise ValueError("alpha values must be > 0 and finite")
         for key in ("estimators", "algorithms", "classifiers", "alpha_grid"):
             values = getattr(self, key)
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
@@ -173,36 +183,41 @@ class SweepConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_mapping(cls, raw: Mapping[str, object]) -> "SweepConfig":
-        """Build a config from a parsed key-value document (e.g. JSON)."""
+    def from_mapping(cls, *docs: Mapping[str, object]) -> "SweepConfig":
+        """Build a config from parsed key-value documents (e.g. JSON), each
+        checked on its own; a later document's keys override an earlier one's."""
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs: dict[str, object] = {}
-        for key, value in raw.items():
-            if key in _LIST_KEYS and isinstance(value, str):
-                raise ValueError(f"config key {key!r} needs a list, got the string {value!r}")
-            if key == "k_range":
-                if len(value) != 2 or not all(_has_type(b, (int,)) for b in value):  # type: ignore
-                    raise ValueError(f"config key 'k_range' needs [k_min, k_max], got {value!r}")
-                kwargs["k_min"], kwargs["k_max"] = value  # type: ignore[misc]
-                continue
-            if key not in known:
-                raise ValueError(f"unknown config key: {key!r}")
-            if key in _SCALAR_TYPES and not _has_type(value, _SCALAR_TYPES[key][0]):
-                raise ValueError(f"config key {key!r} needs {_SCALAR_TYPES[key][1]}, got {value!r}")
-            kwargs[key] = value
+        for raw in docs:
+            for key, value in raw.items():
+                if key in _LIST_TYPES and not _is_list_of(value, _LIST_TYPES[key][0]):
+                    raise ValueError(f"config key {key!r} needs a list of {_LIST_TYPES[key][1]}, got {value!r}")
+                if key == "k_range":
+                    if len(value) != 2:  # type: ignore[arg-type]
+                        raise ValueError(f"config key 'k_range' needs [k_min, k_max], got {value!r}")
+                    kwargs["k_min"], kwargs["k_max"] = value  # type: ignore[misc]
+                    continue
+                if key not in known:
+                    raise ValueError(f"unknown config key: {key!r}")
+                if key in _SCALAR_TYPES and not _has_type(value, _SCALAR_TYPES[key][0]):
+                    raise ValueError(f"config key {key!r} needs {_SCALAR_TYPES[key][1]}, got {value!r}")
+                kwargs[key] = value
+            bounds = [key for key in ("k_min", "k_max") if key in raw]
+            if "k_range" in raw and bounds:
+                raise ValueError(f"config keys 'k_range' and {' and '.join(map(repr, bounds))} both set the k range")
         if "datasets" in kwargs:
-            kwargs["datasets"] = tuple(str(p) for p in kwargs["datasets"])  # type: ignore[union-attr]
+            kwargs["datasets"] = tuple(kwargs["datasets"])  # type: ignore[arg-type]
         for key in ("estimators", "algorithms", "classifiers"):
             if key in kwargs:
-                kwargs[key] = tuple(str(v).upper() for v in kwargs[key])  # type: ignore[union-attr]
+                kwargs[key] = tuple(v.upper() for v in kwargs[key])  # type: ignore[union-attr]
         if "alpha_grid" in kwargs:
             kwargs["alpha_grid"] = tuple(float(a) for a in kwargs["alpha_grid"])  # type: ignore[union-attr]
         if "tie_breaker_map" in kwargs:
             tie_map = kwargs["tie_breaker_map"]
-            if not isinstance(tie_map, Mapping) or any(isinstance(v, str) for v in tie_map.values()):
-                raise ValueError(f"config key 'tie_breaker_map' needs a list per estimator, got {tie_map!r}")
+            if not isinstance(tie_map, Mapping) or not all(_is_list_of(v, (str,)) for v in tie_map.values()):
+                raise ValueError(f"config key 'tie_breaker_map' needs a list of strings per estimator, got {tie_map!r}")
             kwargs["tie_breaker_map"] = {
-                str(k).upper(): tuple(str(v).upper() for v in vals)
+                str(k).upper(): tuple(v.upper() for v in vals)
                 for k, vals in tie_map.items()
             }
         return cls(**kwargs)  # type: ignore[arg-type]
@@ -413,8 +428,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     file are skipped, so re-running an interrupted sweep adds no duplicates.
     A record's `selection_cpu_seconds` is its relevance estimation plus a
     cold selection of k features, whatever order the cells run in.
-    `stats`, when given, is filled with counters (datasets loaded, cells
-    skipped and run).
+    `stats`, when given, is filled with counters (cells skipped and run).
+    A dataset that cannot be loaded stops the sweep before anything is
+    written, with load_csv's DataError or OSError.
 
     Every newline-terminated line of an existing records file must be a
     record (DataError otherwise).  Bytes after the last newline that are not
@@ -428,7 +444,6 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     stats.setdefault("cells_run", 0)
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
     existing: dict[tuple, dict] = {}
     tail = b""  # bytes after the last newline
@@ -447,16 +462,8 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
 
     datasets: list[Dataset] = []
     for path in config.datasets:
-        try:
-            d = load_csv(path, label_column=config.label_column)
-        except (DataError, OSError) as exc:
-            log.error("skipping dataset %s: %s", path, exc)
-            continue
+        d = load_csv(path, label_column=config.label_column)
         datasets.append(standard_scale(d) if config.scale else d)
-    stats["datasets_loaded"] = len(datasets)
-    if not datasets:
-        log.error("no loadable datasets; nothing to do")
-        return
 
     smallest = min(d.n_cols for d in datasets)
     k_lo, k_hi = max(config.k_min, 1), min(config.k_max, smallest)
@@ -505,6 +512,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         "sweep: %d datasets, %d cells pending, %d skipped",
         len(datasets), sum(len(pending) for _, _, pending in plans), stats["cells_skipped"],
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

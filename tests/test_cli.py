@@ -51,6 +51,13 @@ def label_first_csv(tmp_path):
     return path
 
 
+def latin1_csv(tmp_path):
+    """A 4-row CSV whose first header cell is Latin-1, not UTF-8."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"g\xe8ne1,g2,label\n1,2,a\n2,3,b\n3,1,a\n4,4,b\n")
+    return str(path)
+
+
 class TestEstimate:
     """`estimate` scores every feature."""
 
@@ -108,6 +115,13 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert "no column named '--1'" in err
+
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        csv = latin1_csv(tmp_path)
+        code = main(["estimate", "--data", csv, "--estimator", "mi"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{csv}: not UTF-8 text" in err
 
 
 class TestSelect:
@@ -455,7 +469,47 @@ class TestBenchmark:
                      "--k-max", "2", "--classifiers", "gnb", "--n-folds", "3", "--label-col=--1"])
         err = capsys.readouterr().err
         assert code == EXIT_DATA
-        assert "no dataset could be loaded" in err
+        assert "no column named '--1'" in err
+
+    @pytest.mark.parametrize("bad", ["missing", "latin1"])
+    def test_unloadable_dataset_beside_a_loadable_one_exits_2(self, data_csv, tmp_path, capsys, bad):
+        path = str(tmp_path / "missing.csv") if bad == "missing" else latin1_csv(tmp_path)
+        out_dir = tmp_path / "o"
+        code = main(["benchmark", "--datasets", f"{data_csv},{path}", "--output-dir", str(out_dir),
+                     "--estimators", "mi", "--algorithms", "kbest", "--k-min", "2",
+                     "--k-max", "2", "--classifiers", "gnb", "--n-folds", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert path in err
+        assert not (out_dir / "config.json").exists()
+        assert not (out_dir / "records.jsonl").exists()
+
+    def test_infinite_alpha_exits_1(self, data_csv, tmp_path, capsys):
+        code = main(["benchmark", "--datasets", data_csv,
+                     "--output-dir", str(tmp_path / "o"), "--estimators", "mi",
+                     "--algorithms", "kgroups", "--k-min", "2", "--k-max", "2",
+                     "--classifiers", "knn", "--n-folds", "3", "--alpha-grid", "0.5,inf"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "alpha values must be > 0" in err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+    @pytest.mark.parametrize("bounds, keys", [
+        ({"k_range": [2, 5], "k_min": 3}, "'k_range' and 'k_min'"),
+        ({"k_min": 3, "k_range": [2, 5]}, "'k_range' and 'k_min'"),
+        ({"k_max": 4, "k_min": 3, "k_range": [2, 5]}, "'k_range' and 'k_min' and 'k_max'"),
+    ], ids=["k_range first", "k_min first", "both bounds"])
+    def test_k_range_beside_k_min_or_k_max_exits_1(self, data_csv, tmp_path, capsys, bounds, keys):
+        config = {"datasets": [data_csv], "output_dir": str(tmp_path / "o"),
+                  "estimators": ["mi"], "algorithms": ["kbest"], "classifiers": ["knn"],
+                  "n_folds": 3, **bounds}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["benchmark", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert keys in err
+        assert not (tmp_path / "o").exists()
 
     def test_k_range_beyond_every_dataset_exits_1(self, data_csv, tmp_path, capsys):
         code = main(["benchmark", "--datasets", data_csv, "--output-dir", str(tmp_path / "o"),

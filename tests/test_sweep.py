@@ -136,13 +136,34 @@ class TestSweepConfig:
         ("estimators", ["mi", "MI"], "'MI'"),
         ("algorithms", ["kbest", "kgroups", "KBest"], "'KBEST'"),
         ("classifiers", ["knn", "gnb", "knn"], "'KNN'"),
-        ("alpha_grid", [0.5, 1, "0.50"], "0.5"),
+        ("alpha_grid", [0.5, 1, 0.50], "0.5"),
     ], ids=["estimators", "algorithms", "classifiers", "alpha_grid"])
     def test_repeated_entry_rejected(self, tmp_path, key, entries, repeat):
         cfg = SweepConfig.from_mapping({"datasets": ["a.csv"], "output_dir": str(tmp_path),
                                         key: entries})
         with pytest.raises(ValueError, match=f"config key '{key}' repeats {repeat}"):
             cfg.validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("k_range", 25),
+        ("datasets", 5),
+        ("alpha_grid", ["x"]),
+        ("tie_breaker_map", {"MI": 5}),
+        ("datasets", [5]),
+        ("alpha_grid", [True]),
+        ("alpha_grid", ["0.5"]),
+        ("estimators", {"mi": 1}),
+    ])
+    def test_list_of_wrong_entries_rejected(self, tmp_path, key, value):
+        raw = {"datasets": ["a.csv"], "output_dir": str(tmp_path), key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}' needs a list") as info:
+            SweepConfig.from_mapping(raw)
+        assert repr(value) in str(info.value)
+
+    def test_later_document_overrides_k_range(self, tmp_path):
+        base = {"datasets": ["a.csv"], "output_dir": str(tmp_path), "k_range": [2, 5]}
+        cfg = SweepConfig.from_mapping(base, {"k_min": 3})
+        assert (cfg.k_min, cfg.k_max) == (3, 5)
 
     def test_validate_rejects_bad_values(self, tmp_path):
         base = dict(datasets=("a.csv",), output_dir=str(tmp_path))
@@ -201,7 +222,6 @@ class TestRunSweep:
         # 4 algorithm cells per k (KBEST, MID, KGROUPS, FCQ), 2 ks, 2 classifiers
         assert len(records) == 16
         assert stats["cells_run"] == 16
-        assert stats["datasets_loaded"] == 1
         assert estimated == ["blobs", "blobs"]  # MI + FVALUE (for FCQ)
         for rec in records:
             assert rec.k in (2, 3)
@@ -346,15 +366,12 @@ class TestRunSweep:
             list(run_sweep(cfg))
         assert not (tmp_path / "out" / "config.json").exists()
 
-    def test_unloadable_dataset_skipped(self, tmp_path, caplog):
+    def test_unloadable_dataset_stops_the_sweep(self, tmp_path):
         cfg = tiny_config(tmp_path,
                           datasets=(str(tmp_path / "missing.csv"),))
-        stats = {}
-        with caplog.at_level(logging.ERROR, logger="ffsel.sweep"):
-            records = list(run_sweep(cfg, stats))
-        assert records == []
-        assert stats["datasets_loaded"] == 0
-        assert any("missing.csv" in m for m in caplog.messages)
+        with pytest.raises(OSError, match="missing.csv"):
+            list(run_sweep(cfg))
+        assert not (tmp_path / "out" / "config.json").exists()
 
     def test_select_per_fold_protocol(self, tmp_path):
         cfg = tiny_config(tmp_path, algorithms=(KBEST, KGROUPS, "MID", "FCQ"),
