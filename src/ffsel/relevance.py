@@ -46,8 +46,12 @@ ABS_PEARSON = "ABS_PEARSON"
 REDUNDANCY_MEASURES = (MI_PAIR, ABS_PEARSON)
 
 DEFAULT_MI_BINS = 10
-# Columns coded together by `discretize_columns`.
+# Columns coded together by `discretize_columns`, and counted together
+# against the labels by `_label_mi`.
 _BLOCK = 128
+# NumPy's pairwise summation sums runs of at most this many values with
+# eight strided accumulators, and halves longer runs.
+_PW_BLOCKSIZE = 128
 # Stand-in for an infinite F statistic (zero within-group variance with
 # separated means); finite so downstream sorting and binning stay usable.
 F_VALUE_CAP = 1e30
@@ -79,12 +83,13 @@ def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
     distinct value.  Otherwise interior edges sit at the 1/bins..(bins-1)/bins
     quantiles and each value maps to the lowest bin whose edge reaches it,
     so equal values always share a bin.  Columns are coded in blocks of
-    ``_BLOCK`` so temporaries stay small on wide matrices.
+    ``_BLOCK`` so temporaries stay small on wide matrices.  The codes are
+    column-major, so each column (each row of ``codes.T``) is contiguous.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     x = np.asarray(x, dtype=np.float64)
-    codes = np.zeros(x.shape, dtype=np.int64)
+    codes = np.zeros(x.shape, dtype=np.int64, order="F")
     for lo in range(0, x.shape[1], _BLOCK):
         block = x[:, lo : lo + _BLOCK]
         s = np.sort(block, axis=0)
@@ -124,6 +129,84 @@ def _joint_counts(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     kb = int(codes_b.max()) + 1
     flat = np.bincount(codes_a * kb + codes_b, minlength=ka * kb)
     return flat.reshape(ka, kb)
+
+
+def _pairwise_rows(t: np.ndarray) -> np.ndarray:
+    """Sum each row of a 2-D array in the order ``np.sum`` sums a 1-D array.
+
+    NumPy's pairwise summation adds fewer than 8 values one at a time from
+    0.0; adds up to ``_PW_BLOCKSIZE`` values into 8 strided accumulators,
+    combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then adds the
+    tail one at a time; and splits longer runs at a multiple of 8 near the
+    middle, summing each half the same way.
+    """
+    n = t.shape[1]
+    if n < 8:
+        res = np.zeros(t.shape[0])
+        for i in range(n):
+            res += t[:, i]
+        return res
+    if n <= _PW_BLOCKSIZE:
+        r = t[:, :8]
+        for i in range(8, n - n % 8, 8):
+            r = r + t[:, i : i + 8]
+        r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[:, 0::2] + r[:, 1::2]
+        res = r[:, 0] + r[:, 1]
+        for i in range(n - n % 8, n):
+            res += t[:, i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_rows(t[:, :n2]) + _pairwise_rows(t[:, n2:])
+
+
+def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
+    """`mutual_info_from_counts` of each table in an (m, ka, kb) stack.
+
+    Each step is the scalar function's arithmetic applied to the whole
+    stack, which rounds as it does table by table.  The final sum over a
+    table's L nonzero cells, in row-major order, runs once for all tables
+    with the same L, in ``np.sum``'s order (`_pairwise_rows`), so every
+    value equals the scalar function's bit for bit.
+    """
+    joint = np.asarray(joint, dtype=np.float64)
+    n = joint.sum(axis=(1, 2))
+    # An empty table scores 0.0, as its L = 0 cells sum to.
+    p = joint / np.where(n == 0, 1.0, n)[:, None, None]
+    outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+    nz = p > 0
+    terms = p[nz] * np.log(p[nz] / outer[nz])
+    sizes = nz.sum(axis=(1, 2))
+    starts = np.cumsum(sizes) - sizes
+    sums = np.empty(joint.shape[0])
+    for size in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = 0.0 + _pairwise_rows(terms[starts[rows, None] + np.arange(size)])
+    return np.where(sums < 0.0, 0.0, sums)
+
+
+def _label_mi(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Plug-in MI of every column of ``codes`` with the labels, in nats.
+
+    Columns with the same number of codes share one table shape; their
+    joint tables come from one ``bincount`` per block of ``_BLOCK`` columns
+    over (column, code, label), and `_mutual_info_stack` scores them all.
+    """
+    kb = int(labels.max()) + 1
+    rows = codes.T
+    ka = rows.max(axis=1) + 1
+    values = np.empty(rows.shape[0])
+    for k in np.flatnonzero(np.bincount(ka)):
+        cols = np.flatnonzero(ka == k)
+        joint = np.empty((cols.size, k, kb), dtype=np.int64)
+        for lo in range(0, cols.size, _BLOCK):
+            block = rows[cols[lo : lo + _BLOCK]]
+            flat = (np.arange(len(block))[:, None] * k + block) * kb + labels
+            counts = np.bincount(flat.ravel(), minlength=len(block) * k * kb)
+            joint[lo : lo + len(block)] = counts.reshape(-1, k, kb)
+        values[cols] = _mutual_info_stack(joint)
+    return values
 
 
 def _f_values(d: Dataset) -> np.ndarray:
@@ -184,8 +267,7 @@ def relevance_all(
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == MI:
-        codes = discretize_columns(d.features, mi_bins)
-        values = np.array([mutual_info_from_counts(_joint_counts(c, d.labels)) for c in codes.T])
+        values = _label_mi(discretize_columns(d.features, mi_bins), d.labels)
     elif estimator == FVALUE:
         values = _f_values(d)
     else:

@@ -167,9 +167,11 @@ class SweepConfig:
         for est, breakers in self.tie_breaker_map.items():
             if est not in ESTIMATORS:
                 raise ValueError(f"tie-breaker map keys must be estimators, got {est!r}")
-            for tb in breakers:
+            for i, tb in enumerate(breakers):
                 if tb not in ESTIMATORS:
                     raise ValueError(f"unknown tie-breaker estimator: {tb!r}")
+                if tb in breakers[:i]:
+                    raise ValueError(f"config key 'tie_breaker_map' repeats {tb!r} for {est!r}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
         if self.mi_bins < 1:
@@ -216,10 +218,13 @@ class SweepConfig:
             tie_map = kwargs["tie_breaker_map"]
             if not isinstance(tie_map, Mapping) or not all(_is_list_of(v, (str,)) for v in tie_map.values()):
                 raise ValueError(f"config key 'tie_breaker_map' needs a list of strings per estimator, got {tie_map!r}")
-            kwargs["tie_breaker_map"] = {
-                str(k).upper(): tuple(v.upper() for v in vals)
-                for k, vals in tie_map.items()
-            }
+            upper: dict[str, tuple[str, ...]] = {}
+            for k, vals in tie_map.items():
+                est = str(k).upper()
+                if est in upper:
+                    raise ValueError(f"config key 'tie_breaker_map' repeats {est!r}")
+                upper[est] = tuple(v.upper() for v in vals)
+            kwargs["tie_breaker_map"] = upper
         return cls(**kwargs)  # type: ignore[arg-type]
 
 

@@ -347,6 +347,21 @@ class TestBenchmark:
         assert "config key 'estimators' repeats 'MI'" in err
         assert not (tmp_path / "o" / "config.json").exists()
 
+    @pytest.mark.parametrize("tie_map, message", [
+        ({"mi": ["cosine"], "MI": ["fvalue"]}, "config key 'tie_breaker_map' repeats 'MI'"),
+        ({"mi": ["fvalue", "FVALUE"]}, "config key 'tie_breaker_map' repeats 'FVALUE' for 'MI'"),
+    ], ids=["estimator", "tie-breaker"])
+    def test_repeated_tie_breaker_entries_exit_1(self, data_csv, tmp_path, capsys, tie_map, message):
+        config = {"datasets": [data_csv], "output_dir": str(tmp_path / "o"),
+                  "estimators": ["mi"], "algorithms": ["kgroups"], "k_range": [2, 2],
+                  "classifiers": ["knn"], "n_folds": 3, "tie_breaker_map": tie_map}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["benchmark", "--config", str(cfg_path)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "config.json").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("mi_bins", 2.5),
         ("k_neighbors", 2.5),

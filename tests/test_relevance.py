@@ -26,6 +26,8 @@ from ffsel.relevance import (
     GINI,
     MI,
     MI_PAIR,
+    _mutual_info_stack,
+    _pairwise_rows,
     discretize_columns,
     mutual_info_from_counts,
 )
@@ -161,6 +163,46 @@ class TestMutualInformation:
             for j in range(i + 1, 6):
                 assert (RedundancyCache(d, MI_PAIR).get(i, j)
                         == RedundancyCache(d, MI_PAIR).get(j, i))
+
+
+class TestMutualInfoStack:
+    """The batched kernel that scores many joint tables at once."""
+
+    def test_pairwise_rows_match_np_sum(self):
+        # The kernel copies NumPy's summation order; a NumPy release that
+        # changes it fails here first.
+        rng = np.random.default_rng(40)
+        for n in range(300):
+            t = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-6, 7, size=(3, n))
+            for row, total in zip(t, 0.0 + _pairwise_rows(t)):
+                assert total == np.sum(row), n
+
+    @pytest.mark.parametrize("ka", range(1, 13))
+    def test_stack_equals_scalar_bitwise(self, ka):
+        rng = np.random.default_rng(41 + ka)
+        for kb in range(1, 13):
+            stack = rng.integers(0, rng.integers(2, 50), size=(30, ka, kb))
+            # Sparse tables, so each shape has L nonzero cells from 0 to ka*kb.
+            stack[rng.random(stack.shape) < rng.random((30, 1, 1))] = 0
+            stack[0] = 0  # n = 0
+            stack[1, -1, :] = 0  # a zero row
+            stack[2, :, 0] = 0  # a zero column
+            got = _mutual_info_stack(stack)
+            assert got.shape == (30,)
+            for i, table in enumerate(stack):
+                assert got[i] == mutual_info_from_counts(table), (ka, kb, i)
+
+    def test_more_than_128_nonzero_cells(self):
+        # 10 codes x 15 classes, most cells filled: NumPy splits sums of
+        # more than 128 terms in two.
+        rng = np.random.default_rng(54)
+        stack = rng.integers(1, 4, size=(200, 10, 15))
+        stack[rng.random(stack.shape) < rng.random((200, 1, 1)) * 0.5] = 0
+        sizes = (stack > 0).sum(axis=(1, 2))
+        assert sizes.min() < 128 < sizes.max()
+        got = _mutual_info_stack(stack)
+        for i, table in enumerate(stack):
+            assert got[i] == mutual_info_from_counts(table), sizes[i]
 
 
 class TestFValue:
@@ -299,6 +341,25 @@ class TestRelevanceAll:
             x[:, 7] = 0.0
             x[:, 11] = np.round(x[:, 11])
             assert_matches_per_column_oracles(make_dataset(x, d.labels))
+
+    def test_fifteen_classes(self):
+        # 10 codes x 15 classes on 600 rows: some tables have more than 128
+        # nonzero cells.
+        rng = np.random.default_rng(36)
+        d = random_dataset(rng, 600, 30, n_classes=15)
+        cells = [np.unique(oracle_discretize(x, 10) * 15 + d.labels).size for x in d.features.T]
+        assert max(cells) > 128
+        assert_matches_per_column_oracles(d)
+
+    def test_mixed_code_counts_within_a_block(self):
+        # Columns of 1 to 9 distinct values beside continuous ones, in the
+        # same blocks, over more than two blocks of columns.
+        rng = np.random.default_rng(37)
+        d = random_dataset(rng, 80, 300, n_classes=3)
+        x = np.array(d.features)
+        for j in range(0, 300, 3):
+            x[:, j] = rng.integers(0, 1 + (j // 3) % 9, size=80)
+        assert_matches_per_column_oracles(make_dataset(x, d.labels))
 
     def test_fold_subset(self):
         rng = np.random.default_rng(34)

@@ -137,12 +137,19 @@ class TestSweepConfig:
         ("algorithms", ["kbest", "kgroups", "KBest"], "'KBEST'"),
         ("classifiers", ["knn", "gnb", "knn"], "'KNN'"),
         ("alpha_grid", [0.5, 1, 0.50], "0.5"),
-    ], ids=["estimators", "algorithms", "classifiers", "alpha_grid"])
+        ("tie_breaker_map", {"mi": ["fvalue", "FVALUE"]}, "'FVALUE' for 'MI'"),
+    ], ids=["estimators", "algorithms", "classifiers", "alpha_grid", "tie_breaker_map"])
     def test_repeated_entry_rejected(self, tmp_path, key, entries, repeat):
         cfg = SweepConfig.from_mapping({"datasets": ["a.csv"], "output_dir": str(tmp_path),
                                         key: entries})
         with pytest.raises(ValueError, match=f"config key '{key}' repeats {repeat}"):
             cfg.validate()
+
+    def test_tie_breaker_map_key_repeated_in_another_case_rejected(self, tmp_path):
+        raw = {"datasets": ["a.csv"], "output_dir": str(tmp_path),
+               "tie_breaker_map": {"mi": ["cosine"], "MI": ["fvalue"]}}
+        with pytest.raises(ValueError, match="config key 'tie_breaker_map' repeats 'MI'"):
+            SweepConfig.from_mapping(raw)
 
     @pytest.mark.parametrize("key, value", [
         ("k_range", 25),

@@ -1,6 +1,6 @@
 """Run each benchmark workload's sweep once and digest its records.
 
-    python3 tools/workload_digest.py [--seed N]
+    python3 tools/workload_digest.py [--seed N] [--check FILE]
 
 For every workload in ``perfbench/workloads.py`` it writes the workload's
 CSV with ``perfbench/synth.py`` at the seed (default 1), runs the
@@ -12,6 +12,10 @@ with selection inside each fold: synth 40x60 and 46x80 at the seed, as
 KNN, GNB and RF; alpha 0.5 and 1.3; k 2..7; 3 folds; sweep seed 2.  Two
 revisions whose sweeps differ only in timing print the same lines.  It
 reads ``perfbench/`` and changes nothing there.
+
+With ``--check FILE`` it also compares the lines with FILE's, by workload
+name, and exits 1 naming each line that differs.  ``tools/workload_digests.txt``
+holds the seed-1 lines; digests may differ under another BLAS or NumPy.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,20 +43,18 @@ def sweep_line(config) -> str:
     return f"{count} records sha256 {digest}"
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    args = parser.parse_args(argv)
+def digest_lines(seed: int) -> Iterator[str]:
+    """The line of each workload's sweep, then the per-fold line, at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w in workloads.WORKLOADS.values():
             csv = work / f"{w.dataset}.csv"
-            synth.write_csv(csv, synth.make_planted(w.n_rows, w.n_cols, args.seed))
-            print(f"{w.name}: {sweep_line(workloads.sweep_config(ffsel, w, csv, work / w.name))}")
+            synth.write_csv(csv, synth.make_planted(w.n_rows, w.n_cols, seed))
+            yield f"{w.name}: {sweep_line(workloads.sweep_config(ffsel, w, csv, work / w.name))}"
         paths = []
         for n_rows, n_cols in ((40, 60), (46, 80)):
             paths.append(work / f"d{n_rows}.csv")
-            synth.write_csv(paths[-1], synth.make_planted(n_rows, n_cols, args.seed))
+            synth.write_csv(paths[-1], synth.make_planted(n_rows, n_cols, seed))
         per_fold = ffsel.SweepConfig(
             datasets=tuple(map(str, paths)),
             output_dir=str(work / "per-fold"),
@@ -64,8 +67,37 @@ def main(argv: list[str]) -> int:
             seed=2,
             select_per_fold=True,
         )
-        print(f"per-fold: {sweep_line(per_fold)}")
-    return 0
+        yield f"per-fold: {sweep_line(per_fold)}"
+
+
+def by_name(lines) -> dict[str, str]:
+    """Digest lines keyed by the name before their first ": "."""
+    return {name: rest for name, _, rest in (line.partition(": ") for line in lines if line.strip())}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="exit 1, naming each line that differs from FILE's")
+    args = parser.parse_args(argv)
+    if args.check is not None:
+        try:
+            want = by_name(args.check.read_text(encoding="utf-8").splitlines())
+        except (OSError, UnicodeDecodeError) as exc:
+            parser.error(f"cannot read {args.check}: {exc}")
+    lines = []
+    for line in digest_lines(args.seed):
+        print(line, flush=True)
+        lines.append(line)
+    if args.check is None:
+        return 0
+    got = by_name(lines)
+    differ = [name for name in {**want, **got} if want.get(name) != got.get(name)]
+    for name in differ:
+        print(f"{name} differs: {args.check} has {want.get(name, 'no line')!r}, "
+              f"this run {got.get(name, 'no line')!r}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
