@@ -34,6 +34,7 @@ from ffsel import (
     select_mrmr,
     standard_scale,
 )
+from ffsel.cli import main
 from ffsel.relevance import MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
 
@@ -609,6 +610,80 @@ class TestReports:
         (row,) = n_selected_distributions(records)
         assert row["n_selected"] == [2, 5, 6]
         assert row["algorithm"] == KGROUPS
+
+    def test_report_and_plotdata_files_pinned(self, tmp_path, capsys):
+        kbest = dict(algorithm=KBEST, variant="", alpha=None)
+        mid = dict(algorithm=MRMR_D, variant="MID", alpha=None)
+        records = [
+            # KBEST ties at 0.9 on d1: k=3 under GNB, k=2 under KNN.
+            mk_record(**kbest, k=3, n_selected=3, cv_mean_accuracy=0.9, classifier="GNB"),
+            mk_record(**kbest, k=2, n_selected=2, cv_mean_accuracy=0.9),
+            mk_record(**kbest, k=2, n_selected=2, cv_mean_accuracy=0.75, classifier="GNB"),
+            # Two KGroups alphas tie at 0.95; the smaller alpha is reported.
+            mk_record(variant="alpha=1", alpha=1.0, k=2, n_selected=2, cv_mean_accuracy=0.95),
+            mk_record(variant="alpha=0.5", alpha=0.5, k=2, n_selected=3, cv_mean_accuracy=0.95),
+            mk_record(**mid, k=2, n_selected=2, cv_mean_accuracy=0.85, cv_sd=0.05),
+            mk_record(**kbest, dataset="d2", k=2, n_selected=2, cv_mean_accuracy=0.8),
+            mk_record(**mid, dataset="d2", k=2, n_selected=2, cv_mean_accuracy=0.8),
+            mk_record(**mid, dataset="d2", k=2, n_selected=2, cv_mean_accuracy=0.7, classifier="GNB"),
+        ]
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(r.as_dict()) + "\n" for r in records))
+        assert main(["report", "--records", str(path), "--out-dir", str(tmp_path / "t")]) == 0
+        assert main(["plotdata", "--records", str(path), "--out", str(tmp_path / "plot.json")]) == 0
+        capsys.readouterr()
+        tables = {
+            "best_overall": [
+                "dataset,estimator,algorithm,best_accuracy,cv_sd_across_folds,k,alpha,classifier,n_selected",
+                "d1,MI,KBEST,0.9,0.01,2,,KNN,2",
+                "d1,MI,KGROUPS,0.95,0.01,2,0.5,KNN,3",
+                "d1,MI,MID,0.85,0.05,2,,KNN,2",
+                "d2,MI,KBEST,0.8,0.01,2,,KNN,2",
+                "d2,MI,MID,0.8,0.01,2,,KNN,2",
+            ],
+            "per_classifier_best": [
+                "dataset,estimator,algorithm,classifier,best_accuracy,k,alpha,n_selected",
+                "d1,MI,KBEST,GNB,0.9,3,,3",
+                "d1,MI,KBEST,KNN,0.9,2,,2",
+                "d1,MI,KGROUPS,KNN,0.95,2,0.5,3",
+                "d1,MI,MID,KNN,0.85,2,,2",
+                "d2,MI,KBEST,KNN,0.8,2,,2",
+                "d2,MI,MID,GNB,0.7,2,,2",
+                "d2,MI,MID,KNN,0.8,2,,2",
+            ],
+            "per_classifier_summary": [
+                "dataset,estimator,algorithm,mean_best_accuracy,sd_across_classifiers,n_classifiers",
+                "d1,MI,KBEST,0.9,0.0,2",
+                "d1,MI,KGROUPS,0.95,0.0,1",
+                "d1,MI,MID,0.85,0.0,1",
+                "d2,MI,KBEST,0.8,0.0,1",
+                "d2,MI,MID,0.75,0.050000000000000044,2",
+            ],
+            "pairwise_wins": [
+                "estimator,algorithm_a,algorithm_b,wins_a,wins_b,draws",
+                "MI,KBEST,KGROUPS,0,1,0",
+                "MI,KBEST,MID,1,0,1",
+                "MI,KGROUPS,MID,1,0,0",
+            ],
+        }
+        assert sorted(p.name for p in (tmp_path / "t").iterdir()) == sorted(f"{t}.csv" for t in tables)
+        for name, lines in tables.items():
+            assert (tmp_path / "t" / f"{name}.csv").read_bytes() == "".join(f"{x}\r\n" for x in lines).encode()
+
+        def dist(dataset, label, clf, sizes):
+            return {"dataset": dataset, "estimator": "MI", "algorithm": label,
+                    "classifier": clf, "n_selected": sizes}
+
+        plot = [
+            dist("d1", KBEST, "GNB", [2, 3]),
+            dist("d1", KBEST, "KNN", [2]),
+            dist("d1", KGROUPS, "KNN", [3, 2]),  # k 2 at alpha 0.5, then at alpha 1
+            dist("d1", "MID", "KNN", [2]),
+            dist("d2", KBEST, "KNN", [2]),
+            dist("d2", "MID", "GNB", [2]),
+            dist("d2", "MID", "KNN", [2]),
+        ]
+        assert (tmp_path / "plot.json").read_text() == json.dumps(plot, indent=2) + "\n"
 
 
 class TestRecordDigest:
