@@ -40,14 +40,9 @@ from .classifiers import (
     knn_classify,
     rf_classify,
 )
-from .evaluate import BenchmarkRecord, accuracy, cross_validate
-from .sweep import (
-    SweepConfig,
-    algorithm_label,
-    best_config_report,
-    n_selected_distributions,
-    read_records,
-    run_sweep,
-)
+from .evaluate import accuracy, cross_validate
+from .records import BenchmarkRecord, read_records
+from .report import algorithm_label, best_config_report, n_selected_distributions
+from .sweep import SweepConfig, run_sweep
 
 __version__ = "0.1.0"

@@ -30,14 +30,9 @@ from .selectors import (
     select_kgroups,
     select_mrmr,
 )
-from .sweep import (
-    DEFAULT_TIE_BREAKERS,
-    SweepConfig,
-    best_config_report,
-    n_selected_distributions,
-    read_records,
-    run_sweep,
-)
+from .records import read_records
+from .report import best_config_report, n_selected_distributions
+from .sweep import DEFAULT_TIE_BREAKERS, SweepConfig, run_sweep
 
 __all__ = ["main"]
 
@@ -71,9 +66,11 @@ def _parse_tie_breakers(raw: str | None, estimator: str) -> tuple[str, ...]:
     if raw.lower() in ("", "none"):
         return ()
     names = tuple(part.upper() for part in _split(raw))
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ESTIMATORS:
             raise _UsageError(f"unknown tie-breaker estimator: {name!r}")
+        if name in names[:i]:
+            raise _UsageError(f"--tie-breakers repeats {name!r}")
     return names
 
 
@@ -203,9 +200,7 @@ def _cmd_benchmark(args) -> int:
         raise _UsageError(str(exc))
 
     stats: dict = {}
-    count = 0
-    for _ in run_sweep(config, stats):
-        count += 1
+    count = sum(1 for _ in run_sweep(config, stats))
     out = Path(config.output_dir) / "records.jsonl"
     print(
         f"wrote {count} new records to {out} "
@@ -332,14 +327,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
+    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except _UsageError as exc:

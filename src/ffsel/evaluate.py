@@ -1,8 +1,7 @@
-"""Cross-validated accuracy and benchmark records."""
+"""Cross-validated accuracy."""
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -11,21 +10,7 @@ from .classifiers import classify
 from .data import Dataset, FoldPlan, standardize
 from .forest import ForestParams
 
-__all__ = [
-    "accuracy",
-    "cross_validate",
-    "BenchmarkRecord",
-    "CELL_KEY_FIELDS",
-    "TIMING_FIELDS",
-]
-
-# Record fields excluded from determinism comparisons by design.
-TIMING_FIELDS = ("selection_cpu_seconds", "training_cpu_seconds")
-
-# Record fields that identify the sweep cell a record fills, in key order.
-CELL_KEY_FIELDS = (
-    "dataset", "algorithm", "variant", "estimator", "classifier", "k", "alpha", "seed"
-)
+__all__ = ["accuracy", "cross_validate"]
 
 
 def accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
@@ -99,48 +84,3 @@ def cross_validate(
         accs[f] = accuracy(preds, d.labels[test_rows])
     return float(accs.mean()), float(accs.std())
 
-
-@dataclasses.dataclass(frozen=True)
-class BenchmarkRecord:
-    """One benchmark cell: a selection configuration evaluated by one classifier."""
-
-    dataset: str
-    algorithm: str
-    variant: str
-    estimator: str
-    classifier: str
-    k: int
-    alpha: float | None
-    n_selected: int
-    cv_mean_accuracy: float
-    cv_sd: float
-    selection_cpu_seconds: float
-    training_cpu_seconds: float
-    seed: int
-    settings: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.cv_mean_accuracy <= 1.0:
-            raise ValueError(f"accuracy out of [0, 1]: {self.cv_mean_accuracy}")
-        if self.cv_sd < 0:
-            raise ValueError("cv_sd must be >= 0")
-        if self.n_selected < 1:
-            raise ValueError("n_selected must be >= 1")
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def comparable_dict(self) -> dict:
-        """Record content with timing fields stripped, for determinism checks."""
-        row = self.as_dict()
-        for f in TIMING_FIELDS:
-            row.pop(f)
-        return row
-
-    def cell_key(self) -> tuple:
-        """Identity of the sweep cell this record fills."""
-        return tuple(getattr(self, f) for f in CELL_KEY_FIELDS)
-
-    @classmethod
-    def from_dict(cls, row: dict) -> "BenchmarkRecord":
-        return cls(**row)

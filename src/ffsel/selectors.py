@@ -199,8 +199,8 @@ def compute_bins(rel: RelevanceVector, k: int, alpha: float) -> tuple[np.ndarray
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
     values = rel.values
     rel_min = float(values.min())
     rel_max = float(values.max())

@@ -9,27 +9,26 @@ and scores its subsets through `cross_validate`.  Relevance vectors are
 computed once per estimator (and fold), then shared across every k and
 alpha.  Each greedy mRMR variant runs once from cold to the largest pending
 k, and each k's record takes its first k picks, so a record's selection
-cost does not depend on which cells ran first.  An interrupted sweep
-resumes by skipping cells already present in the output.
+cost does not depend on which cells ran first.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import logging
 import math
 from pathlib import Path
 from time import thread_time
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .classifiers import CLASSIFIERS, GNB, KNN, RF
 from .data import DataError, Dataset, FoldPlan, _stem, load_csv, make_folds, standard_scale, standardize
-from .evaluate import CELL_KEY_FIELDS, BenchmarkRecord, cross_validate
+from .evaluate import cross_validate
 from .forest import ForestParams
+from .records import CELL_KEY_FIELDS, BenchmarkRecord, appending, read_for_resume
 from .relevance import (
     COSINE,
     DEFAULT_MI_BINS,
@@ -53,14 +52,7 @@ from .selectors import (
     select_mrmr,
 )
 
-__all__ = [
-    "SweepConfig",
-    "run_sweep",
-    "read_records",
-    "algorithm_label",
-    "best_config_report",
-    "n_selected_distributions",
-]
+__all__ = ["SweepConfig", "run_sweep"]
 
 log = logging.getLogger("ffsel.sweep")
 
@@ -240,43 +232,8 @@ class _Task:
 
     def cell(self, dataset: str, classifier: str, seed: int) -> dict:
         """Record fields naming this task's cell on a dataset for one classifier."""
-        return {
-            "dataset": dataset,
-            "algorithm": self.algorithm,
-            "variant": self.variant,
-            "estimator": self.estimator,
-            "classifier": classifier,
-            "k": self.k,
-            "alpha": self.alpha,
-            "seed": seed,
-        }
-
-
-class _NotJson(DataError):
-    """A records line that is not JSON; as the last line, a write cut short."""
-
-
-def _records_in(path: Path, data: bytes, first_line: int = 1) -> Iterator[BenchmarkRecord]:
-    """Records of JSON-lines bytes read from `path`, lines numbered from
-    `first_line`; DataError, naming the file and line, on a line that is not
-    blank and holds no record.
-    """
-    for n, raw in enumerate(data.split(b"\n"), first_line):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} line {n} is not UTF-8 text: {exc}") from None
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _NotJson(f"{path} line {n} is not valid JSON: {exc}") from None
-        try:
-            rec = BenchmarkRecord.from_dict(row)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path} line {n} is not a benchmark record: {exc}") from None
-        yield rec
+        values = (dataset, self.algorithm, self.variant, self.estimator, classifier, self.k, self.alpha, seed)
+        return dict(zip(CELL_KEY_FIELDS, values))
 
 
 def _subset_dataset(d: Dataset, rows: np.ndarray, features: np.ndarray, tag: str) -> Dataset:
@@ -436,11 +393,6 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     `stats`, when given, is filled with counters (cells skipped and run).
     A dataset that cannot be loaded stops the sweep before anything is
     written, with load_csv's DataError or OSError.
-
-    Every newline-terminated line of an existing records file must be a
-    record (DataError otherwise).  Bytes after the last newline that are not
-    JSON are a write cut short and are dropped with a warning; a whole
-    record there is kept and ended with a newline.
     """
     config.validate()
     if stats is None:
@@ -450,20 +402,8 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
 
     out_dir = Path(config.output_dir)
     records_path = out_dir / "records.jsonl"
-    existing: dict[tuple, dict] = {}
-    tail = b""  # bytes after the last newline
-    cut = None  # where the tail starts, when it is a torn write to drop
-    if records_path.exists():
-        data = records_path.read_bytes()
-        start = data.rfind(b"\n") + 1
-        tail = data[start:]
-        stored = list(_records_in(records_path, data[:start]))
-        try:
-            stored += _records_in(records_path, tail, data.count(b"\n") + 1)
-        except _NotJson:
-            log.warning("dropping the unfinished last line of %s (interrupted write?)", records_path)
-            cut = start
-        existing = {r.cell_key(): r.settings for r in stored}
+    previous, keep = read_for_resume(records_path)
+    existing = {r.cell_key(): r.settings for r in previous}
 
     datasets: list[Dataset] = []
     for path in config.datasets:
@@ -491,7 +431,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
             todo = []
             for clf in config.classifiers:
                 cell = task.cell(d.name, clf, config.seed)
-                stored = existing.get(tuple(cell[f] for f in CELL_KEY_FIELDS))
+                stored = existing.get(tuple(cell.values()))
                 if stored is None:
                     todo.append(clf)
                 elif stored != settings:
@@ -522,158 +462,10 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     forest = ForestParams(seed=config.seed)
-    with records_path.open("a", encoding="utf-8") as sink:
-        if cut is not None:
-            sink.truncate(cut)
-        elif tail:
-            sink.write("\n")
+    with appending(records_path, keep) as append:
         for d, folds, pending in plans:
             for batch in _run_dataset(config, d, folds, pending, forest):
-                for rec in batch:
-                    sink.write(json.dumps(rec.as_dict(), separators=(",", ":")) + "\n")
-                sink.flush()
+                append(batch)
                 stats["cells_run"] += len(batch)
                 yield from batch
 
-
-def read_records(path: str | Path) -> list[BenchmarkRecord]:
-    """Load benchmark records from a JSON-lines file.
-
-    Raises DataError, naming the file and line, on a line that is not a record.
-    """
-    path = Path(path)
-    return list(_records_in(path, path.read_bytes()))
-
-
-def algorithm_label(rec: BenchmarkRecord) -> str:
-    """Table label: named greedy variants keep their short name."""
-    if rec.algorithm in (MRMR_D, MRMR_Q) and rec.variant:
-        return rec.variant
-    return rec.algorithm
-
-
-def _alpha_key(alpha: float | None) -> float:
-    return -1.0 if alpha is None else alpha
-
-
-def _pick_best(cells: Sequence[BenchmarkRecord]) -> BenchmarkRecord:
-    # Best accuracy; ties resolved toward the smallest k, then smallest
-    # alpha, then classifier name, so reports are reproducible.
-    return min(
-        cells,
-        key=lambda r: (-r.cv_mean_accuracy, r.k, _alpha_key(r.alpha), r.classifier),
-    )
-
-
-def _by_classifier(records: Iterable[BenchmarkRecord]) -> dict[tuple[str, str, str, str], list[BenchmarkRecord]]:
-    """Records grouped by (dataset, estimator, algorithm label, classifier), in key order."""
-    groups: dict[tuple[str, str, str, str], list[BenchmarkRecord]] = {}
-    for rec in records:
-        key = (rec.dataset, rec.estimator, algorithm_label(rec), rec.classifier)
-        groups.setdefault(key, []).append(rec)
-    return {key: groups[key] for key in sorted(groups)}
-
-
-def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dict]]:
-    """Aggregate records into best-configuration and win/draw tables.
-
-    Accuracies are compared for wins and draws after rounding to two
-    decimals of percent.  Among equal-accuracy cells the smallest k (then
-    smallest alpha) is reported.
-    """
-    groups = _by_classifier(records)
-    if not groups:
-        raise ValueError("no records to report on")
-
-    per_classifier_best = []
-    bests: dict[tuple[str, str, str], list[BenchmarkRecord]] = {}  # one per classifier
-    for (dataset, estimator, label, clf), cells in groups.items():
-        best = _pick_best(cells)
-        bests.setdefault((dataset, estimator, label), []).append(best)
-        per_classifier_best.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "classifier": clf,
-                "best_accuracy": best.cv_mean_accuracy,
-                "k": best.k,
-                "alpha": best.alpha,
-                "n_selected": best.n_selected,
-            }
-        )
-
-    best_overall = []
-    per_classifier_summary = []
-    for (dataset, estimator, label), clf_bests in bests.items():
-        best = _pick_best(clf_bests)
-        best_overall.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "best_accuracy": best.cv_mean_accuracy,
-                "cv_sd_across_folds": best.cv_sd,
-                "k": best.k,
-                "alpha": best.alpha,
-                "classifier": best.classifier,
-                "n_selected": best.n_selected,
-            }
-        )
-        arr = np.asarray([r.cv_mean_accuracy for r in clf_bests])
-        per_classifier_summary.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "mean_best_accuracy": float(arr.mean()),
-                "sd_across_classifiers": float(arr.std()),
-                "n_classifiers": int(arr.size),
-            }
-        )
-
-    # Win/draw tallies between algorithm labels sharing an estimator, over
-    # the datasets both labels have records on.
-    rounded: dict[str, dict[str, dict[str, float]]] = {}  # estimator -> label -> dataset
-    for row in best_overall:
-        by_dataset = rounded.setdefault(row["estimator"], {}).setdefault(row["algorithm"], {})
-        by_dataset[row["dataset"]] = round(100 * row["best_accuracy"], 2)
-    pairwise = []
-    for estimator, by_label in sorted(rounded.items()):
-        for a, b in itertools.combinations(sorted(by_label), 2):
-            shared = by_label[a].keys() & by_label[b].keys()
-            wins_a = sum(by_label[a][ds] > by_label[b][ds] for ds in shared)
-            wins_b = sum(by_label[a][ds] < by_label[b][ds] for ds in shared)
-            pairwise.append(
-                {
-                    "estimator": estimator,
-                    "algorithm_a": a,
-                    "algorithm_b": b,
-                    "wins_a": wins_a,
-                    "wins_b": wins_b,
-                    "draws": len(shared) - wins_a - wins_b,
-                }
-            )
-
-    return {
-        "best_overall": best_overall,
-        "per_classifier_best": per_classifier_best,
-        "per_classifier_summary": per_classifier_summary,
-        "pairwise_wins": pairwise,
-    }
-
-
-def n_selected_distributions(records: Iterable[BenchmarkRecord]) -> list[dict]:
-    """Boxplot-ready n_selected distributions per classifier and algorithm."""
-    return [
-        {
-            "dataset": dataset,
-            "estimator": estimator,
-            "algorithm": label,
-            "classifier": clf,
-            "n_selected": [
-                r.n_selected for r in sorted(cells, key=lambda r: (r.k, _alpha_key(r.alpha)))
-            ],
-        }
-        for (dataset, estimator, label, clf), cells in _by_classifier(records).items()
-    ]

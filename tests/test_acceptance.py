@@ -27,7 +27,7 @@ from ffsel import (
     select_mrmr,
     standard_scale,
 )
-from ffsel.evaluate import TIMING_FIELDS
+from ffsel.records import TIMING_FIELDS
 from ffsel.forest import ForestParams
 from ffsel.relevance import ABS_PEARSON, FVALUE, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, QUOTIENT

@@ -219,6 +219,23 @@ class TestSelect:
         capsys.readouterr()
         assert code == EXIT_USAGE
 
+    def test_repeated_tie_breaker_exits_1(self, data_csv, capsys):
+        code = main(["select", "--data", data_csv, "--algo", "kgroups",
+                     "--estimator", "mi", "--k", "2",
+                     "--tie-breakers", "mi,cosine,MI"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "--tie-breakers repeats 'MI'" in captured.err
+
+    def test_infinite_alpha_exits_1(self, data_csv, capsys):
+        code = main(["select", "--data", data_csv, "--algo", "kgroups",
+                     "--estimator", "mi", "--k", "2", "--alpha", "inf"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "alpha must be > 0 and finite, got inf" in captured.err
+
 
 class TestBenchmark:
     """`benchmark` drives the sweep from a config file plus overrides."""

@@ -12,7 +12,7 @@ from ffsel import (
     standard_scale,
 )
 from ffsel.classifiers import GNB, KNN, RF, classify
-from ffsel.evaluate import TIMING_FIELDS
+from ffsel.records import TIMING_FIELDS, appending, read_records
 
 
 class TestAccuracy:
@@ -144,10 +144,12 @@ class TestBenchmarkRecord:
         base.update(over)
         return BenchmarkRecord(**base)
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rec = self.record()
-        again = BenchmarkRecord.from_dict(rec.as_dict())
-        assert again == rec
+        path = tmp_path / "records.jsonl"
+        with appending(path, 0) as append:
+            append([rec])
+        assert read_records(path) == [rec]
 
     def test_comparable_dict_drops_timing(self):
         rec = self.record()

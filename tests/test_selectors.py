@@ -118,6 +118,8 @@ class TestComputeBins:
             compute_bins(rel_vec([0.1, 0.9]), 2, 0.0)
         with pytest.raises(ValueError):
             compute_bins(rel_vec([0.1, 0.9]), 2, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            compute_bins(rel_vec([0.1, 0.9]), 2, float("inf"))
 
 
 class TestSelectMrmr:
