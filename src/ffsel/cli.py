@@ -31,7 +31,7 @@ from .selectors import (
     select_mrmr,
 )
 from .records import read_records
-from .report import best_config_report, n_selected_distributions
+from .report import REPORT_COLUMNS, best_config_report, n_selected_distributions
 from .sweep import DEFAULT_TIE_BREAKERS, SweepConfig, run_sweep
 
 __all__ = ["main"]
@@ -82,11 +82,9 @@ def _write_json(obj, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(rows: list[dict], path: Path) -> None:
+def _write_csv(rows: list[dict], columns: tuple[str, ...], path: Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as f:
-        if not rows:
-            return
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -223,7 +221,7 @@ def _cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in tables.items():
         target = out_dir / f"{name}.csv"
-        _write_csv(rows, target)
+        _write_csv(rows, REPORT_COLUMNS[name], target)
         print(f"wrote {target}")
     return EXIT_OK
 

@@ -124,11 +124,16 @@ def mutual_info_from_counts(joint: np.ndarray) -> float:
     return max(mi, 0.0)
 
 
-def _joint_counts(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    ka = int(codes_a.max()) + 1
-    kb = int(codes_b.max()) + 1
-    flat = np.bincount(codes_a * kb + codes_b, minlength=ka * kb)
-    return flat.reshape(ka, kb)
+def _joint_tables(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> np.ndarray:
+    """Joint count tables of paired code rows, as an (m, ka, kb) stack.
+
+    ``a`` and ``b`` are (m, n) blocks of codes below ``ka`` and ``kb``, or
+    one row of n codes paired with every row of the other; one ``bincount``
+    over (table, a code, b code) counts all m tables.
+    """
+    m = np.broadcast_shapes(a.shape, b.shape)[0]
+    flat = (np.arange(m)[:, None] * ka + a) * kb + b
+    return np.bincount(flat.ravel(), minlength=m * ka * kb).reshape(m, ka, kb)
 
 
 def _pairwise_rows(t: np.ndarray) -> np.ndarray:
@@ -202,9 +207,7 @@ def _label_mi(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
         joint = np.empty((cols.size, k, kb), dtype=np.int64)
         for lo in range(0, cols.size, _BLOCK):
             block = rows[cols[lo : lo + _BLOCK]]
-            flat = (np.arange(len(block))[:, None] * k + block) * kb + labels
-            counts = np.bincount(flat.ravel(), minlength=len(block) * k * kb)
-            joint[lo : lo + len(block)] = counts.reshape(-1, k, kb)
+            joint[lo : lo + len(block)] = _joint_tables(block, k, labels, kb)
         values[cols] = _mutual_info_stack(joint)
     return values
 
@@ -276,12 +279,16 @@ def relevance_all(
 
 
 class RedundancyCache:
-    """Pairwise redundancy values for one dataset, each computed when asked for.
+    """Pairwise redundancy values for one dataset, computed against one
+    column for many candidates at once.
 
-    MI pair lookups read codes from one discretization of the whole matrix;
-    Pearson lookups read centered columns and their norms, prepared once.
-    Each value reduces its two columns in the same order as a lone pair
-    of columns would, so it is bit-identical to a per-pair computation.
+    MI values read codes from one discretization of the whole matrix and
+    score each table as oriented (lower index, higher index).  Pearson
+    values read centered columns and their norms, prepared once: for
+    centered columns a and b, |sum(a * b)| / (sqrt(sum(a * a)) * sqrt(sum(b * b))),
+    capped at 1 and 0.0 when either column is constant.  Each sum runs
+    over one contiguous row in ``np.sum``'s order, so every value is
+    bit-identical to the same formula on a lone pair of columns.
     """
 
     def __init__(self, d: Dataset, measure: str, mi_bins: int = DEFAULT_MI_BINS):
@@ -291,24 +298,54 @@ class RedundancyCache:
         self._computed = 0
         if measure == MI_PAIR:
             self._codes = discretize_columns(d.features, mi_bins).T
+            self._levels = self._codes.max(axis=1) + 1
         else:
-            # One contiguous row per column: row means and dot products then
-            # sum in the same order as on a lone column.
+            # One contiguous row per column: row means and sums then reduce
+            # in the same order as on a lone column.
             self._centered = np.array(d.features.T, dtype=np.float64, order="C")
             self._centered -= self._centered.mean(axis=1, keepdims=True)
-            self._norms = [float(np.linalg.norm(row)) for row in self._centered]
+            self._norms = np.sqrt(np.square(self._centered).sum(axis=1))
+
+    def against(self, newest: int, candidates: np.ndarray) -> np.ndarray:
+        """Redundancy of each candidate column with column ``newest``.
+
+        Candidates are scored in chunks of ``_BLOCK``; MI tables are
+        counted and scored together by shape.
+        """
+        candidates = np.asarray(candidates, dtype=np.intp)
+        if (candidates == newest).any():
+            raise ValueError("redundancy is defined for distinct columns only")
+        self._computed += candidates.size
+        values = np.empty(candidates.size)
+        if self.measure == MI_PAIR:
+            codes, levels = self._codes, self._levels
+            # Each table is oriented (lower index, higher index); one group
+            # per table shape.
+            above = candidates > newest
+            lower = np.where(above, newest, candidates)
+            higher = np.where(above, candidates, newest)
+            radix = int(levels.max()) + 1
+            shape = levels[lower] * radix + levels[higher]
+            for key in np.unique(shape):
+                ka, kb = divmod(int(key), radix)
+                rows = np.flatnonzero(shape == key)
+                for lo in range(0, rows.size, _BLOCK):
+                    chunk = rows[lo : lo + _BLOCK]
+                    joint = _joint_tables(codes[lower[chunk]], ka, codes[higher[chunk]], kb)
+                    values[chunk] = _mutual_info_stack(joint)
+            return values
+        centered, norms = self._centered, self._norms
+        for lo in range(0, candidates.size, _BLOCK):
+            chunk = candidates[lo : lo + _BLOCK]
+            dots = np.abs((centered[chunk] * centered[newest]).sum(axis=1))
+            denom = norms[chunk] * norms[newest]
+            ratio = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
+            values[lo : lo + _BLOCK] = np.minimum(ratio, 1.0)
+        return values
 
     def get(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("redundancy is defined for distinct columns only")
-        a, b = (i, j) if i < j else (j, i)
-        self._computed += 1
-        if self.measure == MI_PAIR:
-            return mutual_info_from_counts(_joint_counts(self._codes[a], self._codes[b]))
-        denom = self._norms[a] * self._norms[b]
-        if denom == 0.0:
-            return 0.0
-        return min(abs(float(np.dot(self._centered[a], self._centered[b]))) / denom, 1.0)
+        """Redundancy of the pair (i, j), symmetric in the pair."""
+        return float(self.against(j, np.array([i]))[0])
 
     def __len__(self) -> int:
         """Pair values computed so far."""

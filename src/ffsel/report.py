@@ -10,7 +10,23 @@ import numpy as np
 from .records import BenchmarkRecord
 from .selectors import MRMR_D, MRMR_Q
 
-__all__ = ["algorithm_label", "best_config_report", "n_selected_distributions"]
+__all__ = ["REPORT_COLUMNS", "algorithm_label", "best_config_report", "n_selected_distributions"]
+
+# The columns of each `best_config_report` table, in row-key order; a CSV
+# of a table with no rows still carries this header.
+REPORT_COLUMNS: dict[str, tuple[str, ...]] = {
+    "best_overall": (
+        "dataset", "estimator", "algorithm", "best_accuracy", "cv_sd_across_folds",
+        "k", "alpha", "classifier", "n_selected",
+    ),
+    "per_classifier_best": (
+        "dataset", "estimator", "algorithm", "classifier", "best_accuracy", "k", "alpha", "n_selected",
+    ),
+    "per_classifier_summary": (
+        "dataset", "estimator", "algorithm", "mean_best_accuracy", "sd_across_classifiers", "n_classifiers",
+    ),
+    "pairwise_wins": ("estimator", "algorithm_a", "algorithm_b", "wins_a", "wins_b", "draws"),
+}
 
 
 def algorithm_label(rec: BenchmarkRecord) -> str:

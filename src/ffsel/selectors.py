@@ -167,8 +167,7 @@ def select_mrmr(
     while len(selected) < k:
         newest = selected[-1]
         candidates = np.flatnonzero(available)
-        for c in candidates:
-            red_sum[c] += cache.get(int(c), newest)
+        red_sum[candidates] += cache.against(newest, candidates)
         red = red_sum / len(selected) if mean_normalized else red_sum
         if form == DIFFERENCE:
             scores = values - beta * red

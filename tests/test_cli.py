@@ -587,6 +587,18 @@ class TestReportAndPlotdata:
         header = (out_dir / "best_overall.csv").read_text().splitlines()[0]
         assert "best_accuracy" in header
 
+    def test_empty_table_keeps_its_header(self, data_csv, tmp_path, capsys):
+        # One label per estimator: no pair of labels to tally wins between.
+        main(["benchmark", "--datasets", data_csv, "--output-dir", str(tmp_path / "out"),
+              "--estimators", "mi", "--algorithms", "kbest",
+              "--k-min", "2", "--k-max", "2", "--classifiers", "gnb", "--n-folds", "3"])
+        code = main(["report", "--records", str(tmp_path / "out" / "records.jsonl"),
+                     "--out-dir", str(tmp_path / "tables")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert ((tmp_path / "tables" / "pairwise_wins.csv").read_bytes()
+                == b"estimator,algorithm_a,algorithm_b,wins_a,wins_b,draws\r\n")
+
     def test_plotdata_json(self, records_file, capsys):
         code = main(["plotdata", "--records", records_file])
         assert code == EXIT_OK

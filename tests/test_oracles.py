@@ -10,8 +10,10 @@ import oracles
 from conftest import make_dataset, random_dataset
 from oracles import oracle_kbest, oracle_kgroups, oracle_mrmr
 from ffsel import (
+    MRMR_VARIANTS,
     ForestParams,
     RelevanceVector,
+    relevance_all,
     select_kbest,
     select_kgroups,
     select_mrmr,
@@ -106,6 +108,23 @@ class TestMrmrOracle:
                                redundancy=redundancy, beta=beta,
                                mean_normalized=mean_norm)
             assert fast.selected == slow.selected
+
+    def test_every_named_variant(self):
+        # Few-valued and duplicated columns beside continuous ones.
+        rng = np.random.default_rng(74)
+        d = random_dataset(rng, 40, 30, n_classes=3)
+        x = np.array(d.features)
+        for j in range(0, 30, 4):
+            x[:, j] = rng.integers(0, 2 + j % 5, size=40)
+        x[:, 5] = x[:, 2]
+        x[:, 9] = -x[:, 2]
+        d = make_dataset(x, d.labels)
+        for name, (estimator, form, redundancy, mean_norm) in MRMR_VARIANTS.items():
+            rel = relevance_all(d, estimator, forest=ForestParams(n_trees=5, seed=0))
+            fast = select_mrmr(d, rel, 10, form, redundancy, mean_normalized=mean_norm)
+            slow = oracle_mrmr(d, rel, 10, form=form, redundancy=redundancy,
+                               mean_normalized=mean_norm)
+            assert fast.selected == slow.selected, name
 
     def test_k_equals_n_cols_permutation(self):
         rng = np.random.default_rng(72)

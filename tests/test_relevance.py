@@ -8,7 +8,6 @@ import pytest
 
 from conftest import make_dataset, random_dataset
 from ffsel import ForestParams, RedundancyCache, relevance_all
-from ffsel.sweep import _subset_dataset
 from oracles import (
     oracle_abs_pearson,
     oracle_cosine,
@@ -365,7 +364,7 @@ class TestRelevanceAll:
         rng = np.random.default_rng(34)
         d = random_dataset(rng, 45, 30, n_classes=3)
         rows = np.flatnonzero(np.arange(45) % 5 != 2)
-        sub = _subset_dataset(d, rows, d.features[rows], "#fold2")
+        sub = dataclasses.replace(d, features=d.features[rows], labels=d.labels[rows])
         assert_matches_per_column_oracles(sub)
 
     def test_noncontiguous_column_subset(self):
@@ -446,6 +445,33 @@ class TestRedundancy:
                         assert cache.get(i, j) == fn(min(i, j), max(i, j))
             assert len(cache) == 30  # every lookup computes its value
 
+    @pytest.mark.parametrize("measure", [MI_PAIR, ABS_PEARSON])
+    def test_batched_values_equal_pair_lookups(self, measure):
+        # Candidates on both sides of the newest pick and across chunks of
+        # 128; column 0 is constant and every third column has 1 to 9
+        # distinct values, so MI table shapes vary within one call.
+        rng = np.random.default_rng(38)
+        d = random_dataset(rng, 40, 300, n_classes=3)
+        x = np.array(d.features)
+        for j in range(0, 300, 3):
+            x[:, j] = rng.integers(0, 1 + (j // 3) % 9, size=40)
+        d = make_dataset(x, d.labels)
+        codes = [oracle_discretize(d.features[:, c], 10) for c in range(300)]
+        newest = 151
+        candidates = np.delete(np.arange(300), newest)
+        cache = RedundancyCache(d, measure)
+        got = cache.against(newest, candidates)
+        assert len(cache) == candidates.size
+        for c, value in zip(candidates, got):
+            assert value == RedundancyCache(d, measure).get(int(c), newest), c
+            lo, hi = min(c, newest), max(c, newest)
+            if measure == MI_PAIR:
+                assert value == oracle_mi_of_codes(codes[lo], codes[hi]), c
+            else:
+                assert value == oracle_abs_pearson(d.features[:, lo], d.features[:, hi]), c
+        if measure == ABS_PEARSON:
+            assert got[0] == 0.0  # the constant column
+
     def test_cache_symmetric_lookup(self):
         rng = np.random.default_rng(30)
         d = random_dataset(rng, 15, 3)
@@ -462,6 +488,9 @@ class TestRedundancy:
             RedundancyCache(d, MI_PAIR).get(2, 2)
         with pytest.raises(ValueError):
             RedundancyCache(d, ABS_PEARSON).get(1, 1)
+        for measure in (MI_PAIR, ABS_PEARSON):
+            with pytest.raises(ValueError):
+                RedundancyCache(d, measure).against(2, np.array([0, 2, 1]))
 
     def test_measure_mismatch_rejected(self):
         rng = np.random.default_rng(32)

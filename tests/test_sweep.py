@@ -478,18 +478,18 @@ class TestSelectionCost:
         # With a clock that reads the number of redundancy pairs computed so
         # far, costs are exact counts that machine load cannot move.
         computed = [0]
-        get = RedundancyCache.get
+        against = RedundancyCache.against
 
-        def counting_get(cache, i, j):
+        def counting_against(cache, newest, candidates):
             before = len(cache)
-            value = get(cache, i, j)
+            values = against(cache, newest, candidates)
             computed[0] += len(cache) - before
-            return value
+            return values
 
         def pair_clock():
             return float(computed[0])
 
-        monkeypatch.setattr(RedundancyCache, "get", counting_get)
+        monkeypatch.setattr(RedundancyCache, "against", counting_against)
         monkeypatch.setattr(ffsel.selectors, "thread_time", pair_clock)
         monkeypatch.setattr(ffsel.sweep, "thread_time", pair_clock)
         csv = blob_csv(tmp_path, name="wide.csv", n_cols=8)
