@@ -6,9 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import classify
+from .classifiers import RF, classify
 from .data import Dataset, FoldPlan, standardize
-from .forest import ForestParams
+from .forest import ForestParams, fit_forests
 
 __all__ = ["accuracy", "cross_validate"]
 
@@ -53,7 +53,9 @@ def cross_validate(
     fold (features selected inside each fold's training rows).  Each fold
     trains on the out-of-fold rows restricted to its subset's columns and
     predicts the in-fold rows.  A class missing from a fold's training rows
-    is allowed; it simply cannot be predicted there.
+    is allowed; it simply cannot be predicted there.  The folds' random
+    forests grow in one lockstep fit (`fit_forests`), each fold with its
+    own trees, equal to a lone fit on its training rows.
     """
     subsets = list(selected)
     if subsets and np.ndim(subsets[0]) > 0:
@@ -64,23 +66,19 @@ def cross_validate(
         columns = [_columns(d, subsets)] * folds.n_folds
     if folds.assignments.shape[0] != d.n_rows:
         raise ValueError("fold plan does not cover this dataset")
-    accs = np.empty(folds.n_folds, dtype=np.float64)
+    blocks = []  # (train_x, train_y, test_x) per fold
     for f, sel in enumerate(columns):
-        test_rows = folds.fold_rows(f)
         train_rows = folds.train_rows(f)
         train_x = d.features[np.ix_(train_rows, sel)]
-        test_x = d.features[np.ix_(test_rows, sel)]
+        test_x = d.features[np.ix_(folds.fold_rows(f), sel)]
         if scale_per_fold:
             train_x, test_x = standardize(train_x, test_x)
-        preds = classify(
-            classifier,
-            train_x,
-            d.labels[train_rows],
-            test_x,
-            n_classes=d.n_classes,
-            k_neighbors=k_neighbors,
-            forest=forest,
-        )
-        accs[f] = accuracy(preds, d.labels[test_rows])
+        blocks.append((train_x, d.labels[train_rows], test_x))
+    if classifier == RF:
+        params = forest if forest is not None else ForestParams()
+        forests = fit_forests(params, d.n_classes, [b[:2] for b in blocks])
+        preds = [m.predict(b[2]) for m, b in zip(forests, blocks)]
+    else:
+        preds = [classify(classifier, *b, n_classes=d.n_classes, k_neighbors=k_neighbors) for b in blocks]
+    accs = np.array([accuracy(p, d.labels[folds.fold_rows(f)]) for f, p in enumerate(preds)])
     return float(accs.mean()), float(accs.std())
-

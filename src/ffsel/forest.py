@@ -9,11 +9,11 @@ fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["ForestParams", "RandomForest"]
+__all__ = ["ForestParams", "RandomForest", "fit_forests"]
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,15 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
 class _Growth:
     """One tree while the forest grows: its generator, DFS stack and nodes.
 
-    A stack entry is (node, rows, class counts, impurity).  With one
-    candidate per node, ``draws`` yields the tree's candidate draws, made
-    in one call after the bootstrap draw; otherwise it is None.
+    A stack entry is (node, rows, class counts, impurity); rows index the
+    shared row space of the growth.  With one candidate per node, ``draws``
+    yields the tree's candidate draws, made in one call after the bootstrap
+    draw; otherwise it is None.  ``n_rows`` is the size of the tree's own
+    training block, which weighs its importance terms.
     """
 
-    def __init__(self, rng, draws, sample, counts, gini):
-        self.rng, self.draws = rng, draws
+    def __init__(self, rng, draws, sample, n_rows, counts, gini):
+        self.rng, self.draws, self.n_rows = rng, draws, n_rows
         self.stack = [(0, sample, counts, gini)]
         self.feature, self.threshold = [-1], [0.0]
         self.left, self.right = [0], [0]
@@ -155,7 +157,7 @@ class _Growth:
         return _Tree(*map(np.array, (self.feature, self.threshold, self.left, self.right, self.leaf_class)))
 
 
-def _split_chunk(X, onehot, chunk, n_rows):
+def _split_chunk(X, onehot, chunk):
     """Search a chunk of (growth, node, rows, class counts, impurity,
     candidates) and split every node with a positive gain."""
     growths, nodes, node_rows, counts, node_gini, candidates = zip(*chunk)
@@ -172,7 +174,7 @@ def _split_chunk(X, onehot, chunk, n_rows):
     gini_r = _impurity(counts_r, sizes - n_left).tolist()
     class_l, class_r = counts_l.argmax(axis=1).tolist(), counts_r.argmax(axis=1).tolist()
     feature = candidates[np.arange(len(chunk)), j].tolist()
-    term = (sizes / n_rows * gain).tolist()
+    term = (sizes / np.array([g.n_rows for g in growths]) * gain).tolist()
     split, n_left = split.tolist(), n_left.tolist()
     for k in np.flatnonzero(gain > 0.0).tolist():
         m = n_left[k]
@@ -181,6 +183,128 @@ def _split_chunk(X, onehot, chunk, n_rows):
             (win[k, :m], counts_l[k], gini_l[k], class_l[k]),
             (win[k, m : sizes[k]], counts_r[k], gini_r[k], class_r[k]),
         )
+
+
+def _checked(X, y, n_classes):
+    """One training block as (float64 X, int64 y), or a ValueError naming its fault."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or y.ndim != 1:
+        raise ValueError(f"need a 2-D X and 1-D y, got {X.ndim}-D and {y.ndim}-D")
+    n_rows, n_cols = X.shape
+    if y.shape[0] != n_rows:
+        raise ValueError(f"X has {n_rows} rows but y has {y.shape[0]} labels")
+    if n_rows == 0 or n_cols == 0:
+        raise ValueError(f"cannot fit a forest on {n_rows} rows and {n_cols} columns")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds NaN or infinite values")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes}), got {y.min()}..{y.max()}")
+    return X, y
+
+
+def _tree_draws(seed, n_rows, n_cols, max_features, bootstrap):
+    """A tree's generator, bootstrap sample and, with one candidate per
+    node, its candidate draws (else None), drawn up front."""
+    rng = np.random.default_rng(seed)
+    sample = rng.integers(0, n_rows, size=n_rows) if bootstrap else np.arange(n_rows)
+    draws = None
+    if max_features == 1 < n_cols:
+        # Equals one rng.choice(n_cols, size=1, replace=False) per
+        # searched node; a tree on n rows has at most 2n - 1 nodes.
+        draws = rng.integers(0, n_cols, size=2 * n_rows - 1).tolist()
+    return rng, sample, draws
+
+
+def _grow(forests, blocks):
+    """Grow ``forests[b]`` on training block ``blocks[b]``, all in lockstep.
+
+    The forests share one ``ForestParams`` and ``n_classes``.  Blocks with
+    one column count grow together: their rows are stacked into one row
+    space, each tree's sample indices are offset into it, and one class
+    indicator serves them all.  Tree t of every block draws from spawned
+    seed t, and each tree keeps its own draws and depth-first stack (right
+    child first), so it grows exactly as it would alone.
+
+    Each step pops from every tree the next node that may split, draws its
+    candidates, and scores all popped nodes in a few chunked split
+    searches.  A growth takes about as many steps as its largest tree has
+    internal nodes.  Importances add each split's term in (tree, DFS)
+    order, the order a tree-by-tree fit would.
+    """
+    params, n_classes = forests[0].params, forests[0].n_classes
+    blocks = [_checked(X, y, n_classes) for X, y in blocks]
+    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
+    for n_cols in dict.fromkeys(X.shape[1] for X, _ in blocks):
+        group = [b for b, (X, _) in enumerate(blocks) if X.shape[1] == n_cols]
+        # A lone block is its own row space; stacking would only copy it.
+        X = np.concatenate([blocks[b][0] for b in group]) if len(group) > 1 else blocks[group[0]][0]
+        y = np.concatenate([blocks[b][1] for b in group])
+        onehot = y[:, None] == np.arange(n_classes)
+        max_features = params.resolve_max_features(n_cols)
+        # Only rng.choice reads a generator after its up-front draws; without
+        # it, blocks of one row count share those draws.
+        reread = 1 < max_features < n_cols
+        drawn = {}
+        roots = []  # (rng, draws, sample, n_rows), block by block
+        offset = 0
+        for b in group:
+            n_rows = len(blocks[b][1])
+            if reread or n_rows not in drawn:
+                drawn[n_rows] = [
+                    _tree_draws(seed, n_rows, n_cols, max_features, params.bootstrap) for seed in seeds
+                ]
+            for rng, sample, draws in drawn[n_rows]:
+                roots.append((rng, None if draws is None else iter(draws), sample + offset, n_rows))
+            offset += n_rows
+        sizes = np.array([r[3] for r in roots])
+        tree = np.repeat(np.arange(len(roots)), sizes)
+        flat = tree * n_classes + y[np.concatenate([r[2] for r in roots])]
+        counts = np.bincount(flat, minlength=len(roots) * n_classes).reshape(len(roots), n_classes)
+        ginis = _impurity(counts, sizes).tolist()
+        growths = [_Growth(*r, c, gini) for r, c, gini in zip(roots, counts, ginis)]
+        growing = growths
+        while growing:
+            batch = []
+            for g in growing:
+                entry = g.next_search()
+                if entry is not None:
+                    batch.append((g, *entry, g.candidates(n_cols, max_features)))
+            # Largest nodes first, so each chunk pads to its first node's rows.
+            batch.sort(key=lambda b: -len(b[2]))
+            start = 0
+            while start < len(batch):
+                stop = start + max(1, _CELLS // (len(batch[start][2]) * max_features))
+                _split_chunk(X, onehot, batch[start:stop])
+                start = stop
+            growing = [b[0] for b in batch if b[0].stack]
+        for i, b in enumerate(group):
+            trees = growths[i * params.n_trees : (i + 1) * params.n_trees]
+            importances = np.zeros(n_cols, dtype=np.float64)
+            splits = [s for g in trees for s in g.splits]
+            if splits:
+                f, term = zip(*splits)
+                np.add.at(importances, np.array(f), np.array(term))
+            importances /= params.n_trees
+            forests[b].trees = [g.tree() for g in trees]
+            forests[b]._raw_importances = importances
+            forests[b]._n_cols = n_cols
+
+
+def fit_forests(
+    params: ForestParams, n_classes: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list["RandomForest"]:
+    """One forest per (X, y) training block, all grown in one lockstep growth.
+
+    Each forest equals ``RandomForest(params, n_classes).fit(X, y)`` on its
+    own block, trees and importances alike.  Blocks may differ in row and
+    column counts.
+    """
+    if not blocks:
+        raise ValueError("need at least one training block")
+    forests = [RandomForest(params, n_classes) for _ in blocks]
+    _grow(forests, blocks)
+    return forests
 
 
 class RandomForest:
@@ -196,71 +320,8 @@ class RandomForest:
         self._n_cols = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        """Grow all trees in lockstep.
-
-        Each tree keeps its own generator, bootstrap draw and depth-first
-        stack (right child first), so it grows exactly as it would alone.
-        Each step pops from every tree the next node that may split, draws
-        its candidates, and scores all popped nodes in a few chunked split
-        searches.  A fit takes about as many steps as its largest tree has
-        internal nodes.  Importances add each split's term in (tree, DFS)
-        order, the order a tree-by-tree fit would.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.ndim != 2 or y.ndim != 1:
-            raise ValueError(f"need a 2-D X and 1-D y, got {X.ndim}-D and {y.ndim}-D")
-        n_rows, n_cols = X.shape
-        if y.shape[0] != n_rows:
-            raise ValueError(f"X has {n_rows} rows but y has {y.shape[0]} labels")
-        if n_rows == 0 or n_cols == 0:
-            raise ValueError(f"cannot fit a forest on {n_rows} rows and {n_cols} columns")
-        if not np.isfinite(X).all():
-            raise ValueError("X holds NaN or infinite values")
-        if y.min() < 0 or y.max() >= self.n_classes:
-            raise ValueError(f"labels must lie in [0, {self.n_classes}), got {y.min()}..{y.max()}")
-        max_features = self.params.resolve_max_features(n_cols)
-        onehot = y[:, None] == np.arange(self.n_classes)
-        roots = []
-        for seed in np.random.SeedSequence(self.params.seed).spawn(self.params.n_trees):
-            rng = np.random.default_rng(seed)
-            if self.params.bootstrap:
-                sample = rng.integers(0, n_rows, size=n_rows)
-            else:
-                sample = np.arange(n_rows)
-            draws = None
-            if max_features == 1 < n_cols:
-                # Equals one rng.choice(n_cols, size=1, replace=False) per
-                # searched node; a tree on n rows has at most 2n - 1 nodes.
-                draws = iter(rng.integers(0, n_cols, size=2 * n_rows - 1).tolist())
-            roots.append((rng, draws, sample))
-        counts = np.stack([np.bincount(y[s], minlength=self.n_classes) for _, _, s in roots])
-        ginis = _impurity(counts, np.full(len(roots), n_rows)).tolist()
-        trees = [_Growth(*r, c, gini) for r, c, gini in zip(roots, counts, ginis)]
-        growing = trees
-        while growing:
-            batch = []
-            for g in growing:
-                entry = g.next_search()
-                if entry is not None:
-                    batch.append((g, *entry, g.candidates(n_cols, max_features)))
-            # Largest nodes first, so each chunk pads to its first node's rows.
-            batch.sort(key=lambda b: -len(b[2]))
-            start = 0
-            while start < len(batch):
-                stop = start + max(1, _CELLS // (len(batch[start][2]) * max_features))
-                _split_chunk(X, onehot, batch[start:stop], n_rows)
-                start = stop
-            growing = [b[0] for b in batch if b[0].stack]
-        importances = np.zeros(n_cols, dtype=np.float64)
-        splits = [s for g in trees for s in g.splits]
-        if splits:
-            f, term = zip(*splits)
-            np.add.at(importances, np.array(f), np.array(term))
-        importances /= self.params.n_trees
-        self.trees = [g.tree() for g in trees]
-        self._raw_importances = importances
-        self._n_cols = n_cols
+        """Grow all trees in lockstep: the one-block case of `fit_forests`."""
+        _grow([self], [(X, y)])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -76,6 +76,26 @@ class RelevanceVector:
         object.__setattr__(self, "values", values)
 
 
+def _sorted_quantiles(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(s, q, axis=0)`` of columns already sorted down axis 0.
+
+    The edges are read off the sorted rows by index, with NumPy's default
+    ('linear') rule: virtual index ``(n - 1) * q``, its floor and fraction
+    gamma, then NumPy's ``_lerp``, ``a + (b - a) * gamma``, or
+    ``b - (b - a) * (1 - gamma)`` where gamma >= 0.5.  The values equal
+    ``np.quantile``'s; only the sign of a zero edge may differ, since
+    ``np.partition`` can swap -0.0 and 0.0.  Needs ``0 <= q < 1`` and at
+    least two rows.
+    """
+    virtual = (s.shape[0] - 1) * q
+    lo = np.floor(virtual)
+    gamma = (virtual - lo)[:, None]
+    i = lo.astype(np.intp)
+    a, b = s[i], s[i + 1]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
     """Integer codes from equal-frequency binning of each column of a matrix.
 
@@ -100,7 +120,7 @@ def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
         # (only if rows > bins) or each distinct value; +inf pads the rest.
         thresholds = np.full((min(bins, s.shape[0]), s.shape[1]), np.inf)
         if not few.all():
-            thresholds[: bins - 1, ~few] = np.quantile(s[:, ~few], np.arange(1, bins) / bins, axis=0)
+            thresholds[: bins - 1, ~few] = _sorted_quantiles(s[:, ~few], np.arange(1, bins) / bins)
         if few.any():
             cols = np.flatnonzero(few)
             thresholds[np.cumsum(starts[:, cols], axis=0) - 1, cols] = s[:, cols]

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_dataset, random_dataset, separable_dataset
 from ffsel import (
     BenchmarkRecord,
+    ForestParams,
     accuracy,
     cross_validate,
     make_folds,
@@ -13,6 +14,8 @@ from ffsel import (
 )
 from ffsel.classifiers import GNB, KNN, RF, classify
 from ffsel.records import TIMING_FIELDS, appending, read_records
+
+FOREST = ForestParams(n_trees=20, seed=3)
 
 
 class TestAccuracy:
@@ -38,43 +41,49 @@ class TestCrossValidate:
     """Stratified k-fold evaluation of a fixed feature subset."""
 
     def test_matches_manual_fold_loop(self):
+        # Over each classifier; the RF folds grow in one lockstep fit and
+        # must equal one lone forest per fold.
         rng = np.random.default_rng(91)
         d = standard_scale(random_dataset(rng, 40, 6, n_classes=2))
         folds = make_folds(d, 4, seed=2)
         selected = [0, 2, 5]
-        mean, sd = cross_validate(d, selected, KNN, folds, k_neighbors=3)
-        accs = []
-        cols = np.asarray(selected)
-        for f in range(4):
-            tr, te = folds.train_rows(f), folds.fold_rows(f)
-            pred = classify(KNN, d.features[np.ix_(tr, cols)], d.labels[tr],
-                            d.features[np.ix_(te, cols)], n_classes=2,
-                            k_neighbors=3)
-            accs.append(accuracy(pred, d.labels[te]))
-        assert mean == np.mean(accs)
-        assert sd == np.std(accs)  # population sd over folds
+        for clf in (KNN, RF):
+            mean, sd = cross_validate(d, selected, clf, folds, k_neighbors=3, forest=FOREST)
+            accs = []
+            cols = np.asarray(selected)
+            for f in range(4):
+                tr, te = folds.train_rows(f), folds.fold_rows(f)
+                pred = classify(clf, d.features[np.ix_(tr, cols)], d.labels[tr],
+                                d.features[np.ix_(te, cols)], n_classes=2,
+                                k_neighbors=3, forest=FOREST)
+                accs.append(accuracy(pred, d.labels[te]))
+            assert mean == np.mean(accs), clf
+            assert sd == np.std(accs), clf  # population sd over folds
 
     @pytest.mark.parametrize("scale_per_fold", [False, True])
     def test_per_fold_subsets_match_manual_fold_loop(self, scale_per_fold):
+        # Subsets of different sizes: the RF folds grow in one call, grouped
+        # by column count.
         rng = np.random.default_rng(98)
         d = random_dataset(rng, 36, 7, n_classes=3)
         folds = make_folds(d, 3, seed=4)
         subsets = [[0, 2, 5], [6, 1], (3, 4, 0, 2)]
-        mean, sd = cross_validate(d, subsets, KNN, folds, scale_per_fold=scale_per_fold,
-                                  k_neighbors=3)
-        accs = []
-        for f, cols in enumerate(subsets):
-            tr, te = folds.train_rows(f), folds.fold_rows(f)
-            train_x, test_x = d.features[tr], d.features[te]
-            if scale_per_fold:
-                mu, sigma = train_x.mean(axis=0), train_x.std(axis=0)
-                train_x, test_x = (train_x - mu) / sigma, (test_x - mu) / sigma
-            cols = np.asarray(cols)
-            pred = classify(KNN, train_x[:, cols], d.labels[tr], test_x[:, cols],
-                            n_classes=3, k_neighbors=3)
-            accs.append(accuracy(pred, d.labels[te]))
-        assert mean == np.mean(accs)
-        assert sd == np.std(accs)
+        for clf in (KNN, RF):
+            mean, sd = cross_validate(d, subsets, clf, folds, scale_per_fold=scale_per_fold,
+                                      k_neighbors=3, forest=FOREST)
+            accs = []
+            for f, cols in enumerate(subsets):
+                tr, te = folds.train_rows(f), folds.fold_rows(f)
+                train_x, test_x = d.features[tr], d.features[te]
+                if scale_per_fold:
+                    mu, sigma = train_x.mean(axis=0), train_x.std(axis=0)
+                    train_x, test_x = (train_x - mu) / sigma, (test_x - mu) / sigma
+                cols = np.asarray(cols)
+                pred = classify(clf, train_x[:, cols], d.labels[tr], test_x[:, cols],
+                                n_classes=3, k_neighbors=3, forest=FOREST)
+                accs.append(accuracy(pred, d.labels[te]))
+            assert mean == np.mean(accs), clf
+            assert sd == np.std(accs), clf
 
     def test_per_fold_subsets_need_one_per_fold(self):
         rng = np.random.default_rng(99)

@@ -13,6 +13,7 @@ import pytest
 import ffsel
 from conftest import random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest
+from ffsel.forest import fit_forests
 from ffsel import forest as forest_module
 from oracles import oracle_forest
 
@@ -271,18 +272,74 @@ class TestLockstepShapes:
         assert shapes == {"mixed sizes", "root step in chunks", "one of many splits"}
 
 
+def fold_blocks(x, y, n_folds):
+    """Out-of-fold training blocks, one per fold (fold of row r: r % n_folds)."""
+    fold = np.arange(len(y)) % n_folds
+    return [(x[fold != f], y[fold != f]) for f in range(n_folds)]
+
+
+class TestFitForests:
+    """Several training blocks grown in one lockstep growth equal lone fits."""
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_features", [1, 3, 6])
+    def test_each_block_equals_a_lone_fit(self, max_features, bootstrap):
+        # 1: up-front candidate draws; 3: rng.choice per node; 6: every
+        # column.  Five folds of 62 rows give training blocks of 49 and 50
+        # rows; two more blocks have 23 rows, one of them only 4 columns
+        # (so max_features 6 takes every column there).
+        rng = np.random.default_rng(4300)
+        x = np.round(rng.normal(size=(62, 6)), 1)
+        x[:, 5] = x[:, 4]
+        y = rng.integers(0, 3, size=62)
+        blocks = fold_blocks(x, y, 5) + [(x[:23], y[:23]), (x[30:53, :4], y[30:53])]
+        params = ForestParams(n_trees=12, max_features=max_features, bootstrap=bootstrap, seed=9)
+        forests = fit_forests(params, 3, blocks)
+        assert len(forests) == len(blocks)
+        for b, (forest, (bx, by)) in enumerate(zip(forests, blocks)):
+            alone = RandomForest(params, n_classes=3).fit(bx, by)
+            assert len(forest.trees) == len(alone.trees) == 12, b
+            for grown, lone in zip(forest.trees, alone.trees):
+                for field, a, e in zip(lone._fields, grown, lone):
+                    assert a.tolist() == e.tolist(), (b, field)
+            assert forest.feature_importances().tolist() == alone.feature_importances().tolist(), b
+
+    def test_each_block_is_checked(self):
+        good = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            fit_forests(ForestParams(n_trees=2), 2, [good, (np.zeros((4, 2)), np.array([0, 1, 2, 1]))])
+        with pytest.raises(ValueError, match="at least one training block"):
+            fit_forests(ForestParams(n_trees=2), 2, [])
+
+
 class TestFitMemory:
     """Chunked split searches keep a default fit's working arrays small."""
 
-    def test_peak_traced_memory_of_a_default_fit(self):
+    @staticmethod
+    def colon_design():
         rng = np.random.default_rng(62)
         y = np.repeat([0, 1], (22, 40))
         x = rng.normal(size=(62, 2000))
         x[:, :20] += 2.0 * y[:, None]
-        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        return (x - x.mean(axis=0)) / x.std(axis=0), y
+
+    def test_peak_traced_memory_of_a_default_fit(self):
+        x, y = self.colon_design()
         tracemalloc.start()
         try:
             RandomForest(ForestParams(), 2).fit(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_peak_traced_memory_of_a_five_fold_fit(self):
+        # All five folds' default forests grow at once on one stacked copy
+        # of their training rows, under the one-fit bound.
+        blocks = fold_blocks(*self.colon_design(), 5)
+        tracemalloc.start()
+        try:
+            fit_forests(ForestParams(), 2, blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

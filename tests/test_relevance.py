@@ -27,6 +27,7 @@ from ffsel.relevance import (
     MI_PAIR,
     _mutual_info_stack,
     _pairwise_rows,
+    _sorted_quantiles,
     discretize_columns,
     mutual_info_from_counts,
 )
@@ -110,6 +111,26 @@ class TestDiscretize:
             expect = oracle_discretize(x[:, j], bins)
             np.testing.assert_array_equal(codes[:, j], expect, err_msg=f"column {j}")
             np.testing.assert_array_equal(code_column(x[:, j], bins), expect)
+
+    @pytest.mark.parametrize("bins", [4, 10])
+    @pytest.mark.parametrize("n_rows", [2, 4, 10, 11, 41, 62])
+    def test_edges_read_off_the_sorted_block(self, bins, n_rows):
+        # Ties, runs of -0.0 and 0.0 among distinct values, blocks with rows
+        # <= bins, and 41 rows, where every virtual index (n - 1) * q of 4
+        # bins is an integer.  Edges equal np.quantile's by value; a zero
+        # edge's sign may differ, and `block > t` codes both zeros alike.
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(n_rows, 200))
+        x[:, :60] = np.round(x[:, :60] * rng.integers(1, 5, size=60))
+        zeros = rng.random((n_rows, 60)) < 0.4
+        x[:, 60:120][zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        s = np.sort(x, axis=0)
+        q = np.arange(1, bins) / bins
+        edges = _sorted_quantiles(s, q)
+        assert (edges == np.quantile(s, q, axis=0)).all()
+        codes = discretize_columns(x, bins)
+        for j in range(x.shape[1]):
+            np.testing.assert_array_equal(codes[:, j], oracle_discretize(x[:, j], bins), err_msg=f"column {j}")
 
     def test_bins_must_be_positive(self):
         with pytest.raises(ValueError):
