@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forest import ForestParams, RandomForest
+from .forest import ForestParams, RandomForest, _checked
 
 __all__ = [
     "KNN",
@@ -32,20 +32,54 @@ CLASSIFIERS = (KNN, GNB, RF)
 # columns otherwise produce infinite densities.
 GNB_VAR_FLOOR = 1e-9
 
+# Most (test rows x training rows x columns) difference cells one KNN
+# distance chunk holds, so a block stays in cache and a call's memory stays
+# near one block however many test rows it scores.
+_CELLS = 32768
 
-def _as_blocks(train_x, train_y, test_x):
-    train_x = np.ascontiguousarray(train_x, dtype=np.float64)
+
+def _as_blocks(train_x, train_y, test_x, n_classes):
+    """(train_x, train_y, test_x) as C-contiguous float64, int64, float64, or
+    a ValueError naming the fault: the training block by `forest._checked`,
+    then the test block's shape and values."""
+    train_x, train_y = _checked(np.ascontiguousarray(train_x, dtype=np.float64), train_y, n_classes)
     test_x = np.ascontiguousarray(test_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    if train_x.ndim != 2 or test_x.ndim != 2:
-        raise ValueError("feature blocks must be 2-D")
-    if train_x.shape[0] == 0:
-        raise ValueError("training set is empty")
-    if train_x.shape[0] != train_y.shape[0]:
-        raise ValueError("training rows and labels disagree in length")
-    if train_x.shape[1] != test_x.shape[1]:
-        raise ValueError("train and test column counts differ")
+    if test_x.ndim != 2 or test_x.shape[1] != train_x.shape[1]:
+        raise ValueError(
+            f"need a 2-D test X with the {train_x.shape[1]} training columns, got shape {test_x.shape}"
+        )
+    if not np.isfinite(test_x).all():
+        raise ValueError("test X holds NaN or infinite values")
     return train_x, train_y, test_x
+
+
+def _squared_distances(train_x, test_x):
+    """(test rows x training rows) squared Euclidean distances.
+
+    Test rows go in chunks whose difference block holds at most _CELLS
+    cells (one row when a row alone holds more).  Each block is squared in
+    place and summed over its column axis, so every distance equals a lone
+    row's ``((train_x - row) ** 2).sum(axis=1)`` bit for bit.  From 8
+    columns on, NumPy sums a contiguous last axis pairwise, in one order
+    for both shapes, so columns go last.  Below 8 it sums left to right,
+    which adding whole column planes also does, so columns go first and
+    one reduction covers the chunk instead of one per distance.
+    """
+    n_train, n_cols = train_x.shape
+    out = np.empty((test_x.shape[0], n_train))
+    step = max(1, _CELLS // (n_train * n_cols))
+    columns_first = n_cols < 8
+    if columns_first:
+        train_x, test_x = train_x.T.copy(), test_x.T.copy()
+    for start in range(0, out.shape[0], step):
+        if columns_first:
+            diff = test_x[:, start : start + step, None] - train_x[:, None, :]
+        else:
+            diff = test_x[start : start + step, None, :] - train_x
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=0 if columns_first else 2, out=out[start : start + step])
+        del diff  # one block alive at a time
+    return out
 
 
 def knn_classify(
@@ -59,22 +93,26 @@ def knn_classify(
     """Euclidean majority vote over the k nearest training rows.
 
     Distance ties keep the lower row index; vote ties pick the smaller
-    class id.
+    class id.  All test rows are scored in one pass: each row keeps the
+    training rows strictly nearer than its k-th smallest distance, then the
+    lowest-index rows at that distance up to k.
     """
-    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x)
+    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
     n_train = train_x.shape[0]
     if not 1 <= k_neighbors <= n_train:
         raise ValueError(
             f"k_neighbors must lie in [1, {n_train}], got {k_neighbors}"
         )
-    preds = np.empty(test_x.shape[0], dtype=np.int64)
-    for t in range(test_x.shape[0]):
-        diff = train_x - test_x[t]
-        dist2 = (diff * diff).sum(axis=1)  # squared keeps the same ordering
-        nearest = np.argsort(dist2, kind="stable")[:k_neighbors]
-        votes = np.bincount(train_y[nearest], minlength=n_classes)
-        preds[t] = np.argmax(votes)
-    return preds
+    dist2 = _squared_distances(train_x, test_x)  # squared keeps the same ordering
+    kth = np.partition(dist2, k_neighbors - 1, axis=1)[:, k_neighbors - 1 : k_neighbors]
+    nearer = dist2 < kth
+    at_kth = dist2 == kth
+    room = k_neighbors - nearer.sum(axis=1, keepdims=True)
+    chosen = nearer | (at_kth & (at_kth.cumsum(axis=1) <= room))
+    rows, cols = np.nonzero(chosen)
+    n_test = test_x.shape[0]
+    votes = np.bincount(rows * n_classes + train_y[cols], minlength=n_test * n_classes)
+    return votes.reshape(n_test, n_classes).argmax(axis=1).astype(np.int64, copy=False)
 
 
 def gaussian_nb_classify(
@@ -90,7 +128,7 @@ def gaussian_nb_classify(
     overall feature variance.  Classes absent from the training block are
     never predicted.  Posterior ties pick the smaller class id.
     """
-    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x)
+    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
     counts = np.bincount(train_y, minlength=n_classes)
     present = np.flatnonzero(counts)
     floor = GNB_VAR_FLOOR * float(train_x.var(axis=0).max())
@@ -120,7 +158,7 @@ def rf_classify(
     forest: ForestParams | None = None,
 ) -> np.ndarray:
     """Majority vote over a random forest; vote ties pick the smaller class id."""
-    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x)
+    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
     model = RandomForest(forest if forest is not None else ForestParams(), n_classes)
     model.fit(train_x, train_y)
     return model.predict(test_x)

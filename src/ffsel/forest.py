@@ -195,7 +195,7 @@ def _checked(X, y, n_classes):
     if y.shape[0] != n_rows:
         raise ValueError(f"X has {n_rows} rows but y has {y.shape[0]} labels")
     if n_rows == 0 or n_cols == 0:
-        raise ValueError(f"cannot fit a forest on {n_rows} rows and {n_cols} columns")
+        raise ValueError(f"cannot train on {n_rows} rows and {n_cols} columns")
     if not np.isfinite(X).all():
         raise ValueError("X holds NaN or infinite values")
     if y.min() < 0 or y.max() >= n_classes:

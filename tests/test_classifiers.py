@@ -1,12 +1,15 @@
 """Built-in classifiers: nearest neighbors, Gaussian naive Bayes, forest."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffsel import ForestParams
 from ffsel.classifiers import (
+    _CELLS,
+    _squared_distances,
     CLASSIFIERS,
     GNB,
     KNN,
@@ -75,6 +78,51 @@ class TestKnn:
             np.testing.assert_array_equal(
                 got, knn_oracle(train_x, train_y, test_x, n_classes, k))
 
+    # Both NumPy summation orders: left to right below 8 columns, pairwise
+    # from 8 on (8-way unrolled, and split in halves past 128).
+    BATCH_WIDTHS = (*range(1, 13), 20, 130)
+
+    def test_batched_pass_matches_oracle(self):
+        rng = np.random.default_rng(88)
+        for n_cols in self.BATCH_WIDTHS:
+            for grid in (False, True):
+                n_train = int(rng.integers(5, 41))
+                # more test rows than one distance chunk holds
+                n_test = _CELLS // (n_train * n_cols) + 3
+                if grid:  # integer grid: many equal distances
+                    train_x = rng.integers(-1, 2, size=(n_train, n_cols)).astype(float)
+                    test_x = rng.integers(-1, 2, size=(n_test, n_cols)).astype(float)
+                    test_x[::4] = train_x[rng.integers(0, n_train, size=test_x[::4].shape[0])]
+                else:
+                    train_x = rng.normal(size=(n_train, n_cols))
+                    test_x = rng.normal(size=(n_test, n_cols))
+                n_classes = int(rng.integers(3, 5))
+                # class 1 never appears in training
+                train_y = rng.choice([c for c in range(n_classes) if c != 1], size=n_train)
+                for k in (1, 2, int(rng.integers(1, n_train + 1)), n_train):
+                    got = knn_classify(train_x, train_y, test_x,
+                                       n_classes=n_classes, k_neighbors=k)
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(
+                        got, knn_oracle(train_x, train_y, test_x, n_classes, k))
+        empty = knn_classify(np.eye(3), [0, 1, 0], np.zeros((0, 3)),
+                             n_classes=2, k_neighbors=2)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+    def test_batched_distances_equal_row_sums(self):
+        rng = np.random.default_rng(89)
+        for n_cols in self.BATCH_WIDTHS:
+            n_train = int(rng.integers(1, 41))
+            n_test = _CELLS // (n_train * n_cols) + 3
+            # magnitudes spread over 16 decades make every rounding show
+            scale = 10.0 ** rng.uniform(-8, 8, size=n_cols)
+            train_x = rng.normal(size=(n_train, n_cols)) * scale
+            test_x = rng.normal(size=(n_test, n_cols)) * scale
+            want = np.array([((train_x - row) ** 2).sum(axis=1) for row in test_x])
+            got = _squared_distances(train_x, test_x)
+            assert got.shape == want.shape
+            assert (got == want).all(), n_cols
+
     def test_neighbor_count_bounds(self):
         x = np.zeros((3, 2))
         y = np.array([0, 1, 0])
@@ -82,6 +130,56 @@ class TestKnn:
             knn_classify(x, y, x, n_classes=2, k_neighbors=0)
         with pytest.raises(ValueError):
             knn_classify(x, y, x, n_classes=2, k_neighbors=4)
+
+
+class TestKnnMemory:
+    """Chunked distances keep a call's working arrays near one chunk."""
+
+    def test_peak_traced_memory_of_one_call(self):
+        rng = np.random.default_rng(90)
+        train_x = rng.normal(size=(160, 5000))
+        train_y = rng.integers(0, 2, size=160)
+        test_x = rng.normal(size=(40, 5000))
+        tracemalloc.start()
+        try:
+            knn_classify(train_x, train_y, test_x, n_classes=2, k_neighbors=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One chunk's difference block (a single test row here, since one
+        # row holds more than _CELLS cells), plus 1 MiB for the rest.  All
+        # 40 rows at once would take 256 MB.
+        assert peak < 8 * max(_CELLS, 160 * 5000) + 2**20
+
+
+class TestInputChecks:
+    """Every classifier rejects labels outside [0, n_classes) and non-finite values."""
+
+    @pytest.fixture
+    def blocks(self):
+        rng = np.random.default_rng(91)
+        return rng.normal(size=(6, 2)), np.array([0, 1, 0, 1, 0, 1]), rng.normal(size=(3, 2))
+
+    @pytest.mark.parametrize("name", CLASSIFIERS)
+    def test_label_outside_class_range_rejected(self, name, blocks):
+        train_x, train_y, test_x = blocks
+        train_y[2] = 5
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            classify(name, train_x, train_y, test_x, n_classes=2, k_neighbors=1,
+                     forest=ForestParams(n_trees=3, seed=0))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            classify(name, train_x, -train_y, test_x, n_classes=2, k_neighbors=1,
+                     forest=ForestParams(n_trees=3, seed=0))
+
+    @pytest.mark.parametrize("name", CLASSIFIERS)
+    @pytest.mark.parametrize("where", ["train", "test"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, name, where, bad, blocks):
+        train_x, train_y, test_x = blocks
+        (train_x if where == "train" else test_x)[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            classify(name, train_x, train_y, test_x, n_classes=2, k_neighbors=1,
+                     forest=ForestParams(n_trees=3, seed=0))
 
 
 class TestGaussianNb:

@@ -6,12 +6,14 @@ For every workload in ``perfbench/workloads.py`` it writes the workload's
 CSV with ``perfbench/synth.py`` at the seed (default 1), runs the
 workload's ``sweep_config`` through ``ffsel.run_sweep`` in a temporary
 directory, and prints the workload name with the ``tools/record_digest.py``
-line for its records.  A last line, ``per-fold``, digests a 2-dataset sweep
+line for its records.  The next line, ``per-fold``, digests a 2-dataset sweep
 with selection inside each fold: synth 40x60 and 46x80 at the seed, as
 ``d40.csv`` and ``d46.csv``; MI, FVALUE and GINI; the default algorithms;
-KNN, GNB and RF; alpha 0.5 and 1.3; k 2..7; 3 folds; sweep seed 2.  Two
-revisions whose sweeps differ only in timing print the same lines.  It
-reads ``perfbench/`` and changes nothing there.
+KNN, GNB and RF; alpha 0.5 and 1.3; k 2..7; 3 folds; sweep seed 2.  The
+last line, ``scale-per-fold``, digests the same sweep with
+``scale_per_fold=True``, so each fold's columns are standardized on its own
+training rows.  Two revisions whose sweeps differ only in timing print the
+same lines.  It reads ``perfbench/`` and changes nothing there.
 
 With ``--check FILE`` it also compares the lines with FILE's, by workload
 name, and exits 1 naming each line that differs.  ``tools/workload_digests.txt``
@@ -24,6 +26,7 @@ import argparse
 import sys
 import tempfile
 from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +47,8 @@ def sweep_line(config) -> str:
 
 
 def digest_lines(seed: int) -> Iterator[str]:
-    """The line of each workload's sweep, then the per-fold line, at `seed`."""
+    """The line of each workload's sweep, then the per-fold and
+    scale-per-fold lines, at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w in workloads.WORKLOADS.values():
@@ -68,6 +72,8 @@ def digest_lines(seed: int) -> Iterator[str]:
             select_per_fold=True,
         )
         yield f"per-fold: {sweep_line(per_fold)}"
+        scaled = replace(per_fold, output_dir=str(work / "scale-per-fold"), scale_per_fold=True)
+        yield f"scale-per-fold: {sweep_line(scaled)}"
 
 
 def by_name(lines) -> dict[str, str]:
