@@ -38,7 +38,6 @@ from .classifiers import (
     classify,
     gaussian_nb_classify,
     knn_classify,
-    rf_classify,
 )
 from .evaluate import accuracy, cross_validate
 from .records import BenchmarkRecord, read_records

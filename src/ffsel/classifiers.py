@@ -1,15 +1,16 @@
-"""Built-in classifiers: k-nearest neighbors, Gaussian naive Bayes, random forest.
+"""Classifier names, and the k-nearest-neighbors and Gaussian naive Bayes classifiers.
 
-All three are deterministic given (training data, parameters, seed) and
-break every internal tie toward the smaller class id so repeated runs
-agree bit for bit.
+The third, the random forest (`RF`), lives in `forest`; cross-validation
+grows it through `forest.fit_forests`.  All three are deterministic given
+(training data, parameters, seed) and break every internal tie toward the
+smaller class id so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forest import ForestParams, RandomForest, _checked
+from .forest import _checked
 
 __all__ = [
     "KNN",
@@ -18,7 +19,6 @@ __all__ = [
     "CLASSIFIERS",
     "knn_classify",
     "gaussian_nb_classify",
-    "rf_classify",
     "classify",
 ]
 
@@ -149,21 +149,6 @@ def gaussian_nb_classify(
     return present[best].astype(np.int64)
 
 
-def rf_classify(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    test_x: np.ndarray,
-    *,
-    n_classes: int,
-    forest: ForestParams | None = None,
-) -> np.ndarray:
-    """Majority vote over a random forest; vote ties pick the smaller class id."""
-    train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
-    model = RandomForest(forest if forest is not None else ForestParams(), n_classes)
-    model.fit(train_x, train_y)
-    return model.predict(test_x)
-
-
 def classify(
     name: str,
     train_x: np.ndarray,
@@ -172,15 +157,12 @@ def classify(
     *,
     n_classes: int,
     k_neighbors: int = 5,
-    forest: ForestParams | None = None,
 ) -> np.ndarray:
-    """Dispatch to a classifier by name."""
+    """Dispatch to KNN or GNB by name."""
     if name == KNN:
         return knn_classify(
             train_x, train_y, test_x, n_classes=n_classes, k_neighbors=k_neighbors
         )
     if name == GNB:
         return gaussian_nb_classify(train_x, train_y, test_x, n_classes=n_classes)
-    if name == RF:
-        return rf_classify(train_x, train_y, test_x, n_classes=n_classes, forest=forest)
     raise ValueError(f"unknown classifier: {name!r}")

@@ -111,6 +111,10 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     first-appearance order and the original strings kept in ``class_names``.
     All remaining cells must parse as finite reals.  A file that is not
     UTF-8 text is a DataError naming it.
+
+    NumPy's C reader parses the rows after the header.  Text it refuses,
+    another cell count or a non-finite value goes back to the start for
+    `_read_cells`, which loads the same Dataset or names the fault.
     """
     path = str(path)
     try:
@@ -139,33 +143,12 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
             if not feature_names:
                 raise DataError(f"{path}: no feature columns besides the label")
 
-            rows: list[list[float]] = []
-            label_strings: list[str] = []
-            for row_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-                values = []
-                for col_no, cell in enumerate(row):
-                    if col_no == label_idx:
-                        label_strings.append(cell.strip())
-                        continue
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {row_no}, column {header[col_no]!r}: cannot parse {cell!r} as a real number"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise DataError(f"{path}: row {row_no}, column {header[col_no]!r}: non-finite value {cell!r}")
-                    values.append(v)
-                rows.append(values)
+            features, label_strings = _read_table(fh, len(header), label_idx) or _read_cells(fh, path, header, label_idx)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    if len(label_strings) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(label_strings)}")
 
     class_names: list[str] = []
     mapping: dict[str, int] = {}
@@ -180,11 +163,66 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
 
     return Dataset(
         name=_stem(path),
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         feature_names=feature_names,
         labels=labels,
         class_names=class_names,
     )
+
+
+def _read_table(fh, n_cells: int, label_idx: int) -> tuple[np.ndarray, list[str]] | None:
+    """The column-major feature block and stripped labels of the rows left
+    in `fh` by one `np.loadtxt` call; None where it raises or a row is not
+    `n_cells` finite cells."""
+    label_strings: list[str] = []
+
+    def label(cell: str) -> float:
+        label_strings.append(cell.strip())
+        return 0.0
+
+    try:
+        with warnings.catch_warnings():
+            # An empty body goes to _read_cells, which reports it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+                               ndmin=2, converters={label_idx: label})
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    if table.shape[1] != n_cells or not np.isfinite(table).all():
+        return None
+    return table.T[[i for i in range(n_cells) if i != label_idx]].T, label_strings
+
+
+def _read_cells(fh, path: str, header: list[str], label_idx: int) -> tuple[np.ndarray, list[str]]:
+    """The feature rows and stripped labels of the records after the header,
+    read again from the start of `fh` cell by cell by the csv module;
+    DataError on a wrong cell count or a cell that is no finite real."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    rows: list[list[float]] = []
+    label_strings: list[str] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+        values = []
+        for col_no, cell in enumerate(row):
+            if col_no == label_idx:
+                label_strings.append(cell.strip())
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {row_no}, column {header[col_no]!r}: cannot parse {cell!r} as a real number"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}: row {row_no}, column {header[col_no]!r}: non-finite value {cell!r}")
+            values.append(v)
+        rows.append(values)
+    return np.array(rows, dtype=np.float64), label_strings
 
 
 def _stem(path: str) -> str:

@@ -338,6 +338,8 @@ class RandomForest:
             raise ValueError(
                 f"need a 2-D X with the {self._n_cols} columns the forest was fitted on, got shape {X.shape}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError("X holds NaN or infinite values")
         n_nodes = [len(t.feature) for t in self.trees]
         start = np.cumsum([0] + n_nodes[:-1])
         feature, threshold, left, right, leaf_class = map(np.concatenate, zip(*self.trees))

@@ -392,7 +392,9 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     cold selection of k features, whatever order the cells run in.
     `stats`, when given, is filled with counters (cells skipped and run).
     A dataset that cannot be loaded stops the sweep before anything is
-    written, with load_csv's DataError or OSError.
+    written, with load_csv's DataError or OSError.  So does stored output
+    whose config.json names another label column than `config`, with a
+    DataError.
     """
     config.validate()
     if stats is None:
@@ -404,6 +406,17 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     records_path = out_dir / "records.jsonl"
     previous, keep = read_for_resume(records_path)
     existing = {r.cell_key(): r.settings for r in previous}
+    config_path = out_dir / "config.json"
+    if previous and config_path.exists():
+        # Records do not store their label column; the config.json beside them does.
+        try:
+            stored = json.loads(config_path.read_text(encoding="utf-8")).get("label_column")
+        except (ValueError, AttributeError) as exc:
+            raise DataError(f"{config_path} is not a sweep config: {exc}") from None
+        # An index matches whether stored as 0 or "0".
+        if (stored is None, str(stored)) != (config.label_column is None, str(config.label_column)):
+            raise DataError(f"{records_path} holds records computed with label column {stored!r}, not "
+                            f"{config.label_column!r}; rerun with that column or another output directory")
 
     datasets: list[Dataset] = []
     for path in config.datasets:
@@ -458,7 +471,7 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
         len(datasets), sum(len(pending) for _, _, pending in plans), stats["cells_skipped"],
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
+    config_path.write_text(
         json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     forest = ForestParams(seed=config.seed)

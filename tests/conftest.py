@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from ffsel import Dataset
+from ffsel import Dataset, RandomForest
+from ffsel.classifiers import RF, classify
 
 
 def make_dataset(features, labels, name="toy"):
@@ -13,6 +14,14 @@ def make_dataset(features, labels, name="toy"):
     feature_names = tuple(f"f{i}" for i in range(features.shape[1]))
     class_names = tuple(f"c{i}" for i in range(n_classes))
     return Dataset(name, features, feature_names, labels, class_names)
+
+
+def predict(name, train_x, train_y, test_x, *, n_classes, k_neighbors, forest):
+    """`classify`, with RF as the vote of one forest fitted on the training
+    block, the fit cross-validation grows for each fold."""
+    if name == RF:
+        return RandomForest(forest, n_classes).fit(train_x, train_y).predict(test_x)
+    return classify(name, train_x, train_y, test_x, n_classes=n_classes, k_neighbors=k_neighbors)
 
 
 def random_dataset(rng, n_rows, n_cols, n_classes=2, name="rand"):
@@ -57,3 +66,15 @@ def same_stem_csvs(tmp_path):
         (tmp_path / sub).mkdir()
         paths.append(str(write_csv(tmp_path / sub / "x.csv", x, labels)))
     return paths
+
+
+def two_label_csv(tmp_path):
+    """A 12-row CSV with two columns that can serve as the label: y splits
+    the rows in halves, z alternates."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(12, 3))
+    y, z = np.repeat([0, 1], 6), np.tile([0, 1], 6)
+    lines = ["a,b,c,y,z"] + [",".join(map(repr, row)) + f",{yi},{zi}" for row, yi, zi in zip(x.tolist(), y, z)]
+    path = tmp_path / "yz.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffsel import ForestParams
+from conftest import predict
+from ffsel import ForestParams, RandomForest
 from ffsel.classifiers import (
     _CELLS,
     _squared_distances,
@@ -17,7 +18,6 @@ from ffsel.classifiers import (
     classify,
     gaussian_nb_classify,
     knn_classify,
-    rf_classify,
 )
 
 
@@ -153,7 +153,7 @@ class TestKnnMemory:
 
 
 class TestInputChecks:
-    """Every classifier rejects labels outside [0, n_classes) and non-finite values."""
+    """Every classifier (RF as a fitted forest) rejects labels outside [0, n_classes) and non-finite values."""
 
     @pytest.fixture
     def blocks(self):
@@ -165,11 +165,11 @@ class TestInputChecks:
         train_x, train_y, test_x = blocks
         train_y[2] = 5
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
-            classify(name, train_x, train_y, test_x, n_classes=2, k_neighbors=1,
-                     forest=ForestParams(n_trees=3, seed=0))
+            predict(name, train_x, train_y, test_x, n_classes=2, k_neighbors=1,
+                    forest=ForestParams(n_trees=3, seed=0))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
-            classify(name, train_x, -train_y, test_x, n_classes=2, k_neighbors=1,
-                     forest=ForestParams(n_trees=3, seed=0))
+            predict(name, train_x, -train_y, test_x, n_classes=2, k_neighbors=1,
+                    forest=ForestParams(n_trees=3, seed=0))
 
     @pytest.mark.parametrize("name", CLASSIFIERS)
     @pytest.mark.parametrize("where", ["train", "test"])
@@ -178,8 +178,8 @@ class TestInputChecks:
         train_x, train_y, test_x = blocks
         (train_x if where == "train" else test_x)[1, 0] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
-            classify(name, train_x, train_y, test_x, n_classes=2, k_neighbors=1,
-                     forest=ForestParams(n_trees=3, seed=0))
+            predict(name, train_x, train_y, test_x, n_classes=2, k_neighbors=1,
+                    forest=ForestParams(n_trees=3, seed=0))
 
 
 class TestGaussianNb:
@@ -241,7 +241,7 @@ class TestGaussianNb:
 
 
 class TestForestClassifier:
-    """Ensemble vote wrapper."""
+    """A fitted forest's vote on held-out rows."""
 
     def test_separated_blobs(self):
         rng = np.random.default_rng(84)
@@ -250,8 +250,8 @@ class TestForestClassifier:
         train_y = np.repeat([0, 1], 30)
         test_x = np.vstack([rng.normal(0, 1, (10, 3)),
                             rng.normal(8, 1, (10, 3))])
-        pred = rf_classify(train_x, train_y, test_x, n_classes=2,
-                           forest=ForestParams(n_trees=15, seed=0))
+        model = RandomForest(ForestParams(n_trees=15, seed=0), 2)
+        pred = model.fit(train_x, train_y).predict(test_x)
         np.testing.assert_array_equal(pred, np.repeat([0, 1], 10))
 
     def test_deterministic_per_seed(self):
@@ -261,8 +261,8 @@ class TestForestClassifier:
         train_y[:2] = [0, 1]
         test_x = rng.normal(size=(20, 4))
         params = ForestParams(n_trees=7, seed=3)
-        a = rf_classify(train_x, train_y, test_x, n_classes=2, forest=params)
-        b = rf_classify(train_x, train_y, test_x, n_classes=2, forest=params)
+        a = RandomForest(params, 2).fit(train_x, train_y).predict(test_x)
+        b = RandomForest(params, 2).fit(train_x, train_y).predict(test_x)
         np.testing.assert_array_equal(a, b)
 
 
@@ -276,9 +276,8 @@ class TestDispatch:
         train_y[:2] = [0, 1]
         test_x = rng.normal(size=(6, 3))
         assert set(CLASSIFIERS) == {KNN, GNB, RF}
-        for name in CLASSIFIERS:
-            pred = classify(name, train_x, train_y, test_x, n_classes=2,
-                            forest=ForestParams(n_trees=3, seed=0))
+        for name in (KNN, GNB):
+            pred = classify(name, train_x, train_y, test_x, n_classes=2)
             assert pred.shape == (6,)
             assert set(pred.tolist()) <= {0, 1}
 
@@ -295,9 +294,11 @@ class TestDispatch:
                          k_neighbors=3))
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            classify("SVM", np.zeros((2, 1)), np.array([0, 1]),
-                     np.zeros((1, 1)), n_classes=2)
+        # RF is no classify name: cross-validation grows it through fit_forests.
+        for name in ("SVM", RF):
+            with pytest.raises(ValueError, match="unknown classifier"):
+                classify(name, np.zeros((2, 1)), np.array([0, 1]),
+                         np.zeros((1, 1)), n_classes=2)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import same_stem_csvs, write_csv
+from conftest import same_stem_csvs, two_label_csv, write_csv
 from ffsel import (
     MRMR_VARIANTS,
     ForestParams,
@@ -316,6 +316,18 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert "mi_bins 10 stored, 3 now" in err
+
+    def test_resume_with_another_label_column_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        args = ["benchmark", "--datasets", str(two_label_csv(tmp_path)), "--output-dir", str(out_dir),
+                "--estimators", "mi", "--algorithms", "kbest", "--k-min", "2", "--k-max", "2",
+                "--classifiers", "gnb", "--n-folds", "3"]
+        assert main(args + ["--label-col", "y"]) == EXIT_OK
+        capsys.readouterr()
+        echoed = (out_dir / "config.json").read_bytes()
+        assert main(args + ["--label-col", "z"]) == EXIT_DATA
+        assert "label column 'y', not 'z'" in capsys.readouterr().err
+        assert (out_dir / "config.json").read_bytes() == echoed
 
     def test_resume_over_non_utf8_records_exits_2(self, data_csv, tmp_path, capsys):
         out_dir = tmp_path / "o"

@@ -1,10 +1,50 @@
 """CSV loading, scaling, and stratified fold construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import ffsel.data
 from conftest import make_dataset, random_dataset, write_csv
 from ffsel import DataError, Dataset, load_csv, make_folds, standard_scale
+
+# Files the loader accepts: (id, text, label_column).  NumPy's reader and
+# the csv module must load each one alike, whichever of them parses it.
+ACCEPTED = [
+    ("quoted-cells", 'x,y,label\n"1.5","2",a\n3,"4e1","b"\n', None),
+    ("comma-in-label", 'x,label\n1,"a,b"\n2,c\n', None),
+    ("doubled-quotes", 'x,label\n1,"say ""hi"""\n2,b\n', None),
+    ("newline-in-label", 'x,label\n1,"two\nlines"\n2,b\n3,"two\nlines"\n', None),
+    ("nul-in-label", "x,label\n1,a\x00\n2,b\n", None),
+    ("spaces-around-cells", "x,y,label\n 1 ,\t2, a \n3,4 ,b\n", None),
+    ("crlf", "x,y,label\r\n1,2,a\r\n3,4,b\r\n", None),
+    ("cr-only", "x,y,label\r1,2,a\r3,4,b\r", None),
+    ("blank-lines", "x,label\n\n1,a\n\n\n2,b\n\n", None),
+    ("whitespace-lines", "x,label\n1,a\n   \n\t\n2,b\n", None),
+    ("no-final-newline", "x,label\n1,a\n2,b", None),
+    ("label-first", "lab,x,y\na,1,2\nb,3,4\n", 0),
+    ("label-middle", "x,lab,y\n1,a,2\n3,b,4\n", 1),
+    ("label-named", "x,lab,y\n1,a,2\n3,b,4\n", "lab"),
+    ("underscore-digits", "x,label\n1_0,a\n2,b\n", None),
+    ("arabic-indic-digits", "x,label\n\u0661\u0662,a\n2,b\n", None),
+    ("underflow-and-negative-zero", "x,y,label\n1e-400,-0,a\n-0.0,5e-324,b\n", None),
+]
+
+# Files the loader rejects: (id, text, label_column, the DataError after the path).
+REJECTED = [
+    ("non-numeric", "x,label\n1.0,a\noops,b\n", None, "row 3, column 'x': cannot parse 'oops' as a real number"),
+    ("empty-cell", "x,y,label\n1,,a\n2,3,b\n", None, "row 2, column 'y': cannot parse '' as a real number"),
+    ("trailing-comma", "x,label\n1,a,\n2,b,\n", None, "row 2 has 3 cells, expected 2"),
+    ("cell-count", "x,y,label\n1,2,a\n3,b\n", None, "row 3 has 2 cells, expected 3"),
+    ("every-row-short", "lab,x,y\na,1\nb,2\n", 0, "row 2 has 2 cells, expected 3"),
+    ("inf", "x,y,label\n1,2,a\n3,inf,b\n", None, "row 3, column 'y': non-finite value 'inf'"),
+    ("nan", "x,y,label\n1,2,a\n3,4,b\nNaN,5,a\n", None, "row 4, column 'x': non-finite value 'NaN'"),
+    ("overflow", "x,y,label\n1e400,2,a\n3,4,b\n", None, "row 2, column 'x': non-finite value '1e400'"),
+    ("header-only", "x,label\n", None, "need at least 2 data rows, got 0"),
+    ("one-row", "x,label\n1,a\n", None, "need at least 2 data rows, got 1"),
+    ("constant-label", "x,label\n1,a\n2,a\n", None, "label column is constant ('a'); need at least 2 classes"),
+]
 
 
 class TestLoadCsv:
@@ -77,6 +117,51 @@ class TestLoadCsv:
         p.write_text("x,label\n1.0,a\n2.0,b\n")
         with pytest.raises(DataError, match="no column named"):
             load_csv(p, label_column=name)
+
+    @pytest.mark.parametrize("text,label_column", [c[1:] for c in ACCEPTED], ids=[c[0] for c in ACCEPTED])
+    def test_accepted_files_load_as_the_csv_module_parses_them(self, tmp_path, monkeypatch, text, label_column):
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode("utf-8"))
+        got = load_csv(p, label_column=label_column)
+        monkeypatch.setattr(ffsel.data, "_read_table", lambda *args: None)
+        want = load_csv(p, label_column=label_column)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.features.shape == want.features.shape
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.class_names == want.class_names
+        assert got.feature_names == want.feature_names
+
+    def test_plain_file_skips_the_csv_module(self, tmp_path, monkeypatch):
+        # A loader that always fell back would pass the corpus above.
+        def refuse(*args):
+            raise AssertionError("a plain file reached _read_cells")
+
+        monkeypatch.setattr(ffsel.data, "_read_cells", refuse)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 4))
+        d = load_csv(write_csv(tmp_path / "plain.csv", x, [0, 1, 0, 1, 1, 0]))
+        assert d.features.tobytes() == np.asfortranarray(x).tobytes()
+
+    @pytest.mark.parametrize("text,label_column,message", [c[1:] for c in REJECTED], ids=[c[0] for c in REJECTED])
+    def test_rejected_files_name_the_fault(self, tmp_path, text, label_column, message):
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy's "input contained no data" must not escape
+            with pytest.raises(DataError) as err:
+                load_csv(p, label_column=label_column)
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_non_utf8_byte_past_64_kib_names_its_position(self, tmp_path):
+        rows = "".join(f"{i % 7}.{i % 13},{i % 3},{'ab'[i % 2]}\n" for i in range(9000))
+        data = ("x,y,label\n" + rows).encode()
+        p = tmp_path / "latin.csv"
+        p.write_bytes(data[:70001] + b"\xff" + data[70001:])
+        with pytest.raises(DataError) as err:
+            load_csv(p)
+        assert str(err.value) == (
+            f"{p}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 4465: invalid start byte"
+        )
 
 
 class TestDataset:

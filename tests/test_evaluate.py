@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_dataset, separable_dataset
+from conftest import make_dataset, predict, random_dataset, separable_dataset
 from ffsel import (
     BenchmarkRecord,
     ForestParams,
@@ -12,7 +12,7 @@ from ffsel import (
     make_folds,
     standard_scale,
 )
-from ffsel.classifiers import GNB, KNN, RF, classify
+from ffsel.classifiers import GNB, KNN, RF
 from ffsel.records import TIMING_FIELDS, appending, read_records
 
 FOREST = ForestParams(n_trees=20, seed=3)
@@ -53,9 +53,9 @@ class TestCrossValidate:
             cols = np.asarray(selected)
             for f in range(4):
                 tr, te = folds.train_rows(f), folds.fold_rows(f)
-                pred = classify(clf, d.features[np.ix_(tr, cols)], d.labels[tr],
-                                d.features[np.ix_(te, cols)], n_classes=2,
-                                k_neighbors=3, forest=FOREST)
+                pred = predict(clf, d.features[np.ix_(tr, cols)], d.labels[tr],
+                               d.features[np.ix_(te, cols)], n_classes=2,
+                               k_neighbors=3, forest=FOREST)
                 accs.append(accuracy(pred, d.labels[te]))
             assert mean == np.mean(accs), clf
             assert sd == np.std(accs), clf  # population sd over folds
@@ -79,8 +79,8 @@ class TestCrossValidate:
                     mu, sigma = train_x.mean(axis=0), train_x.std(axis=0)
                     train_x, test_x = (train_x - mu) / sigma, (test_x - mu) / sigma
                 cols = np.asarray(cols)
-                pred = classify(clf, train_x[:, cols], d.labels[tr], test_x[:, cols],
-                                n_classes=3, k_neighbors=3, forest=FOREST)
+                pred = predict(clf, train_x[:, cols], d.labels[tr], test_x[:, cols],
+                               n_classes=3, k_neighbors=3, forest=FOREST)
                 accs.append(accuracy(pred, d.labels[te]))
             assert mean == np.mean(accs), clf
             assert sd == np.std(accs), clf

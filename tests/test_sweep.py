@@ -13,7 +13,7 @@ import pytest
 
 import ffsel.selectors
 import ffsel.sweep
-from conftest import make_dataset, same_stem_csvs, write_csv
+from conftest import make_dataset, same_stem_csvs, two_label_csv, write_csv
 from ffsel import (
     BenchmarkRecord,
     DataError,
@@ -300,6 +300,34 @@ class TestRunSweep:
         assert {r.k for r in added} == {4}
         assert stats["cells_skipped"] == 16
 
+    def test_resume_rejects_another_label_column(self, tmp_path):
+        csv = str(two_label_csv(tmp_path))
+        records_path, config_path = tmp_path / "out" / "records.jsonl", tmp_path / "out" / "config.json"
+        first = list(run_sweep(tiny_config(tmp_path, datasets=(csv,), label_column="y")))
+        stored, echoed = records_path.read_bytes(), config_path.read_bytes()
+        with pytest.raises(DataError, match=r"records\.jsonl holds records computed with label column 'y', not 'z'"):
+            list(run_sweep(tiny_config(tmp_path, datasets=(csv,), label_column="z")))
+        with pytest.raises(DataError, match="label column 'y', not None"):
+            list(run_sweep(tiny_config(tmp_path, datasets=(csv,))))
+        assert records_path.read_bytes() == stored
+        assert config_path.read_bytes() == echoed
+        # The stored column resumes, and an index matches whether given as 3 or "3".
+        stats = {}
+        assert list(run_sweep(tiny_config(tmp_path, datasets=(csv,), label_column="y"), stats)) == []
+        assert stats["cells_skipped"] == len(first)
+        by_index = tiny_config(tmp_path, datasets=(csv,), label_column=3, output_dir=str(tmp_path / "i"))
+        list(run_sweep(by_index))
+        assert list(run_sweep(dataclasses.replace(by_index, label_column="3"))) == []
+
+    def test_resume_rejects_a_config_that_is_not_json(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        list(run_sweep(cfg))
+        config_path = tmp_path / "out" / "config.json"
+        config_path.write_text("{not json")
+        with pytest.raises(DataError, match=r"config\.json is not a sweep config"):
+            list(run_sweep(cfg))
+        assert config_path.read_text() == "{not json"
+
     def test_resume_drops_a_torn_last_line(self, tmp_path, caplog):
         cfg = tiny_config(tmp_path)
         first = list(run_sweep(cfg))
@@ -430,7 +458,7 @@ class TestRunSweep:
                 n_sel.append(cols.size)
                 pred = classify(rec.classifier, train_x[:, cols], d.labels[tr],
                                 test_x[:, cols], n_classes=d.n_classes,
-                                k_neighbors=cfg.k_neighbors, forest=forest)
+                                k_neighbors=cfg.k_neighbors)
                 accs.append(float(np.mean(pred == d.labels[te])))
             cell = (rec.algorithm, rec.alpha, rec.k, rec.classifier)
             assert rec.cv_mean_accuracy == np.mean(accs), cell
