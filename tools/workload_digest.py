@@ -12,7 +12,11 @@ with selection inside each fold: synth 40x60 and 46x80 at the seed, as
 KNN, GNB and RF; alpha 0.5 and 1.3; k 2..7; 3 folds; sweep seed 2.  The
 last line, ``scale-per-fold``, digests the same sweep with
 ``scale_per_fold=True``, so each fold's columns are standardized on its own
-training rows.  Two revisions whose sweeps differ only in timing print the
+training rows.  The ``fine-bins`` line digests a sweep on a 200x60 synth
+at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and MIFS;
+KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of its
+pair tables hold more than 128 nonzero cells, so MI scoring takes the
+path that splits a table's run of terms as ``np.sum`` does.  Two revisions whose sweeps differ only in timing print the
 same lines.  It reads ``perfbench/`` and changes nothing there.
 
 With ``--check FILE`` it also compares the lines with FILE's, by workload
@@ -47,8 +51,8 @@ def sweep_line(config) -> str:
 
 
 def digest_lines(seed: int) -> Iterator[str]:
-    """The line of each workload's sweep, then the per-fold and
-    scale-per-fold lines, at `seed`."""
+    """The line of each workload's sweep, then the per-fold,
+    scale-per-fold and fine-bins lines, at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w in workloads.WORKLOADS.values():
@@ -74,6 +78,21 @@ def digest_lines(seed: int) -> Iterator[str]:
         yield f"per-fold: {sweep_line(per_fold)}"
         scaled = replace(per_fold, output_dir=str(work / "scale-per-fold"), scale_per_fold=True)
         yield f"scale-per-fold: {sweep_line(scaled)}"
+        fine = work / "fine.csv"
+        synth.write_csv(fine, synth.make_planted(200, 60, seed))
+        fine_bins = ffsel.SweepConfig(
+            datasets=(str(fine),),
+            output_dir=str(work / "fine-bins"),
+            estimators=("MI",),
+            algorithms=("KBEST", "KGROUPS", "MID", "MIQ", "MIFS"),
+            classifiers=("KNN",),
+            alpha_grid=(0.5, 1.3),
+            k_min=2,
+            k_max=10,
+            seed=2,
+            mi_bins=16,
+        )
+        yield f"fine-bins: {sweep_line(fine_bins)}"
 
 
 def by_name(lines) -> dict[str, str]:
