@@ -156,58 +156,75 @@ def _joint_tables(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=m * ka * kb).reshape(m, ka, kb)
 
 
-def _pairwise_rows(t: np.ndarray) -> np.ndarray:
-    """Sum each row of a 2-D array in the order ``np.sum`` sums a 1-D array.
+def _pairwise_runs(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum each run ``t[start : start + size]`` in the order ``np.sum`` sums
+    a 1-D array; ``t`` ends with 8 zeros that no run covers.
 
     NumPy's pairwise summation adds fewer than 8 values one at a time from
     0.0; adds up to ``_PW_BLOCKSIZE`` values into 8 strided accumulators,
     combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then adds the
     tail one at a time; and splits longer runs at a multiple of 8 near the
-    middle, summing each half the same way.
+    middle, summing each half the same way.  Here all runs share one
+    masked pass of 8 lanes: the first block sets the accumulators, each
+    later whole block adds to them, and the tail adds one value at a time.
+    A run with fewer blocks, or a shorter tail, than the longest reads the
+    final zeros instead, which add exactly; a run of fewer than 8 values
+    has no block, so its tail adds to the combined zeros, 0.0.  The halves
+    of longer runs join the other runs in the next pass.  ``np.sum`` adds
+    the result to 0.0.
     """
-    n = t.shape[1]
-    if n < 8:
-        res = np.zeros(t.shape[0])
-        for i in range(n):
-            res += t[:, i]
-        return res
-    if n <= _PW_BLOCKSIZE:
-        r = t[:, :8]
-        for i in range(8, n - n % 8, 8):
-            r = r + t[:, i : i + 8]
-        r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
-        r = r[:, 0::2] + r[:, 1::2]
-        res = r[:, 0] + r[:, 1]
-        for i in range(n - n % 8, n):
-            res += t[:, i]
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_rows(t[:, :n2]) + _pairwise_rows(t[:, n2:])
+    big = sizes > _PW_BLOCKSIZE
+    if big.any():
+        half = sizes[big] // 2
+        half -= half % 8
+        heads = sizes.copy()
+        heads[big] = half
+        parts = _pairwise_runs(
+            t, np.concatenate([starts, starts[big] + half]), np.concatenate([heads, sizes[big] - half])
+        )
+        sums = parts[: sizes.size]
+        sums[big] += parts[sizes.size :]
+        return sums
+    zeros = t.size - 8
+    lanes = np.arange(8)
+    blocks = sizes // 8
+    r = t.take(np.where(blocks > 0, starts, zeros)[:, None] + lanes)
+    for j in range(1, int(blocks.max(initial=0))):
+        r += t.take(np.where(j < blocks, starts + 8 * j, zeros)[:, None] + lanes)
+    r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+    r = r[:, 0::2] + r[:, 1::2]
+    sums = r[:, 0] + r[:, 1]
+    tails = starts + 8 * blocks
+    tail_sizes = sizes - 8 * blocks
+    for i in range(int(tail_sizes.max(initial=0))):
+        sums += t.take(np.where(i < tail_sizes, tails + i, zeros))
+    return sums
 
 
 def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
     """`mutual_info_from_counts` of each table in an (m, ka, kb) stack.
 
     Each step is the scalar function's arithmetic applied to the whole
-    stack, which rounds as it does table by table.  The final sum over a
-    table's L nonzero cells, in row-major order, runs once for all tables
-    with the same L, in ``np.sum``'s order (`_pairwise_rows`), so every
+    stack, which rounds as it does table by table.  The nonzero cells are
+    gathered once, in row-major order, so each table's L terms form one
+    run, and `_pairwise_runs` sums every run in ``np.sum``'s order: every
     value equals the scalar function's bit for bit.
     """
-    joint = np.asarray(joint, dtype=np.float64)
+    m, ka, kb = joint.shape
     n = joint.sum(axis=(1, 2))
     # An empty table scores 0.0, as its L = 0 cells sum to.
     p = joint / np.where(n == 0, 1.0, n)[:, None, None]
     outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
-    nz = p > 0
-    terms = p[nz] * np.log(p[nz] / outer[nz])
-    sizes = nz.sum(axis=(1, 2))
-    starts = np.cumsum(sizes) - sizes
-    sums = np.empty(joint.shape[0])
-    for size in np.flatnonzero(np.bincount(sizes)):
-        rows = np.flatnonzero(sizes == size)
-        sums[rows] = 0.0 + _pairwise_rows(terms[starts[rows, None] + np.arange(size)])
+    cells = np.flatnonzero(p > 0)
+    pv = p.take(cells)
+    padded = np.zeros(cells.size + 8)
+    terms = padded[: cells.size]
+    outer.take(cells, out=terms)
+    np.divide(pv, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= pv
+    bounds = np.searchsorted(cells, np.arange(m + 1) * (ka * kb))
+    sums = 0.0 + _pairwise_runs(padded, bounds[:-1], np.diff(bounds))
     return np.where(sums < 0.0, 0.0, sums)
 
 

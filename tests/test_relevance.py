@@ -26,7 +26,7 @@ from ffsel.relevance import (
     MI,
     MI_PAIR,
     _mutual_info_stack,
-    _pairwise_rows,
+    _pairwise_runs,
     _sorted_quantiles,
     discretize_columns,
     mutual_info_from_counts,
@@ -46,6 +46,11 @@ def plugin_mi_oracle(table):
                 p = table[i, j] / n
                 total += p * math.log(p / ((rows[i] / n) * (cols[j] / n)))
     return total
+
+
+def run_sums(values, starts, sizes):
+    """``np.sum`` of each run ``values[start : start + size]``, by the MI kernel."""
+    return 0.0 + _pairwise_runs(np.concatenate([values, np.zeros(8)]), starts, sizes)
 
 
 def one_column(d, estimator, **kwargs):
@@ -194,8 +199,24 @@ class TestMutualInfoStack:
         rng = np.random.default_rng(40)
         for n in range(300):
             t = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-6, 7, size=(3, n))
-            for row, total in zip(t, 0.0 + _pairwise_rows(t)):
+            for row, total in zip(t, run_sums(t.ravel(), np.arange(3) * n, np.full(3, n))):
                 assert total == np.sum(row), n
+
+    def test_runs_at_random_offsets_match_np_sum(self):
+        # One call over runs of every length class: empty, under 8 (no
+        # block), 8 to 128 (one pass) and over 128 (split), at random and
+        # overlapping offsets, so the masked lanes pad each short run.
+        rng = np.random.default_rng(57)
+        values = rng.normal(size=2000) * 10.0 ** rng.integers(-6, 7, size=2000)
+        sizes = np.concatenate([[0, 0, 7, 8, 128, 129, 136, 300], rng.integers(0, 301, size=400)])
+        starts = rng.integers(0, values.size - sizes + 1)
+        got = run_sums(values, starts, sizes)
+        assert got.shape == sizes.shape
+        for start, size, total in zip(starts, sizes, got):
+            want = np.sum(values[start : start + size])
+            assert total.tobytes() == want.tobytes(), (start, size)
+        for lo, hi in ((0, 0), (1, 7), (8, 128), (129, 300)):
+            assert ((sizes >= lo) & (sizes <= hi)).sum() >= 2, (lo, hi)
 
     @pytest.mark.parametrize("ka", range(1, 13))
     def test_stack_equals_scalar_bitwise(self, ka):
@@ -492,6 +513,29 @@ class TestRedundancy:
                 assert value == oracle_abs_pearson(d.features[:, lo], d.features[:, hi]), c
         if measure == ABS_PEARSON:
             assert got[0] == 0.0  # the constant column
+
+    def test_fine_bins_match_lone_tables(self):
+        # 16 bins on 200 rows: most pair tables hold more than 128 nonzero
+        # cells, so their terms are summed in split runs; every fourth
+        # column has 1 to 12 distinct values, so smaller tables share calls.
+        rng = np.random.default_rng(58)
+        d = random_dataset(rng, 200, 260, n_classes=3)
+        x = np.array(d.features)
+        for j in range(0, 260, 4):
+            x[:, j] = rng.integers(0, 1 + (j // 4) % 12, size=200)
+        d = make_dataset(x, d.labels)
+        codes = discretize_columns(d.features, 16).T
+        newest = 131
+        candidates = np.delete(np.arange(260), newest)
+        got = RedundancyCache(d, MI_PAIR, mi_bins=16).against(newest, candidates)
+        sizes = []
+        for c, value in zip(candidates, got):
+            lo, hi = min(c, newest), max(c, newest)
+            table = np.zeros((codes[lo].max() + 1, codes[hi].max() + 1), dtype=np.int64)
+            np.add.at(table, (codes[lo], codes[hi]), 1)
+            sizes.append(np.count_nonzero(table))
+            assert value == mutual_info_from_counts(table), c
+        assert min(sizes) <= 128 < max(sizes)
 
     def test_cache_symmetric_lookup(self):
         rng = np.random.default_rng(30)
