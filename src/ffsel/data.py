@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +171,26 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     )
 
 
+def _records(fh) -> Iterator[str]:
+    """The lines left in `fh`, without the whitespace-only lines that come
+    before the first quote.
+
+    The csv module skips such a line, while NumPy reads it as a one-cell
+    row.  Until a quote appears no quoted cell can be open, so the line
+    ends no record; after one it may lie inside a quoted cell, and every
+    line is kept.
+    """
+    quoted = False
+    for line in fh:  # not `yield from fh`, whose close() would close the file
+        quoted = quoted or '"' in line
+        if quoted or not line.isspace():
+            yield line
+
+
 def _read_table(fh, n_cells: int, label_idx: int) -> tuple[np.ndarray, list[str]] | None:
     """The column-major feature block and stripped labels of the rows left
-    in `fh` by one `np.loadtxt` call; None where it raises or a row is not
-    `n_cells` finite cells."""
+    in `fh` (`_records`) by one `np.loadtxt` call; None where it raises or a
+    row is not `n_cells` finite cells."""
     label_strings: list[str] = []
 
     def label(cell: str) -> float:
@@ -184,7 +201,7 @@ def _read_table(fh, n_cells: int, label_idx: int) -> tuple[np.ndarray, list[str]
         with warnings.catch_warnings():
             # An empty body goes to _read_cells, which reports it.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+            table = np.loadtxt(_records(fh), dtype=np.float64, delimiter=",", comments=None, quotechar='"',
                                ndmin=2, converters={label_idx: label})
     except ValueError:  # UnicodeDecodeError too
         return None

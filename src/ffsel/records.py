@@ -57,7 +57,12 @@ class BenchmarkRecord:
             raise ValueError("n_selected must be >= 1")
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in order, as `dataclasses.asdict` gives them; only
+        `settings` and its lists are copied, since every other value is a
+        string, a number or None."""
+        row = {name: getattr(self, name) for name in _FIELD_NAMES}
+        row["settings"] = {key: list(v) if isinstance(v, list) else v for key, v in self.settings.items()}
+        return row
 
     def comparable_dict(self) -> dict:
         """Record content with timing fields stripped, for determinism checks."""
@@ -69,6 +74,9 @@ class BenchmarkRecord:
     def cell_key(self) -> tuple:
         """Identity of the sweep cell this record fills."""
         return tuple(getattr(self, f) for f in CELL_KEY_FIELDS)
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(BenchmarkRecord))
 
 
 class _NotJson(DataError):

@@ -22,6 +22,8 @@ ACCEPTED = [
     ("cr-only", "x,y,label\r1,2,a\r3,4,b\r", None),
     ("blank-lines", "x,label\n\n1,a\n\n\n2,b\n\n", None),
     ("whitespace-lines", "x,label\n1,a\n   \n\t\n2,b\n", None),
+    ("whitespace-line-in-quotes", 'x,label\n1,"x\n  \ny"\n2,b\n', None),
+    ("whitespace-line-after-quote", 'x,label\n1,"a"\n  \n2,b\n', None),
     ("no-final-newline", "x,label\n1,a\n2,b", None),
     ("label-first", "lab,x,y\na,1,2\nb,3,4\n", 0),
     ("label-middle", "x,lab,y\n1,a,2\n3,b,4\n", 1),
@@ -141,6 +143,25 @@ class TestLoadCsv:
         x = rng.normal(size=(6, 4))
         d = load_csv(write_csv(tmp_path / "plain.csv", x, [0, 1, 0, 1, 1, 0]))
         assert d.features.tobytes() == np.asfortranarray(x).tobytes()
+
+    @pytest.mark.parametrize("text,label", [
+        ("x,y,label\n1,2,a\n   \n\t\n3,4,b\n \x0c\r\n5,6,a\n", "a"),
+        # A whitespace-only line inside a quoted cell stays in the label.
+        ('x,y,label\n1,2,"x\n  \ny"\n3,4,b\n', "x\n  \ny"),
+    ], ids=["between-rows", "in-quotes"])
+    def test_whitespace_only_lines_skip_the_csv_module(self, tmp_path, monkeypatch, text, label):
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(ffsel.data, "_read_table", lambda *args: None)
+        want = load_csv(p)
+        monkeypatch.undo()
+        table = ffsel.data._read_table
+        monkeypatch.setattr(ffsel.data, "_read_table",
+                            lambda *args: table(*args) or pytest.fail("_read_table gave up"))
+        got = load_csv(p)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.class_names == want.class_names == [label, "b"]
 
     @pytest.mark.parametrize("text,label_column,message", [c[1:] for c in REJECTED], ids=[c[0] for c in REJECTED])
     def test_rejected_files_name_the_fault(self, tmp_path, text, label_column, message):

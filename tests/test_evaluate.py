@@ -1,5 +1,7 @@
 """Accuracy metrics, cross-validation, and benchmark records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,14 @@ class TestBenchmarkRecord:
         assert a.cell_key() == b.cell_key()
         c = self.record(k=6)
         assert c.cell_key() != a.cell_key()
+
+    def test_as_dict_equals_asdict_without_sharing_settings(self):
+        rec = self.record(settings={"n_folds": 5, "tie_breakers": ["COSINE"]})
+        row = rec.as_dict()
+        assert list(row.items()) == list(dataclasses.asdict(rec).items())
+        row["settings"]["tie_breakers"].append("MI")
+        row["settings"]["n_folds"] = 3
+        assert rec.settings == {"n_folds": 5, "tie_breakers": ["COSINE"]}
 
     def test_alpha_none_for_non_binning_algorithms(self):
         rec = self.record(algorithm="KBEST", variant="", alpha=None)
