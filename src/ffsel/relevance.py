@@ -211,12 +211,14 @@ def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
     value equals the scalar function's bit for bit.
     """
     m, ka, kb = joint.shape
+    # Integer counts, summed and divided as exactly as their float64 copies.
     n = joint.sum(axis=(1, 2))
     # An empty table scores 0.0, as its L = 0 cells sum to.
     p = joint / np.where(n == 0, 1.0, n)[:, None, None]
     outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
     cells = np.flatnonzero(p > 0)
     pv = p.take(cells)
+    # The terms, computed in place, then the 8 zeros `_pairwise_runs` reads.
     padded = np.zeros(cells.size + 8)
     terms = padded[: cells.size]
     outer.take(cells, out=terms)

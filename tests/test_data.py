@@ -144,24 +144,19 @@ class TestLoadCsv:
         d = load_csv(write_csv(tmp_path / "plain.csv", x, [0, 1, 0, 1, 1, 0]))
         assert d.features.tobytes() == np.asfortranarray(x).tobytes()
 
-    @pytest.mark.parametrize("text,label", [
-        ("x,y,label\n1,2,a\n   \n\t\n3,4,b\n \x0c\r\n5,6,a\n", "a"),
-        # A whitespace-only line inside a quoted cell stays in the label.
-        ('x,y,label\n1,2,"x\n  \ny"\n3,4,b\n', "x\n  \ny"),
-    ], ids=["between-rows", "in-quotes"])
-    def test_whitespace_only_lines_skip_the_csv_module(self, tmp_path, monkeypatch, text, label):
+    def test_whitespace_only_lines_skip_the_csv_module(self, tmp_path, monkeypatch):
+        # The corpus above compares such files with the csv module's parse,
+        # with the quoted cases where such a line must be kept.
+        def refuse(*args):
+            raise AssertionError("a file with whitespace-only lines reached _read_cells")
+
+        monkeypatch.setattr(ffsel.data, "_read_cells", refuse)
         p = tmp_path / "in.csv"
-        p.write_bytes(text.encode("utf-8"))
-        monkeypatch.setattr(ffsel.data, "_read_table", lambda *args: None)
-        want = load_csv(p)
-        monkeypatch.undo()
-        table = ffsel.data._read_table
-        monkeypatch.setattr(ffsel.data, "_read_table",
-                            lambda *args: table(*args) or pytest.fail("_read_table gave up"))
-        got = load_csv(p)
-        assert got.features.tobytes() == want.features.tobytes()
-        assert got.labels.tolist() == want.labels.tolist()
-        assert got.class_names == want.class_names == [label, "b"]
+        p.write_bytes("x,y,label\n1,2,a\n   \n\t\n3,4,b\n \x0c\r\n5,6,a\n".encode("utf-8"))
+        d = load_csv(p)
+        assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert d.labels.tolist() == [0, 1, 0]
+        assert d.class_names == ["a", "b"]
 
     @pytest.mark.parametrize("text,label_column,message", [c[1:] for c in REJECTED], ids=[c[0] for c in REJECTED])
     def test_rejected_files_name_the_fault(self, tmp_path, text, label_column, message):
