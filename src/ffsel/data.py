@@ -171,7 +171,7 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     )
 
 
-def _records(fh) -> Iterator[str]:
+def _body_lines(fh) -> Iterator[str]:
     """The lines left in `fh`, without the whitespace-only lines that come
     before the first quote.
 
@@ -189,7 +189,7 @@ def _records(fh) -> Iterator[str]:
 
 def _read_table(fh, n_cells: int, label_idx: int) -> tuple[np.ndarray, list[str]] | None:
     """The column-major feature block and stripped labels of the rows left
-    in `fh` (`_records`) by one `np.loadtxt` call; None where it raises or a
+    in `fh` (`_body_lines`) by one `np.loadtxt` call; None where it raises or a
     row is not `n_cells` finite cells."""
     label_strings: list[str] = []
 
@@ -201,7 +201,7 @@ def _read_table(fh, n_cells: int, label_idx: int) -> tuple[np.ndarray, list[str]
         with warnings.catch_warnings():
             # An empty body goes to _read_cells, which reports it.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(_records(fh), dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+            table = np.loadtxt(_body_lines(fh), dtype=np.float64, delimiter=",", comments=None, quotechar='"',
                                ndmin=2, converters={label_idx: label})
     except ValueError:  # UnicodeDecodeError too
         return None

@@ -10,14 +10,15 @@ line for its records.  The next line, ``per-fold``, digests a 2-dataset sweep
 with selection inside each fold: synth 40x60 and 46x80 at the seed, as
 ``d40.csv`` and ``d46.csv``; MI, FVALUE and GINI; the default algorithms;
 KNN, GNB and RF; alpha 0.5 and 1.3; k 2..7; 3 folds; sweep seed 2.  The
-last line, ``scale-per-fold``, digests the same sweep with
+next line, ``scale-per-fold``, digests the same sweep with
 ``scale_per_fold=True``, so each fold's columns are standardized on its own
-training rows.  The ``fine-bins`` line digests a sweep on a 200x60 synth
-at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and MIFS;
-KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of its
-pair tables hold more than 128 nonzero cells, so MI scoring takes the
-path that splits a table's run of terms as ``np.sum`` does.  Two revisions whose sweeps differ only in timing print the
-same lines.  It reads ``perfbench/`` and changes nothing there.
+training rows.  The last line, ``fine-bins``, digests a sweep on a 200x60
+synth at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and
+MIFS; KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of
+its pair tables hold more than 128 nonzero cells, so MI scoring splits
+their runs of terms as ``np.sum`` does.  Two revisions whose sweeps differ
+only in timing print the same lines.  It reads ``perfbench/`` and
+changes nothing there.
 
 With ``--check FILE`` it also compares the lines with FILE's, by workload
 name, and exits 1 naming each line that differs.  ``tools/workload_digests.txt``
