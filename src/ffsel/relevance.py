@@ -46,9 +46,14 @@ ABS_PEARSON = "ABS_PEARSON"
 REDUNDANCY_MEASURES = (MI_PAIR, ABS_PEARSON)
 
 DEFAULT_MI_BINS = 10
-# Columns coded together by `discretize_columns`, and counted together
-# against the labels by `_label_mi`.
+# Columns coded together by `discretize_columns`; code rows counted
+# together by one ``bincount`` in `_mi_against`, the one MI routine (many
+# code rows against one row: the labels, or the newest mRMR pick).
 _BLOCK = 128
+# Most count-table cells one `_mutual_info_stack` call scores.  The tables
+# of one shape are scored in chunks of this size, so a call's working
+# arrays stay small however many rows share that shape.
+_CELLS = 51200
 # NumPy's pairwise summation sums runs of at most this many values with
 # eight strided accumulators, and halves longer runs.
 _PW_BLOCKSIZE = 128
@@ -144,18 +149,6 @@ def mutual_info_from_counts(joint: np.ndarray) -> float:
     return max(mi, 0.0)
 
 
-def _joint_tables(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> np.ndarray:
-    """Joint count tables of paired code rows, as an (m, ka, kb) stack.
-
-    ``a`` and ``b`` are (m, n) blocks of codes below ``ka`` and ``kb``, or
-    one row of n codes paired with every row of the other; one ``bincount``
-    over (table, a code, b code) counts all m tables.
-    """
-    m = np.broadcast_shapes(a.shape, b.shape)[0]
-    flat = (np.arange(m)[:, None] * ka + a) * kb + b
-    return np.bincount(flat.ravel(), minlength=m * ka * kb).reshape(m, ka, kb)
-
-
 def _pairwise_runs(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Sum each run ``t[start : start + size]`` in the order ``np.sum`` sums
     a 1-D array; ``t`` ends with 8 zeros that no run covers.
@@ -230,24 +223,34 @@ def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
     return np.where(sums < 0.0, 0.0, sums)
 
 
-def _label_mi(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Plug-in MI of every column of ``codes`` with the labels, in nats.
+def _mi_against(
+    rows: np.ndarray, idx: np.ndarray, levels: np.ndarray, row: np.ndarray, k: int, row_first: bool = False
+) -> np.ndarray:
+    """Plug-in MI, in nats, of each code row ``rows[i]`` (``i`` in ``idx``)
+    with the one code row ``row``, whose codes lie below ``k``.
 
-    Columns with the same number of codes share one table shape; their
-    joint tables come from one ``bincount`` per block of ``_BLOCK`` columns
-    over (column, code, label), and `_mutual_info_stack` scores them all.
+    Row ``i`` holds codes below ``levels[i]``.  Each table is oriented
+    (``rows[i]``, ``row``), or (``row``, ``rows[i]``) when ``row_first``.
+    Rows with the same code count share one table shape; their tables are
+    counted by one ``bincount`` per ``_BLOCK`` rows, over (table, first
+    code, second code), and scored by `_mutual_info_stack` at most
+    ``_CELLS`` cells at a time.
     """
-    kb = int(labels.max()) + 1
-    rows = codes.T
-    ka = rows.max(axis=1) + 1
-    values = np.empty(rows.shape[0])
-    for k in np.flatnonzero(np.bincount(ka)):
-        cols = np.flatnonzero(ka == k)
-        joint = np.empty((cols.size, k, kb), dtype=np.int64)
-        for lo in range(0, cols.size, _BLOCK):
-            block = rows[cols[lo : lo + _BLOCK]]
-            joint[lo : lo + len(block)] = _joint_tables(block, k, labels, kb)
-        values[cols] = _mutual_info_stack(joint)
+    values = np.empty(idx.size)
+    counts = levels[idx]
+    for ka in np.flatnonzero(np.bincount(counts)):
+        group = np.flatnonzero(counts == ka)
+        shape = (k, ka) if row_first else (ka, k)
+        step = max(1, _CELLS // (ka * k))
+        for lo in range(0, group.size, step):
+            chunk = group[lo : lo + step]
+            joint = np.empty((chunk.size, *shape), dtype=np.int64)
+            for b in range(0, chunk.size, _BLOCK):
+                block = rows[idx[chunk[b : b + _BLOCK]]]
+                m = len(block)
+                flat = np.arange(m)[:, None] * (ka * k) + (row * ka + block if row_first else block * k + row)
+                joint[b : b + m] = np.bincount(flat.ravel(), minlength=m * ka * k).reshape(m, *shape)
+            values[chunk] = _mutual_info_stack(joint)
     return values
 
 
@@ -309,7 +312,9 @@ def relevance_all(
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == MI:
-        values = _label_mi(discretize_columns(d.features, mi_bins), d.labels)
+        rows = discretize_columns(d.features, mi_bins).T
+        levels = rows.max(axis=1) + 1
+        values = _mi_against(rows, np.arange(d.n_cols), levels, d.labels, int(d.labels.max()) + 1)
     elif estimator == FVALUE:
         values = _f_values(d)
     else:
@@ -348,8 +353,12 @@ class RedundancyCache:
     def against(self, newest: int, candidates: np.ndarray) -> np.ndarray:
         """Redundancy of each candidate column with column ``newest``.
 
-        Candidates are scored in chunks of ``_BLOCK``; MI tables are
-        counted and scored together by shape.
+        MI scores the candidates' codes against the newest pick's with
+        `_mi_against`, at most ``_CELLS`` table cells per kernel call: once
+        for the candidates below ``newest``, as (candidate, newest) tables,
+        and once for those above, as (newest, candidate), so each table is
+        oriented (lower index, higher index).  Pearson candidates are
+        scored in chunks of ``_BLOCK``.
         """
         candidates = np.asarray(candidates, dtype=np.intp)
         if (candidates == newest).any():
@@ -358,20 +367,10 @@ class RedundancyCache:
         values = np.empty(candidates.size)
         if self.measure == MI_PAIR:
             codes, levels = self._codes, self._levels
-            # Each table is oriented (lower index, higher index); one group
-            # per table shape.
+            row, k = codes[newest], int(levels[newest])
             above = candidates > newest
-            lower = np.where(above, newest, candidates)
-            higher = np.where(above, candidates, newest)
-            radix = int(levels.max()) + 1
-            shape = levels[lower] * radix + levels[higher]
-            for key in np.unique(shape):
-                ka, kb = divmod(int(key), radix)
-                rows = np.flatnonzero(shape == key)
-                for lo in range(0, rows.size, _BLOCK):
-                    chunk = rows[lo : lo + _BLOCK]
-                    joint = _joint_tables(codes[lower[chunk]], ka, codes[higher[chunk]], kb)
-                    values[chunk] = _mutual_info_stack(joint)
+            values[~above] = _mi_against(codes, candidates[~above], levels, row, k)
+            values[above] = _mi_against(codes, candidates[above], levels, row, k, row_first=True)
             return values
         centered, norms = self._centered, self._norms
         for lo in range(0, candidates.size, _BLOCK):

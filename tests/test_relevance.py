@@ -25,6 +25,7 @@ from ffsel.relevance import (
     GINI,
     MI,
     MI_PAIR,
+    _CELLS,
     _mutual_info_stack,
     _pairwise_runs,
     _sorted_quantiles,
@@ -394,13 +395,18 @@ class TestRelevanceAll:
 
     def test_mixed_code_counts_within_a_block(self):
         # Columns of 1 to 9 distinct values beside continuous ones, in the
-        # same blocks, over more than two blocks of columns.
+        # same blocks, over more than two blocks of columns.  At 2,700
+        # columns the 10-code tables (30 cells each) take more than one
+        # kernel call.
         rng = np.random.default_rng(37)
-        d = random_dataset(rng, 80, 300, n_classes=3)
-        x = np.array(d.features)
-        for j in range(0, 300, 3):
-            x[:, j] = rng.integers(0, 1 + (j // 3) % 9, size=80)
-        assert_matches_per_column_oracles(make_dataset(x, d.labels))
+        for n_cols in (300, 2700):
+            d = random_dataset(rng, 80, n_cols, n_classes=3)
+            x = np.array(d.features)
+            for j in range(0, n_cols, 3):
+                x[:, j] = rng.integers(0, 1 + (j // 3) % 9, size=80)
+            full = (discretize_columns(x, DEFAULT_MI_BINS).max(axis=0) == 9).sum()
+            assert (full * 10 * 3 > _CELLS) == (n_cols == 2700)
+            assert_matches_per_column_oracles(make_dataset(x, d.labels))
 
     def test_fold_subset(self):
         rng = np.random.default_rng(34)
@@ -517,25 +523,30 @@ class TestRedundancy:
     def test_fine_bins_match_lone_tables(self):
         # 16 bins on 200 rows: most pair tables hold more than 128 nonzero
         # cells, so their terms are summed in split runs; every fourth
-        # column has 1 to 12 distinct values, so smaller tables share calls.
+        # column from column 2 has 1 to 12 distinct values, so smaller
+        # tables share calls.  The newest pick is the first, a middle and
+        # the last column, so each side of it is empty once, and a side's
+        # 16-code tables (256 cells each) take more than one kernel call.
         rng = np.random.default_rng(58)
-        d = random_dataset(rng, 200, 260, n_classes=3)
+        d = random_dataset(rng, 200, 600, n_classes=3)
         x = np.array(d.features)
-        for j in range(0, 260, 4):
+        for j in range(2, 600, 4):
             x[:, j] = rng.integers(0, 1 + (j // 4) % 12, size=200)
         d = make_dataset(x, d.labels)
         codes = discretize_columns(d.features, 16).T
-        newest = 131
-        candidates = np.delete(np.arange(260), newest)
-        got = RedundancyCache(d, MI_PAIR, mi_bins=16).against(newest, candidates)
-        sizes = []
-        for c, value in zip(candidates, got):
-            lo, hi = min(c, newest), max(c, newest)
-            table = np.zeros((codes[lo].max() + 1, codes[hi].max() + 1), dtype=np.int64)
-            np.add.at(table, (codes[lo], codes[hi]), 1)
-            sizes.append(np.count_nonzero(table))
-            assert value == mutual_info_from_counts(table), c
-        assert min(sizes) <= 128 < max(sizes)
+        full = codes.max(axis=1) == 15
+        for newest in (0, 301, 599):
+            assert max(full[:newest].sum(), full[newest + 1 :].sum()) * 16 * 16 > _CELLS
+            candidates = np.delete(np.arange(600), newest)
+            got = RedundancyCache(d, MI_PAIR, mi_bins=16).against(newest, candidates)
+            sizes = []
+            for c, value in zip(candidates, got):
+                lo, hi = min(c, newest), max(c, newest)
+                table = np.zeros((codes[lo].max() + 1, codes[hi].max() + 1), dtype=np.int64)
+                np.add.at(table, (codes[lo], codes[hi]), 1)
+                sizes.append(np.count_nonzero(table))
+                assert value == mutual_info_from_counts(table), (newest, c)
+            assert min(sizes) <= 128 < max(sizes)
 
     def test_cache_symmetric_lookup(self):
         rng = np.random.default_rng(30)
