@@ -10,7 +10,7 @@ Pearson correlation, symmetric in the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,9 +46,9 @@ ABS_PEARSON = "ABS_PEARSON"
 REDUNDANCY_MEASURES = (MI_PAIR, ABS_PEARSON)
 
 DEFAULT_MI_BINS = 10
-# Columns coded together by `discretize_columns`; code rows counted
-# together by one ``bincount`` in `_mi_against`, the one MI routine (many
-# code rows against one row: the labels, or the newest mRMR pick).
+# Columns coded together by `discretize_columns`; rows of `_code_rows`
+# counted together by one ``bincount`` in `_mi_against`, the one MI routine
+# (many code rows against one row: the labels, or the newest mRMR pick).
 _BLOCK = 128
 # Most count-table cells one `_mutual_info_stack` call scores.  The tables
 # of one shape are scored in chunks of this size, so a call's working
@@ -64,10 +64,12 @@ F_VALUE_CAP = 1e30
 
 @dataclass(frozen=True)
 class RelevanceVector:
-    """Per-feature relevance scores from one named estimator."""
+    """Per-feature relevance scores from one named estimator; `relevance_all`'s
+    MI vectors also keep the code rows they scored, for MI redundancy (`_code_rows`)."""
 
     estimator: str
     values: np.ndarray
+    _mi_codes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -132,6 +134,16 @@ def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
         for t in thresholds:
             codes[:, lo : lo + _BLOCK] += block > t
     return codes
+
+
+def _code_rows(x: np.ndarray, bins: int, rel: RelevanceVector | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's codes as one contiguous row of the smallest unsigned dtype holding
+    ``bins - 1``, and each row's code count: those ``rel`` kept if made from this ``x`` and ``bins``."""
+    kept = rel and rel._mi_codes
+    if kept and kept[0] is x and kept[1] == bins:
+        return kept[2:]
+    rows = discretize_columns(x, bins).T.astype(np.min_scalar_type(bins - 1))
+    return rows, rows.max(axis=1).astype(np.intp) + 1
 
 
 def mutual_info_from_counts(joint: np.ndarray) -> float:
@@ -246,7 +258,7 @@ def _mi_against(
             chunk = group[lo : lo + step]
             joint = np.empty((chunk.size, *shape), dtype=np.int64)
             for b in range(0, chunk.size, _BLOCK):
-                block = rows[idx[chunk[b : b + _BLOCK]]]
+                block = rows[idx[chunk[b : b + _BLOCK]]].astype(np.intp)  # uint8 codes would overflow
                 m = len(block)
                 flat = np.arange(m)[:, None] * (ka * k) + (row * ka + block if row_first else block * k + row)
                 joint[b : b + m] = np.bincount(flat.ravel(), minlength=m * ka * k).reshape(m, *shape)
@@ -312,14 +324,11 @@ def relevance_all(
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     if estimator == MI:
-        rows = discretize_columns(d.features, mi_bins).T
-        levels = rows.max(axis=1) + 1
-        values = _mi_against(rows, np.arange(d.n_cols), levels, d.labels, int(d.labels.max()) + 1)
-    elif estimator == FVALUE:
-        values = _f_values(d)
-    else:
-        values = _cosines(d)
-    return RelevanceVector(estimator, values)
+        rows, levels = _code_rows(d.features, mi_bins)
+        vec = RelevanceVector(MI, _mi_against(rows, np.arange(d.n_cols), levels, d.labels, int(d.labels.max()) + 1))
+        object.__setattr__(vec, "_mi_codes", (d.features, mi_bins, rows, levels))
+        return vec
+    return RelevanceVector(estimator, _f_values(d) if estimator == FVALUE else _cosines(d))
 
 
 class RedundancyCache:
@@ -327,7 +336,8 @@ class RedundancyCache:
     column for many candidates at once.
 
     MI values read codes from one discretization of the whole matrix and
-    score each table as oriented (lower index, higher index).  Pearson
+    score each table as oriented (lower index, higher index), reusing those
+    ``rel`` kept if `relevance_all` made it from ``d`` with ``mi_bins``.  Pearson
     values read centered columns and their norms, prepared once: for
     centered columns a and b, |sum(a * b)| / (sqrt(sum(a * a)) * sqrt(sum(b * b))),
     capped at 1 and 0.0 when either column is constant.  Each sum runs
@@ -335,14 +345,13 @@ class RedundancyCache:
     bit-identical to the same formula on a lone pair of columns.
     """
 
-    def __init__(self, d: Dataset, measure: str, mi_bins: int = DEFAULT_MI_BINS):
+    def __init__(self, d: Dataset, measure: str, mi_bins: int = DEFAULT_MI_BINS, *, rel: RelevanceVector | None = None):
         if measure not in REDUNDANCY_MEASURES:
             raise ValueError(f"unknown redundancy measure {measure!r}")
         self.measure = measure
         self._computed = 0
         if measure == MI_PAIR:
-            self._codes = discretize_columns(d.features, mi_bins).T
-            self._levels = self._codes.max(axis=1) + 1
+            self._codes, self._levels = _code_rows(d.features, mi_bins, rel)
         else:
             # One contiguous row per column: row means and sums then reduce
             # in the same order as on a lone column.
@@ -367,7 +376,7 @@ class RedundancyCache:
         values = np.empty(candidates.size)
         if self.measure == MI_PAIR:
             codes, levels = self._codes, self._levels
-            row, k = codes[newest], int(levels[newest])
+            row, k = codes[newest].astype(np.intp), int(levels[newest])
             above = candidates > newest
             values[~above] = _mi_against(codes, candidates[~above], levels, row, k)
             values[above] = _mi_against(codes, candidates[above], levels, row, k, row_first=True)

@@ -139,6 +139,7 @@ def select_mrmr(
     where red is the sum of pairwise redundancies against the selected
     set, divided by its size when mean_normalized.  Score ties go to the
     lower feature index.  No pick depends on k, so runs nest as prefixes.
+    MI redundancy reuses the codes of ``relevance_all(d, MI, mi_bins=mi_bins)``.
     """
     t0 = thread_time()
     values = rel.values
@@ -152,7 +153,7 @@ def select_mrmr(
         raise ValueError(f"unknown form: {form!r}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    cache = RedundancyCache(d, redundancy, mi_bins=mi_bins)
+    cache = RedundancyCache(d, redundancy, mi_bins=mi_bins, rel=rel)
 
     first = int(np.argmax(values))
     selected = [first]

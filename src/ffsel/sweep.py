@@ -7,9 +7,9 @@ dataset at a time.  A cell selects on the whole dataset, or with
 `select_per_fold` inside each fold's training view (built once per fold),
 and scores its subsets through `cross_validate`.  Relevance vectors are
 computed once per estimator (and fold), then shared across every k and
-alpha.  Each greedy mRMR variant runs once from cold to the largest pending
-k, and each k's record takes its first k picks, so a record's selection
-cost does not depend on which cells ran first.
+alpha; MI redundancy reuses MI relevance's code rows.  Each greedy mRMR
+variant runs once from cold to the largest pending k; each k's record takes
+its first k picks, so its selection cost does not depend on cell order.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import ffsel.relevance
 from ffsel import Dataset, RandomForest
 from ffsel.classifiers import RF, classify
 
@@ -14,6 +15,19 @@ def make_dataset(features, labels, name="toy"):
     feature_names = tuple(f"f{i}" for i in range(features.shape[1]))
     class_names = tuple(f"c{i}" for i in range(n_classes))
     return Dataset(name, features, feature_names, labels, class_names)
+
+
+def count_discretizations(monkeypatch):
+    """The bin count of each `discretize_columns` call, one entry per call."""
+    calls = []
+    code = ffsel.relevance.discretize_columns
+
+    def counting(x, bins):
+        calls.append(bins)
+        return code(x, bins)
+
+    monkeypatch.setattr(ffsel.relevance, "discretize_columns", counting)
+    return calls
 
 
 def predict(name, train_x, train_y, test_x, *, n_classes, k_neighbors, forest):

@@ -548,6 +548,23 @@ class TestRedundancy:
                 assert value == mutual_info_from_counts(table), (newest, c)
             assert min(sizes) <= 128 < max(sizes)
 
+    @pytest.mark.parametrize("bins", [20, 256, 300])
+    def test_codes_past_one_byte_products_match_lone_tables(self, bins):
+        # Code rows are stored in the narrowest unsigned type: at 20 bins a
+        # code times a code count passes 255, at 256 bins the top code is
+        # 255 itself, and 300 bins need two bytes.
+        d = random_dataset(np.random.default_rng(59), 400, 6, n_classes=3)
+        codes = discretize_columns(d.features, bins).T
+        assert codes.max() == min(bins, 400) - 1
+        assert_matches_per_column_oracles(d, mi_bins=bins)
+        cache = RedundancyCache(d, MI_PAIR, mi_bins=bins, rel=relevance_all(d, MI, mi_bins=bins))
+        for newest in (0, 3):
+            candidates = np.delete(np.arange(6), newest)
+            got = cache.against(newest, candidates)
+            for c, value in zip(candidates, got):
+                lo, hi = min(c, newest), max(c, newest)
+                assert value == oracle_mi_of_codes(codes[lo], codes[hi]), (newest, c)
+
     def test_cache_symmetric_lookup(self):
         rng = np.random.default_rng(30)
         d = random_dataset(rng, 15, 3)

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_dataset
+from conftest import count_discretizations, make_dataset, random_dataset
 from ffsel import (
     MRMR_VARIANTS,
     RelevanceVector,
     SelectionResult,
     compute_bins,
+    relevance_all,
     select_kbest,
     select_kgroups,
     select_mrmr,
 )
-from ffsel.relevance import ABS_PEARSON, COSINE, FVALUE, MI, MI_PAIR
+from ffsel.relevance import ABS_PEARSON, COSINE, DEFAULT_MI_BINS, FVALUE, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
 
 
@@ -229,6 +230,45 @@ class TestSelectMrmr:
             select_mrmr(d, values, 2, form="SUM")
         with pytest.raises(ValueError):
             select_mrmr(d, values, 2, redundancy="TAU")
+
+
+class TestSharedMiCodes:
+    """MI redundancy reuses the code rows MI relevance kept, and only those
+    made from the same matrix with the same bins."""
+
+    @pytest.mark.parametrize("variant", ["MID", "MIQ", "MIFS"])
+    def test_cold_selection_discretizes_once(self, monkeypatch, variant):
+        d = random_dataset(np.random.default_rng(5), 40, 24)
+        calls = count_discretizations(monkeypatch)
+        _, form, redundancy, mean_normalized = MRMR_VARIANTS[variant]
+        rel = relevance_all(d, MI)
+        r = select_mrmr(d, rel, 8, form, redundancy, mean_normalized=mean_normalized)
+        assert calls == [DEFAULT_MI_BINS]
+        assert r.selected == select_mrmr(
+            d, rel_vec(rel.values), 8, form, redundancy, mean_normalized=mean_normalized
+        ).selected
+
+    def test_codes_reused_only_from_same_matrix_and_bins(self):
+        d = random_dataset(np.random.default_rng(5), 40, 24)
+        noisy = make_dataset(d.features + 0.5 * np.random.default_rng(6).normal(size=d.features.shape), d.labels)
+
+        def picks(data, rel, **kwargs):
+            return select_mrmr(data, rel, 8, **kwargs).selected
+
+        # (a) same matrix and bins: the kept codes are the ones the cache would make.
+        rel = relevance_all(d, MI)
+        assert picks(d, rel) == picks(d, rel_vec(rel.values))
+        assert repr(rel) == repr(rel_vec(rel.values))
+        # (b) codes kept at 5 bins, redundancy at the default 10.
+        rel5 = relevance_all(d, MI, mi_bins=5)
+        right = picks(d, rel_vec(rel5.values))
+        assert right != picks(d, rel_vec(rel5.values), mi_bins=5)  # what 5-bin codes would pick
+        assert picks(d, rel5) == right
+        # (c) codes kept for another matrix of the same shape.
+        rel_noisy = relevance_all(noisy, MI)
+        right = picks(d, rel_vec(rel_noisy.values))
+        assert right != picks(noisy, rel_vec(rel_noisy.values))  # what the other codes would pick
+        assert picks(d, rel_noisy) == right
 
 
 class TestSelectKGroups:

@@ -13,7 +13,7 @@ import pytest
 
 import ffsel.selectors
 import ffsel.sweep
-from conftest import make_dataset, same_stem_csvs, two_label_csv, write_csv
+from conftest import count_discretizations, make_dataset, same_stem_csvs, two_label_csv, write_csv
 from ffsel import (
     BenchmarkRecord,
     DataError,
@@ -35,7 +35,7 @@ from ffsel import (
     standard_scale,
 )
 from ffsel.cli import main
-from ffsel.relevance import MI, MI_PAIR
+from ffsel.relevance import DEFAULT_MI_BINS, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
 
 
@@ -221,6 +221,11 @@ class TestSweepConfig:
 
 class TestRunSweep:
     """End-to-end sweep over a small on-disk dataset."""
+
+    def test_pooled_mi_sweep_discretizes_once(self, tmp_path, monkeypatch):
+        calls = count_discretizations(monkeypatch)
+        list(run_sweep(tiny_config(tmp_path, algorithms=(KBEST, "MID", "MIQ"))))
+        assert calls == [DEFAULT_MI_BINS]  # MI relevance; MID and MIQ reuse its codes
 
     def test_record_count_and_fields(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
