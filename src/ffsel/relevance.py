@@ -104,19 +104,21 @@ def _sorted_quantiles(s: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
-    """Integer codes from equal-frequency binning of each column of a matrix.
+    """Integer codes from equal-frequency binning of each column of a matrix:
+    one contiguous row per column, shape (n_cols, n_rows), in the smallest
+    unsigned dtype that holds ``bins - 1``.
 
     A column with at most ``bins`` distinct values keeps one code per
     distinct value.  Otherwise interior edges sit at the 1/bins..(bins-1)/bins
     quantiles and each value maps to the lowest bin whose edge reaches it,
     so equal values always share a bin.  Columns are coded in blocks of
-    ``_BLOCK`` so temporaries stay small on wide matrices.  The codes are
-    column-major, so each column (each row of ``codes.T``) is contiguous.
+    ``_BLOCK`` so temporaries stay small on wide matrices.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     x = np.asarray(x, dtype=np.float64)
-    codes = np.zeros(x.shape, dtype=np.int64, order="F")
+    rows = np.zeros(x.shape[::-1], dtype=np.min_scalar_type(bins - 1))
+    codes = rows.T
     for lo in range(0, x.shape[1], _BLOCK):
         block = x[:, lo : lo + _BLOCK]
         s = np.sort(block, axis=0)
@@ -133,16 +135,16 @@ def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
             thresholds[np.cumsum(starts[:, cols], axis=0) - 1, cols] = s[:, cols]
         for t in thresholds:
             codes[:, lo : lo + _BLOCK] += block > t
-    return codes
+    return rows
 
 
 def _code_rows(x: np.ndarray, bins: int, rel: RelevanceVector | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's codes as one contiguous row of the smallest unsigned dtype holding
-    ``bins - 1``, and each row's code count: those ``rel`` kept if made from this ``x`` and ``bins``."""
+    """`discretize_columns`' code rows and each row's code count: those ``rel``
+    kept if made from this ``x`` and ``bins``."""
     kept = rel and rel._mi_codes
     if kept and kept[0] is x and kept[1] == bins:
         return kept[2:]
-    rows = discretize_columns(x, bins).T.astype(np.min_scalar_type(bins - 1))
+    rows = discretize_columns(x, bins)
     return rows, rows.max(axis=1).astype(np.intp) + 1
 
 

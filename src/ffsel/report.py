@@ -61,6 +61,7 @@ def _by_classifier(records: Iterable[BenchmarkRecord]) -> dict[tuple[str, str, s
 def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dict]]:
     """Aggregate records into best-configuration and win/draw tables.
 
+    Each row maps its table's `REPORT_COLUMNS` to values, in that order.
     Accuracies are compared for wins and draws after rounding to two
     decimals of percent.  Among equal-accuracy cells the smallest k (then
     smallest alpha) is reported.
@@ -68,83 +69,46 @@ def best_config_report(records: Iterable[BenchmarkRecord]) -> dict[str, list[dic
     groups = _by_classifier(records)
     if not groups:
         raise ValueError("no records to report on")
+    tables: dict[str, list[dict]] = {name: [] for name in REPORT_COLUMNS}
 
-    per_classifier_best = []
+    def add(name: str, *values) -> None:
+        tables[name].append(dict(zip(REPORT_COLUMNS[name], values, strict=True)))
+
     bests: dict[tuple[str, str, str], list[BenchmarkRecord]] = {}  # one per classifier
     for (dataset, estimator, label, clf), cells in groups.items():
         best = _pick_best(cells)
         bests.setdefault((dataset, estimator, label), []).append(best)
-        per_classifier_best.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "classifier": clf,
-                "best_accuracy": best.cv_mean_accuracy,
-                "k": best.k,
-                "alpha": best.alpha,
-                "n_selected": best.n_selected,
-            }
+        add(
+            "per_classifier_best", dataset, estimator, label, clf,
+            best.cv_mean_accuracy, best.k, best.alpha, best.n_selected,
         )
 
-    best_overall = []
-    per_classifier_summary = []
+    # Each (estimator, label)'s best accuracy per dataset, rounded for the
+    # win/draw tally.
+    rounded: dict[tuple[str, str], dict[str, float]] = {}
     for (dataset, estimator, label), clf_bests in bests.items():
         best = _pick_best(clf_bests)
-        best_overall.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "best_accuracy": best.cv_mean_accuracy,
-                "cv_sd_across_folds": best.cv_sd,
-                "k": best.k,
-                "alpha": best.alpha,
-                "classifier": best.classifier,
-                "n_selected": best.n_selected,
-            }
+        add(
+            "best_overall", dataset, estimator, label, best.cv_mean_accuracy, best.cv_sd,
+            best.k, best.alpha, best.classifier, best.n_selected,
         )
         arr = np.asarray([r.cv_mean_accuracy for r in clf_bests])
-        per_classifier_summary.append(
-            {
-                "dataset": dataset,
-                "estimator": estimator,
-                "algorithm": label,
-                "mean_best_accuracy": float(arr.mean()),
-                "sd_across_classifiers": float(arr.std()),
-                "n_classifiers": int(arr.size),
-            }
+        add(
+            "per_classifier_summary", dataset, estimator, label,
+            float(arr.mean()), float(arr.std()), int(arr.size),
         )
+        rounded.setdefault((estimator, label), {})[dataset] = round(100 * best.cv_mean_accuracy, 2)
 
     # Win/draw tallies between algorithm labels sharing an estimator, over
     # the datasets both labels have records on.
-    rounded: dict[str, dict[str, dict[str, float]]] = {}  # estimator -> label -> dataset
-    for row in best_overall:
-        by_dataset = rounded.setdefault(row["estimator"], {}).setdefault(row["algorithm"], {})
-        by_dataset[row["dataset"]] = round(100 * row["best_accuracy"], 2)
-    pairwise = []
-    for estimator, by_label in sorted(rounded.items()):
-        for a, b in itertools.combinations(sorted(by_label), 2):
-            shared = by_label[a].keys() & by_label[b].keys()
-            wins_a = sum(by_label[a][ds] > by_label[b][ds] for ds in shared)
-            wins_b = sum(by_label[a][ds] < by_label[b][ds] for ds in shared)
-            pairwise.append(
-                {
-                    "estimator": estimator,
-                    "algorithm_a": a,
-                    "algorithm_b": b,
-                    "wins_a": wins_a,
-                    "wins_b": wins_b,
-                    "draws": len(shared) - wins_a - wins_b,
-                }
-            )
-
-    return {
-        "best_overall": best_overall,
-        "per_classifier_best": per_classifier_best,
-        "per_classifier_summary": per_classifier_summary,
-        "pairwise_wins": pairwise,
-    }
+    for (estimator, a), (other, b) in itertools.combinations(sorted(rounded), 2):
+        if other == estimator:
+            ra, rb = rounded[estimator, a], rounded[estimator, b]
+            shared = ra.keys() & rb.keys()
+            wins_a = sum(ra[ds] > rb[ds] for ds in shared)
+            wins_b = sum(ra[ds] < rb[ds] for ds in shared)
+            add("pairwise_wins", estimator, a, b, wins_a, wins_b, len(shared) - wins_a - wins_b)
+    return tables
 
 
 def n_selected_distributions(records: Iterable[BenchmarkRecord]) -> list[dict]:

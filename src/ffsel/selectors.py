@@ -95,6 +95,11 @@ class SelectionResult:
             raise ValueError("cpu_time_seconds must be >= 0")
 
 
+def _check_relevance_length(d: Dataset, n: int) -> None:
+    if d.n_cols != n:
+        raise ValueError(f"relevance length {n} does not match dataset with {d.n_cols} features")
+
+
 def _check_k(k: int, n_cols: int) -> None:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -144,10 +149,7 @@ def select_mrmr(
     t0 = thread_time()
     values = rel.values
     n = values.shape[0]
-    if d.n_cols != n:
-        raise ValueError(
-            f"relevance length {n} does not match dataset with {d.n_cols} features"
-        )
+    _check_relevance_length(d, n)
     _check_k(k, n)
     if form not in (DIFFERENCE, QUOTIENT):
         raise ValueError(f"unknown form: {form!r}")
@@ -238,11 +240,7 @@ def select_kgroups(
     """
     t0 = thread_time()
     values = rel.values
-    if d.n_cols != values.shape[0]:
-        raise ValueError(
-            f"relevance length {values.shape[0]} does not match dataset "
-            f"with {d.n_cols} features"
-        )
+    _check_relevance_length(d, values.shape[0])
     for name in tie_breakers:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown tie-breaker estimator {name!r}")

@@ -62,7 +62,7 @@ def one_column(d, estimator, **kwargs):
 
 def code_column(x, bins):
     """Codes of one column, discretized on its own."""
-    return discretize_columns(np.asarray(x, dtype=np.float64)[:, None], bins)[:, 0]
+    return discretize_columns(np.asarray(x, dtype=np.float64)[:, None], bins)[0]
 
 
 class TestDiscretize:
@@ -112,10 +112,10 @@ class TestDiscretize:
         x[:, 82] = np.where(rng.random(n_rows) < 0.5, -0.0, 1.0)
         x[:, 130:140] = x[:, 5:6]
         codes = discretize_columns(x, bins)
-        assert codes.shape == x.shape and codes.dtype == np.int64
+        assert codes.T.shape == x.shape and codes.dtype == np.min_scalar_type(bins - 1)
         for j in range(x.shape[1]):
             expect = oracle_discretize(x[:, j], bins)
-            np.testing.assert_array_equal(codes[:, j], expect, err_msg=f"column {j}")
+            np.testing.assert_array_equal(codes[j], expect, err_msg=f"column {j}")
             np.testing.assert_array_equal(code_column(x[:, j], bins), expect)
 
     @pytest.mark.parametrize("bins", [4, 10])
@@ -136,7 +136,7 @@ class TestDiscretize:
         assert (edges == np.quantile(s, q, axis=0)).all()
         codes = discretize_columns(x, bins)
         for j in range(x.shape[1]):
-            np.testing.assert_array_equal(codes[:, j], oracle_discretize(x[:, j], bins), err_msg=f"column {j}")
+            np.testing.assert_array_equal(codes[j], oracle_discretize(x[:, j], bins), err_msg=f"column {j}")
 
     def test_bins_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -404,7 +404,7 @@ class TestRelevanceAll:
             x = np.array(d.features)
             for j in range(0, n_cols, 3):
                 x[:, j] = rng.integers(0, 1 + (j // 3) % 9, size=80)
-            full = (discretize_columns(x, DEFAULT_MI_BINS).max(axis=0) == 9).sum()
+            full = (discretize_columns(x, DEFAULT_MI_BINS).max(axis=1) == 9).sum()
             assert (full * 10 * 3 > _CELLS) == (n_cols == 2700)
             assert_matches_per_column_oracles(make_dataset(x, d.labels))
 
@@ -533,7 +533,7 @@ class TestRedundancy:
         for j in range(2, 600, 4):
             x[:, j] = rng.integers(0, 1 + (j // 4) % 12, size=200)
         d = make_dataset(x, d.labels)
-        codes = discretize_columns(d.features, 16).T
+        codes = discretize_columns(d.features, 16)
         full = codes.max(axis=1) == 15
         for newest in (0, 301, 599):
             assert max(full[:newest].sum(), full[newest + 1 :].sum()) * 16 * 16 > _CELLS
@@ -554,7 +554,7 @@ class TestRedundancy:
         # code times a code count passes 255, at 256 bins the top code is
         # 255 itself, and 300 bins need two bytes.
         d = random_dataset(np.random.default_rng(59), 400, 6, n_classes=3)
-        codes = discretize_columns(d.features, bins).T
+        codes = discretize_columns(d.features, bins)
         assert codes.max() == min(bins, 400) - 1
         assert_matches_per_column_oracles(d, mi_bins=bins)
         cache = RedundancyCache(d, MI_PAIR, mi_bins=bins, rel=relevance_all(d, MI, mi_bins=bins))

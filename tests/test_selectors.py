@@ -230,6 +230,8 @@ class TestSelectMrmr:
             select_mrmr(d, values, 2, form="SUM")
         with pytest.raises(ValueError):
             select_mrmr(d, values, 2, redundancy="TAU")
+        with pytest.raises(ValueError, match="relevance length 2 does not match dataset with 3 features"):
+            select_mrmr(d, rel_vec([0.1, 0.2]), 1)
 
 
 class TestSharedMiCodes:
@@ -378,6 +380,11 @@ class TestSelectKGroups:
         d = random_dataset(rng, 10, 3)
         with pytest.raises(ValueError):
             select_kgroups(d, rel_vec([0.1, 0.5, 0.9]), 2, 1.0, ("CHI2",))
+
+    def test_relevance_length_mismatch_rejected(self):
+        d = random_dataset(np.random.default_rng(61), 10, 3)
+        with pytest.raises(ValueError, match="relevance length 4 does not match dataset with 3 features"):
+            select_kgroups(d, rel_vec([0.1, 0.5, 0.9, 0.2]), 2, 1.0)
 
 
 class TestVariantNames:

@@ -36,6 +36,7 @@ from ffsel import (
 )
 from ffsel.cli import main
 from ffsel.relevance import DEFAULT_MI_BINS, MI, MI_PAIR
+from ffsel.report import REPORT_COLUMNS
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
 
 
@@ -633,6 +634,20 @@ class TestReports:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             best_config_report([])
+
+    def test_rows_keyed_by_report_columns_in_order(self):
+        records = [
+            mk_record(classifier="KNN", cv_mean_accuracy=0.8),
+            mk_record(classifier="GNB", cv_mean_accuracy=0.6),
+            mk_record(algorithm=KBEST, variant="", alpha=None, cv_mean_accuracy=0.7),
+            mk_record(dataset="d2", algorithm=KBEST, variant="", alpha=None),
+        ]
+        report = best_config_report(records)
+        assert list(report) == list(REPORT_COLUMNS)
+        for name, rows in report.items():
+            assert rows, name
+            for row in rows:
+                assert tuple(row) == REPORT_COLUMNS[name]
 
     def test_n_selected_distributions_sorted_by_k(self):
         records = [
