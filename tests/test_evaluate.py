@@ -1,6 +1,7 @@
 """Accuracy metrics, cross-validation, and benchmark records."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import make_dataset, predict, random_dataset, separable_dataset
 from ffsel import (
     BenchmarkRecord,
+    FoldPlan,
     ForestParams,
     accuracy,
     cross_validate,
@@ -15,6 +17,7 @@ from ffsel import (
     standard_scale,
 )
 from ffsel.classifiers import GNB, KNN, RF
+from ffsel.data import standardize
 from ffsel.records import TIMING_FIELDS, appending, read_records
 
 FOREST = ForestParams(n_trees=20, seed=3)
@@ -49,7 +52,7 @@ class TestCrossValidate:
         d = standard_scale(random_dataset(rng, 40, 6, n_classes=2))
         folds = make_folds(d, 4, seed=2)
         selected = [0, 2, 5]
-        for clf in (KNN, RF):
+        for clf in (KNN, GNB, RF):
             mean, sd = cross_validate(d, selected, clf, folds, k_neighbors=3, forest=FOREST)
             accs = []
             cols = np.asarray(selected)
@@ -70,7 +73,7 @@ class TestCrossValidate:
         d = random_dataset(rng, 36, 7, n_classes=3)
         folds = make_folds(d, 3, seed=4)
         subsets = [[0, 2, 5], [6, 1], (3, 4, 0, 2)]
-        for clf in (KNN, RF):
+        for clf in (KNN, GNB, RF):
             mean, sd = cross_validate(d, subsets, clf, folds, scale_per_fold=scale_per_fold,
                                       k_neighbors=3, forest=FOREST)
             accs = []
@@ -86,6 +89,51 @@ class TestCrossValidate:
                 accs.append(accuracy(pred, d.labels[te]))
             assert mean == np.mean(accs), clf
             assert sd == np.std(accs), clf
+
+    @pytest.mark.parametrize("scale_per_fold", [False, True])
+    def test_out_of_fold_scores_match_manual_fold_loop(self, scale_per_fold):
+        # Integer columns put many distance ties at the k-th neighbour; 1, 7
+        # and 8 columns cover both summation orders of the distances; class 2
+        # lives in fold 0 alone, so fold 0 trains without it.  Folds of 52,
+        # 50 and 48 rows span several distance chunks.
+        rng = np.random.default_rng(100)
+        labels = np.repeat([0, 1, 2], (72, 75, 3))
+        features = rng.integers(-2, 3, size=(labels.size, 10)).astype(float)
+        d = make_dataset(features, labels)
+        assignments = np.arange(labels.size) % 3
+        assignments[labels == 2] = 0
+        folds = FoldPlan(3, assignments)
+        pooled = [[4], [9, 0, 3, 7, 1, 5, 2], [2, 8, 6, 1, 0, 9, 4, 3]]
+        per_fold = [[[4], [9, 0, 3, 7, 1, 5, 2], [2, 8, 6, 1, 0, 9, 4, 3]],
+                    [[2, 8, 6, 1, 0, 9, 4, 3], [7], [9, 0, 3, 7, 1, 5, 2]]]
+        for selected in [*pooled, *per_fold]:
+            subsets = selected if np.ndim(selected[0]) else [selected] * 3
+            for clf, k in ((KNN, 1), (KNN, 4), (KNN, 9), (GNB, 5)):
+                mean, sd = cross_validate(d, selected, clf, folds,
+                                          scale_per_fold=scale_per_fold, k_neighbors=k)
+                accs = []
+                for f, cols in enumerate(subsets):
+                    tr, te = folds.train_rows(f), folds.fold_rows(f)
+                    train_x = d.features[np.ix_(tr, cols)]
+                    test_x = d.features[np.ix_(te, cols)]
+                    if scale_per_fold:
+                        train_x, test_x = standardize(train_x, test_x)
+                    pred = predict(clf, train_x, d.labels[tr], test_x, n_classes=3,
+                                   k_neighbors=k, forest=None)
+                    accs.append(accuracy(pred, d.labels[te]))
+                assert (mean, sd) == (np.mean(accs), np.std(accs)), (clf, k, selected)
+
+    def test_neighbor_count_checked_against_each_fold(self):
+        # Folds of 2, 5 and 3 rows train on 8, 5 and 7: fold 1 fails first.
+        rng = np.random.default_rng(101)
+        d = random_dataset(rng, 10, 3)
+        folds = FoldPlan(3, [0, 1, 1, 2, 1, 0, 2, 1, 2, 1])
+        for selected in ([0, 2], [[0], [1, 2], [2]]):
+            with pytest.raises(ValueError, match=re.escape("k_neighbors must lie in [1, 5], got 6")):
+                cross_validate(d, selected, KNN, folds, k_neighbors=6)
+            with pytest.raises(ValueError, match=re.escape("k_neighbors must lie in [1, 8], got 0")):
+                cross_validate(d, selected, KNN, folds, k_neighbors=0)
+            assert 0.0 <= cross_validate(d, selected, KNN, folds, k_neighbors=5)[0] <= 1.0
 
     def test_per_fold_subsets_need_one_per_fold(self):
         rng = np.random.default_rng(99)

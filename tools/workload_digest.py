@@ -16,8 +16,15 @@ training rows.  The last line, ``fine-bins``, digests a sweep on a 200x60
 synth at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and
 MIFS; KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of
 its pair tables hold more than 128 nonzero cells, so MI scoring splits
-their runs of terms as ``np.sum`` does.  Two revisions whose sweeps differ
-only in timing print the same lines.  It reads ``perfbench/`` and
+their runs of terms as ``np.sum`` does.  The last line, ``multi-class``,
+digests three sweeps over two 3-class designs drawn here with NumPy at the
+seed (perfbench's synth is two-class): ``m3.csv``, 60x40 with classes of
+24, 21 and 15 rows, and ``m3s.csv``, 49x40 with classes of 26, 22 and 1
+row, so the lone row's fold trains without its class.  Each sweep runs MI
+and FVALUE; the default algorithms; KNN and GNB; alpha 0.5 and 1.3; k
+2..6; sweep seed 2: once pooled, once pooled with ``scale_per_fold=True``
+and once with selection inside each fold.  Two revisions whose sweeps
+differ only in timing print the same lines.  It reads ``perfbench/`` and
 changes nothing there.
 
 With ``--check FILE`` it also compares the lines with FILE's, by workload
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+import warnings
 from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
@@ -37,23 +45,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+import numpy as np  # noqa: E402
+
 import ffsel  # noqa: E402
 import synth  # noqa: E402
 import workloads  # noqa: E402
 from record_digest import record_digest  # noqa: E402
 
 
-def sweep_line(config) -> str:
-    """Run `config`'s sweep and return the record_digest line of its records."""
-    for _ in ffsel.run_sweep(config):
-        pass
-    count, digest = record_digest([Path(config.output_dir) / "records.jsonl"])
+def sweep_line(*configs) -> str:
+    """Run each config's sweep and return the record_digest line of all
+    their records."""
+    for config in configs:
+        for _ in ffsel.run_sweep(config):
+            pass
+    count, digest = record_digest([Path(c.output_dir) / "records.jsonl" for c in configs])
     return f"{count} records sha256 {digest}"
+
+
+def write_multi_class(path: Path, class_sizes, n_cols: int, seed: int) -> None:
+    """A CSV of standard normal columns whose first six carry a per-class
+    shift, the rows of class c labelled by the c-th letter."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(class_sizes)), class_sizes))
+    x = rng.normal(size=(labels.size, n_cols))
+    x[:, :6] += rng.uniform(-2.5, 2.5, size=(len(class_sizes), 6))[labels]
+    lines = [",".join([f"g{j}" for j in range(n_cols)] + ["class"])]
+    for row, label in zip(x, labels):
+        lines.append(",".join([f"{v:.6g}" for v in row] + ["abc"[label]]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def digest_lines(seed: int) -> Iterator[str]:
     """The line of each workload's sweep, then the per-fold,
-    scale-per-fold and fine-bins lines, at `seed`."""
+    scale-per-fold, fine-bins and multi-class lines, at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w in workloads.WORKLOADS.values():
@@ -94,6 +119,28 @@ def digest_lines(seed: int) -> Iterator[str]:
             mi_bins=16,
         )
         yield f"fine-bins: {sweep_line(fine_bins)}"
+        designs = []
+        for name, sizes in (("m3", (24, 21, 15)), ("m3s", (26, 22, 1))):
+            designs.append(work / f"{name}.csv")
+            write_multi_class(designs[-1], sizes, 40, seed)
+        pooled = ffsel.SweepConfig(
+            datasets=tuple(map(str, designs)),
+            output_dir=str(work / "multi-class"),
+            estimators=("MI", "FVALUE"),
+            classifiers=("KNN", "GNB"),
+            alpha_grid=(0.5, 1.3),
+            k_min=2,
+            k_max=6,
+            seed=2,
+        )
+        with warnings.catch_warnings():  # m3s's lone row spans one fold of five
+            warnings.simplefilter("ignore", UserWarning)
+            line = sweep_line(
+                pooled,
+                replace(pooled, output_dir=str(work / "multi-class-scaled"), scale_per_fold=True),
+                replace(pooled, output_dir=str(work / "multi-class-per-fold"), select_per_fold=True),
+            )
+        yield f"multi-class: {line}"
 
 
 def by_name(lines) -> dict[str, str]:
