@@ -4,6 +4,12 @@ The third, the random forest (`RF`), lives in `forest`; cross-validation
 grows it through `forest.fit_forests`.  All three are deterministic given
 (training data, parameters, seed) and break every internal tie toward the
 smaller class id so repeated runs agree bit for bit.
+
+`knn_classify` and `gaussian_nb_classify` share their cores with
+`evaluate.cross_validate`, which predicts every row from the rows outside
+its fold in one pass: `_knn_vote` votes over a distance matrix in which
+NaN marks the rows a row may not use, and `_gnb_fit` fits the statistics
+of any number of training-row sets at once, each equal to a lone fit.
 """
 
 from __future__ import annotations
@@ -32,9 +38,11 @@ CLASSIFIERS = (KNN, GNB, RF)
 # columns otherwise produce infinite densities.
 GNB_VAR_FLOOR = 1e-9
 
-# Most (test rows x training rows x columns) difference cells one KNN
-# distance chunk holds, so a block stays in cache and a call's memory stays
-# near one block however many test rows it scores.
+# Most cells one chunk of a row-wise pass holds: (test rows x training rows
+# x columns) KNN differences, (scored rows x rows) cross-validation
+# distances, (rows x sets x columns) GNB moments, (scored rows x classes x
+# columns) GNB scores.  A chunk stays in cache and a call's memory stays
+# near one chunk however many rows it scores.
 _CELLS = 32768
 
 
@@ -82,6 +90,35 @@ def _squared_distances(train_x, test_x):
     return out
 
 
+def _check_neighbors(k_neighbors: int, n_train: int) -> None:
+    if not 1 <= k_neighbors <= n_train:
+        raise ValueError(
+            f"k_neighbors must lie in [1, {n_train}], got {k_neighbors}"
+        )
+
+
+def _knn_vote(dist2, train_y, k_neighbors, n_classes):
+    """Majority class of each row's k nearest training rows.
+
+    `dist2` holds squared distances (rows x training rows), NaN where a row
+    may not use a training row; every row has at least k usable ones.  A
+    row keeps the training rows strictly nearer than its k-th smallest
+    distance, then the lowest-index rows at that distance up to k.  Only
+    rows with more than k candidates at or below that distance need the
+    second step.  Vote ties pick the smaller class id.
+    """
+    kth = np.partition(dist2, k_neighbors - 1, axis=1)[:, k_neighbors - 1 : k_neighbors]
+    chosen = dist2 <= kth  # NaN compares false
+    tied = np.flatnonzero(chosen.sum(axis=1) > k_neighbors)
+    if tied.size:
+        dist2, kth = dist2[tied], kth[tied]
+        at_kth = dist2 == kth
+        room = k_neighbors - (dist2 < kth).sum(axis=1, keepdims=True)
+        chosen[tied] = (dist2 < kth) | (at_kth & (at_kth.cumsum(axis=1) <= room))
+    votes = chosen @ np.eye(n_classes)[train_y]
+    return votes.argmax(axis=1).astype(np.int64, copy=False)
+
+
 def knn_classify(
     train_x: np.ndarray,
     train_y: np.ndarray,
@@ -93,26 +130,90 @@ def knn_classify(
     """Euclidean majority vote over the k nearest training rows.
 
     Distance ties keep the lower row index; vote ties pick the smaller
-    class id.  All test rows are scored in one pass: each row keeps the
-    training rows strictly nearer than its k-th smallest distance, then the
-    lowest-index rows at that distance up to k.
+    class id.  All test rows are scored in one pass (`_knn_vote`).
     """
     train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
-    n_train = train_x.shape[0]
-    if not 1 <= k_neighbors <= n_train:
-        raise ValueError(
-            f"k_neighbors must lie in [1, {n_train}], got {k_neighbors}"
-        )
-    dist2 = _squared_distances(train_x, test_x)  # squared keeps the same ordering
-    kth = np.partition(dist2, k_neighbors - 1, axis=1)[:, k_neighbors - 1 : k_neighbors]
-    nearer = dist2 < kth
-    at_kth = dist2 == kth
-    room = k_neighbors - nearer.sum(axis=1, keepdims=True)
-    chosen = nearer | (at_kth & (at_kth.cumsum(axis=1) <= room))
-    rows, cols = np.nonzero(chosen)
-    n_test = test_x.shape[0]
-    votes = np.bincount(rows * n_classes + train_y[cols], minlength=n_test * n_classes)
-    return votes.reshape(n_test, n_classes).argmax(axis=1).astype(np.int64, copy=False)
+    _check_neighbors(k_neighbors, train_x.shape[0])
+    # squared distances keep the same ordering
+    return _knn_vote(_squared_distances(train_x, test_x), train_y, k_neighbors, n_classes)
+
+
+def _moments(x, member):
+    """Per-column means and variances of the rows of `x` in each set.
+
+    `member` (rows x sets, bool) marks each set's rows.  Each (sets x
+    columns) result equals ``mean(axis=0)`` or ``var(axis=0)`` of that
+    set's rows alone as a C-contiguous block, bit for bit; an empty set
+    gives NaN.  NumPy reduces such a block of two or more columns row by
+    row, so a set's sum is the sum over all rows with the other rows'
+    terms zeroed, x + 0.0 being x.  A one-column block it sums pairwise,
+    so there each set is reduced alone.  Columns go in chunks of at most
+    _CELLS (row x set x column) cells.
+    """
+    if x.shape[1] == 1:
+        blocks = [x[rows] for rows in member.T]
+        nan = np.full(1, np.nan)
+        return (np.array([b.mean(axis=0) if b.size else nan for b in blocks]),
+                np.array([b.var(axis=0) if b.size else nan for b in blocks]))
+    n_rows, n_sets = member.shape
+    count = np.count_nonzero(member, axis=0)
+    means = np.empty((n_sets, x.shape[1]))
+    variances = np.empty_like(means)
+    step = max(1, _CELLS // member.size)
+    with np.errstate(invalid="ignore"):  # an empty set's 0 / 0
+        for start in range(0, x.shape[1], step):
+            cols = x[:, start : start + step]
+            width = cols.shape[1]
+            # (rows x sets*width): set-major copies of the columns, so each
+            # operation runs over one long contiguous axis
+            flat = np.broadcast_to(cols[:, None, :], (n_rows, n_sets, width)).reshape(n_rows, -1)
+            keep = np.repeat(member, width, axis=1)
+            size = np.repeat(count, width)
+            mean = np.where(keep, flat, 0.0).sum(axis=0) / size
+            dev = np.where(keep, flat - mean, 0.0)
+            means[:, start : start + step] = mean.reshape(n_sets, width)
+            variances[:, start : start + step] = (np.square(dev, out=dev).sum(axis=0) / size).reshape(n_sets, width)
+    return means, variances
+
+
+def _gnb_fit(x, y, train, n_classes):
+    """Gaussian naive Bayes statistics of each set of training rows.
+
+    `train` (rows x fits, bool) marks each fit's training rows of `x`.
+    Returns (classes, means, variances, bias), each with a fit axis and
+    then a class axis: the class ids, those present in the fit's rows
+    first, each part ascending; per-feature means and variances, floored
+    at GNB_VAR_FLOOR times the fit's largest feature variance; and the
+    log prior plus log normalizer.  An absent class gets mean 0, variance
+    1 and bias -inf, so its score is -inf, never NaN, and it ranks after
+    every present class.
+    """
+    n_rows, n_fits = train.shape
+    member = train[:, :, None] & (y[:, None, None] == np.arange(n_classes))
+    means, variances = _moments(x, np.concatenate([train, member.reshape(n_rows, -1)], axis=1))
+    floor = GNB_VAR_FLOOR * variances[:n_fits].max(axis=1)
+    floor[floor == 0.0] = 1e-300  # every feature constant: keep densities finite
+    counts = np.count_nonzero(member, axis=0)
+    classes = np.argsort(counts == 0, axis=1, kind="stable")
+    order = np.arange(n_fits)[:, None], classes
+    counts = counts[order]
+    means = means[n_fits:].reshape(n_fits, n_classes, -1)[order]
+    variances = np.maximum(variances[n_fits:].reshape(n_fits, n_classes, -1)[order], floor[:, None, None])
+    means[counts == 0] = 0.0
+    variances[counts == 0] = 1.0
+    with np.errstate(divide="ignore"):  # an absent class's log prior is -inf
+        log_prior = np.log(counts / counts.sum(axis=1, keepdims=True))
+    log_norm = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=2)
+    return classes, means, variances, log_prior + log_norm
+
+
+def _gnb_pick(x, means, variances, bias):
+    """Position of each row's best log-posterior among the class rows of
+    `_gnb_fit`'s statistics (which broadcast against one row each); ties
+    take the first."""
+    sq = (x[:, None, :] - means) ** 2
+    scores = bias - 0.5 * (sq / variances).sum(axis=2)
+    return np.argmax(scores, axis=1)
 
 
 def gaussian_nb_classify(
@@ -129,24 +230,9 @@ def gaussian_nb_classify(
     never predicted.  Posterior ties pick the smaller class id.
     """
     train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
-    counts = np.bincount(train_y, minlength=n_classes)
-    present = np.flatnonzero(counts)
-    floor = GNB_VAR_FLOOR * float(train_x.var(axis=0).max())
-    if floor == 0.0:
-        floor = 1e-300  # every feature constant: keep densities finite
-    means = np.empty((present.size, train_x.shape[1]))
-    variances = np.empty_like(means)
-    for row, c in enumerate(present):
-        block = train_x[train_y == c]
-        means[row] = block.mean(axis=0)
-        variances[row] = block.var(axis=0)
-    variances = np.maximum(variances, floor)
-    log_prior = np.log(counts[present] / train_y.shape[0])
-    log_norm = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)
-    sq = (test_x[:, None, :] - means[None, :, :]) ** 2
-    scores = log_prior + log_norm - 0.5 * (sq / variances[None, :, :]).sum(axis=2)
-    best = np.argmax(scores, axis=1)  # first max == smallest present class
-    return present[best].astype(np.int64)
+    fit = _gnb_fit(train_x, train_y, np.ones((train_x.shape[0], 1), dtype=bool), n_classes)
+    classes, means, variances, bias = (a[0] for a in fit)
+    return classes[_gnb_pick(test_x, means, variances, bias)]
 
 
 def classify(

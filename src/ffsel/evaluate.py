@@ -6,7 +6,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import RF, classify
+from .classifiers import (
+    _CELLS,
+    CLASSIFIERS,
+    KNN,
+    RF,
+    _check_neighbors,
+    _gnb_fit,
+    _gnb_pick,
+    _knn_vote,
+    _squared_distances,
+)
 from .data import Dataset, FoldPlan, standardize
 from .forest import ForestParams, fit_forests
 
@@ -53,9 +63,15 @@ def cross_validate(
     fold (features selected inside each fold's training rows).  Each fold
     trains on the out-of-fold rows restricted to its subset's columns and
     predicts the in-fold rows.  A class missing from a fold's training rows
-    is allowed; it simply cannot be predicted there.  The folds' random
-    forests grow in one lockstep fit (`fit_forests`), each fold with its
-    own trees, equal to a lone fit on its training rows.
+    is allowed; it simply cannot be predicted there.
+
+    The columns come in blocks over all rows: one block for every fold when
+    they share a subset and are not scaled per fold, else one per fold,
+    standardized on that fold's training rows.  KNN and GNB predict each
+    block's rows in one out-of-fold pass (`_predict_out_of_fold`), equal
+    to a lone `classify` per fold bit for bit.  The folds' random forests
+    grow in one lockstep fit (`fit_forests`), each fold with its own
+    trees, equal to a lone fit on its training rows.
     """
     subsets = list(selected)
     if subsets and np.ndim(subsets[0]) > 0:
@@ -66,19 +82,68 @@ def cross_validate(
         columns = [_columns(d, subsets)] * folds.n_folds
     if folds.assignments.shape[0] != d.n_rows:
         raise ValueError("fold plan does not cover this dataset")
-    blocks = []  # (train_x, train_y, test_x) per fold
-    for f, sel in enumerate(columns):
-        train_rows = folds.train_rows(f)
-        train_x = d.features[np.ix_(train_rows, sel)]
-        test_x = d.features[np.ix_(folds.fold_rows(f), sel)]
-        if scale_per_fold:
-            train_x, test_x = standardize(train_x, test_x)
-        blocks.append((train_x, d.labels[train_rows], test_x))
-    if classifier == RF:
-        params = forest if forest is not None else ForestParams()
-        forests = fit_forests(params, d.n_classes, [b[:2] for b in blocks])
-        preds = [m.predict(b[2]) for m, b in zip(forests, blocks)]
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier: {classifier!r}")
+    if scale_per_fold or columns[0] is not columns[-1]:
+        blocks = [(_fold_block(d, folds, f, sel, scale_per_fold), range(f, f + 1)) for f, sel in enumerate(columns)]
     else:
-        preds = [classify(classifier, *b, n_classes=d.n_classes, k_neighbors=k_neighbors) for b in blocks]
-    accs = np.array([accuracy(p, d.labels[folds.fold_rows(f)]) for f, p in enumerate(preds)])
+        blocks = [(np.ascontiguousarray(d.features[:, columns[0]]), range(folds.n_folds))]
+    pred = np.empty(d.n_rows, dtype=np.int64)
+    if classifier == RF:
+        fits = [(x, f) for x, fs in blocks for f in fs]
+        params = forest if forest is not None else ForestParams()
+        forests = fit_forests(params, d.n_classes, [(x[folds.train_rows(f)], d.labels[folds.train_rows(f)]) for x, f in fits])
+        for model, (x, f) in zip(forests, fits):
+            pred[folds.fold_rows(f)] = model.predict(x[folds.fold_rows(f)])
+    else:
+        for x, fs in blocks:
+            _predict_out_of_fold(pred, classifier, x, d.labels, folds, fs, d.n_classes, k_neighbors)
+    # count / size, which is what `accuracy` computes for each fold
+    hits = np.bincount(folds.assignments[pred == d.labels], minlength=folds.n_folds)
+    accs = hits / np.bincount(folds.assignments, minlength=folds.n_folds)
     return float(accs.mean()), float(accs.std())
+
+
+def _fold_block(d: Dataset, folds: FoldPlan, fold: int, sel: np.ndarray, scale: bool) -> np.ndarray:
+    """Columns `sel` over all rows, standardized on `fold`'s training rows if `scale`."""
+    x = d.features[:, sel]
+    if scale:
+        x = standardize(d.features[np.ix_(folds.train_rows(fold), sel)], x)[1]
+    return np.ascontiguousarray(x)
+
+
+def _predict_out_of_fold(pred, classifier, x, labels, folds, fs, n_classes, k_neighbors):
+    """Write into `pred` the KNN or GNB class of each row of the folds in
+    range `fs`, trained on the rows of `x` outside its fold.
+
+    Scored rows go in chunks.  KNN gives each chunk one distance matrix
+    against all rows, NaN at a row's own fold.  GNB fits every fold's
+    statistics in one `_gnb_fit` and gathers them by row.
+    A chunk holds at most _CELLS distances, or (row x class x column)
+    cells for GNB, so memory stays near one chunk.
+    """
+    fold_of = folds.assignments
+    scored = np.flatnonzero((fs.start <= fold_of) & (fold_of < fs.stop))
+    n_train = x.shape[0] - np.bincount(fold_of, minlength=folds.n_folds)[fs.start : fs.stop]
+    if n_train.min() == 0:
+        raise ValueError(f"cannot train on 0 rows and {x.shape[1]} columns")
+    if not np.isfinite(x).all():  # scaling on training rows can overflow the scored rows
+        raise ValueError("test X holds NaN or infinite values")
+    if classifier == KNN:
+        for n in n_train:
+            _check_neighbors(k_neighbors, n)
+        width = x.shape[0]
+    else:
+        train = fold_of[:, None] != np.arange(fs.start, fs.stop)
+        classes, means, variances, bias = _gnb_fit(x, labels, train, n_classes)
+        width = n_classes * x.shape[1]
+    step = max(1, _CELLS // width)
+    for start in range(0, scored.size, step):
+        rows = scored[start : start + step]
+        if classifier == KNN:
+            dist2 = _squared_distances(x, x[rows])
+            dist2[fold_of[rows, None] == fold_of] = np.nan
+            pred[rows] = _knn_vote(dist2, labels, k_neighbors, n_classes)
+        else:
+            i = fold_of[rows] - fs.start  # each row's fit
+            pred[rows] = classes[i, _gnb_pick(x[rows], means[i], variances[i], bias[i])]

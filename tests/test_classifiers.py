@@ -14,7 +14,9 @@ from ffsel.classifiers import (
     CLASSIFIERS,
     GNB,
     KNN,
+    GNB_VAR_FLOOR,
     RF,
+    _gnb_fit,
     classify,
     gaussian_nb_classify,
     knn_classify,
@@ -32,6 +34,24 @@ def knn_oracle(train_x, train_y, test_x, n_classes, k):
             votes[train_y[i]] += 1
         out.append(int(np.argmax(votes)))
     return np.array(out)
+
+
+def gnb_fit_oracle(train_x, train_y, n_classes):
+    """A lone fit's statistics as `_gnb_fit` lays them out, from NumPy's
+    reductions on each class's own block: present classes first."""
+    train_x = np.ascontiguousarray(train_x)
+    counts = np.bincount(train_y, minlength=n_classes)
+    classes = np.array([c for c in range(n_classes) if counts[c]] + [c for c in range(n_classes) if not counts[c]])
+    floor = GNB_VAR_FLOOR * float(train_x.var(axis=0).max()) or 1e-300
+    means = np.zeros((n_classes, train_x.shape[1]))
+    variances = np.ones_like(means)
+    bias = np.full(n_classes, -np.inf)
+    for row, c in enumerate(classes[: np.count_nonzero(counts)]):
+        block = train_x[train_y == c]
+        means[row] = block.mean(axis=0)
+        variances[row] = np.maximum(block.var(axis=0), floor)
+        bias[row] = np.log(counts[c] / train_y.size) + -0.5 * np.log(2.0 * np.pi * variances[row]).sum()
+    return classes, means, variances, bias
 
 
 class TestKnn:
@@ -223,6 +243,24 @@ class TestGaussianNb:
         pred = gaussian_nb_classify(train_x, train_y, np.ones((3, 2)),
                                     n_classes=2)
         np.testing.assert_array_equal(pred, [0, 0, 0])
+
+    def test_batched_fits_equal_lone_fits(self):
+        # One column (summed pairwise), several (summed row by row), and
+        # 2400 rows x 12 sets, which splits the moments into one-column
+        # chunks.  Fit 0 lacks the last class wherever it has more than two.
+        rng = np.random.default_rng(86)
+        for n_rows, n_cols, n_classes in ((50, 1, 3), (9, 1, 2), (50, 2, 2), (70, 7, 4),
+                                          (64, 8, 3), (33, 20, 2), (2400, 3, 3)):
+            scale = 10.0 ** rng.uniform(-6, 6, size=n_cols)
+            x = np.round(rng.normal(size=(n_rows, n_cols)) * scale, 1)
+            y = rng.integers(0, n_classes, size=n_rows)
+            train = rng.random((n_rows, 3)) < 0.7
+            train[y == n_classes - 1, 0] = n_classes == 2
+            got = _gnb_fit(x, y, train, n_classes)
+            for f in range(3):
+                want = gnb_fit_oracle(x[train[:, f]], y[train[:, f]], n_classes)
+                for name, a, b in zip(("classes", "means", "variances", "bias"), got, want):
+                    assert np.array_equal(a[f], b), (n_rows, n_cols, f, name)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -97,7 +97,7 @@ class TestCrossValidate:
         # lives in fold 0 alone, so fold 0 trains without it.  Folds of 52,
         # 50 and 48 rows span several distance chunks.
         rng = np.random.default_rng(100)
-        labels = np.repeat([0, 1, 2], (72, 75, 3))
+        labels = rng.permutation(np.repeat([0, 1, 2], (72, 75, 3)))
         features = rng.integers(-2, 3, size=(labels.size, 10)).astype(float)
         d = make_dataset(features, labels)
         assignments = np.arange(labels.size) % 3
