@@ -142,7 +142,7 @@ def _predict_out_of_fold(pred, classifier, x, labels, folds, fs, n_classes, k_ne
         rows = scored[start : start + step]
         if classifier == KNN:
             dist2 = _squared_distances(x, x[rows])
-            dist2[fold_of[rows, None] == fold_of] = np.nan
+            np.putmask(dist2, fold_of[rows, None] == fold_of, np.nan)
             pred[rows] = _knn_vote(dist2, labels, k_neighbors, n_classes)
         else:
             i = fold_of[rows] - fs.start  # each row's fit
