@@ -85,15 +85,16 @@ def cross_validate(
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier: {classifier!r}")
     if scale_per_fold or columns[0] is not columns[-1]:
-        blocks = [(_fold_block(d, folds, f, sel, scale_per_fold), range(f, f + 1)) for f, sel in enumerate(columns)]
+        blocks = [(_fold_block(d, folds, f, sel, scale_per_fold), range(f, f + 1))
+                  for f, sel in enumerate(columns)]
     else:
         blocks = [(np.ascontiguousarray(d.features[:, columns[0]]), range(folds.n_folds))]
     pred = np.empty(d.n_rows, dtype=np.int64)
     if classifier == RF:
-        fits = [(x, f) for x, fs in blocks for f in fs]
+        fits = [(x, f, folds.train_rows(f)) for x, fs in blocks for f in fs]
         params = forest if forest is not None else ForestParams()
-        forests = fit_forests(params, d.n_classes, [(x[folds.train_rows(f)], d.labels[folds.train_rows(f)]) for x, f in fits])
-        for model, (x, f) in zip(forests, fits):
+        forests = fit_forests(params, d.n_classes, [(x[tr], d.labels[tr]) for x, _, tr in fits])
+        for model, (x, f, _) in zip(forests, fits):
             pred[folds.fold_rows(f)] = model.predict(x[folds.fold_rows(f)])
     else:
         for x, fs in blocks:
