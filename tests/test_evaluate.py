@@ -94,10 +94,10 @@ class TestCrossValidate:
     def test_out_of_fold_scores_match_manual_fold_loop(self, scale_per_fold):
         # Integer columns put many distance ties at the k-th neighbour; 1, 7
         # and 8 columns cover both summation orders of the distances; class 2
-        # lives in fold 0 alone, so fold 0 trains without it.  Folds of 52,
-        # 50 and 48 rows span several distance chunks.
+        # lives in fold 0 alone, so fold 0 trains without it.  With 240 rows
+        # the pooled block's rows take two distance chunks.
         rng = np.random.default_rng(100)
-        labels = rng.permutation(np.repeat([0, 1, 2], (72, 75, 3)))
+        labels = rng.permutation(np.repeat([0, 1, 2], (110, 125, 5)))
         features = rng.integers(-2, 3, size=(labels.size, 10)).astype(float)
         d = make_dataset(features, labels)
         assignments = np.arange(labels.size) % 3

@@ -12,7 +12,7 @@ with selection inside each fold: synth 40x60 and 46x80 at the seed, as
 KNN, GNB and RF; alpha 0.5 and 1.3; k 2..7; 3 folds; sweep seed 2.  The
 next line, ``scale-per-fold``, digests the same sweep with
 ``scale_per_fold=True``, so each fold's columns are standardized on its own
-training rows.  The last line, ``fine-bins``, digests a sweep on a 200x60
+training rows.  The next line, ``fine-bins``, digests a sweep on a 200x60
 synth at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and
 MIFS; KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of
 its pair tables hold more than 128 nonzero cells, so MI scoring splits
