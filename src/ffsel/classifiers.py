@@ -139,70 +139,77 @@ def knn_classify(
 
 
 def _moments(x, member):
-    """Per-column means and variances of the rows of `x` in each set.
+    """Row count, per-column means and variances of each set of rows.
 
-    `member` (rows x sets, bool) marks each set's rows.  Each (sets x
-    columns) result equals ``mean(axis=0)`` or ``var(axis=0)`` of that
-    set's rows alone as a C-contiguous block, bit for bit; an empty set
-    gives NaN.  NumPy reduces such a block of two or more columns row by
-    row, so a set's sum is the sum over all rows with the other rows'
-    terms zeroed, x + 0.0 being x.  A one-column block it sums pairwise,
-    so there each set is reduced alone.  Columns go in chunks of at most
-    _CELLS (row x set x column) cells.
+    `x` is (blocks x rows x columns) and `member` (blocks x rows x sets,
+    bool) marks each set's rows within its block.  Returns the counts
+    (blocks x sets) and the means and variances (blocks x sets x columns);
+    each equals ``mean(axis=0)`` or ``var(axis=0)`` of that set's rows
+    alone as a C-contiguous block, bit for bit, and an empty set gives
+    NaN.  NumPy reduces such a block of two or more columns row by row, so
+    a set's sum is the sum over its block's rows with the other rows' terms
+    zeroed, x + 0.0 being x.  A one-column block it sums pairwise, so there
+    each set is reduced alone.  Columns go in chunks of at most _CELLS
+    (block x row x set x column) cells.
     """
-    if x.shape[1] == 1:
-        blocks = [x[rows] for rows in member.T]
+    count = member.sum(axis=1)
+    n_blocks, n_rows, n_sets = member.shape
+    if x.shape[2] == 1:
+        sets = [x[b][rows] for b in range(n_blocks) for rows in member[b].T]
         nan = np.full(1, np.nan)
-        return (np.array([b.mean(axis=0) if b.size else nan for b in blocks]),
-                np.array([b.var(axis=0) if b.size else nan for b in blocks]))
-    n_rows, n_sets = member.shape
-    count = np.count_nonzero(member, axis=0)
-    means = np.empty((n_sets, x.shape[1]))
+        return (count,
+                np.array([s.mean(axis=0) if s.size else nan for s in sets]).reshape(n_blocks, n_sets, 1),
+                np.array([s.var(axis=0) if s.size else nan for s in sets]).reshape(n_blocks, n_sets, 1))
+    means = np.empty((n_blocks, n_sets, x.shape[2]))
     variances = np.empty_like(means)
     step = max(1, _CELLS // member.size)
     with np.errstate(invalid="ignore"):  # an empty set's 0 / 0
-        for start in range(0, x.shape[1], step):
-            cols = x[:, start : start + step]
-            width = cols.shape[1]
-            # (rows x sets*width): set-major copies of the columns, so each
-            # operation runs over one long contiguous axis
-            flat = np.broadcast_to(cols[:, None, :], (n_rows, n_sets, width)).reshape(n_rows, -1)
-            keep = np.repeat(member, width, axis=1)
-            size = np.repeat(count, width)
-            mean = np.where(keep, flat, 0.0).sum(axis=0) / size
+        for start in range(0, x.shape[2], step):
+            cols = x[:, :, start : start + step]
+            width = cols.shape[2]
+            # (blocks x rows x sets*width): set-major copies of the columns,
+            # so each operation runs over one long contiguous axis
+            shape = (n_blocks, n_rows, n_sets, width)
+            flat = np.broadcast_to(cols[:, :, None, :], shape).reshape(n_blocks, n_rows, -1)
+            keep = np.repeat(member, width, axis=2)
+            size = np.repeat(count, width, axis=1)[:, None, :]
+            mean = np.where(keep, flat, 0.0).sum(axis=1, keepdims=True) / size
             dev = np.where(keep, flat - mean, 0.0)
-            means[:, start : start + step] = mean.reshape(n_sets, width)
-            variances[:, start : start + step] = (np.square(dev, out=dev).sum(axis=0) / size).reshape(n_sets, width)
-    return means, variances
+            var = np.square(dev, out=dev).sum(axis=1, keepdims=True) / size
+            means[:, :, start : start + step] = mean.reshape(n_blocks, n_sets, width)
+            variances[:, :, start : start + step] = var.reshape(n_blocks, n_sets, width)
+    return count, means, variances
 
 
 def _gnb_fit(x, y, train, n_classes):
     """Gaussian naive Bayes statistics of each set of training rows.
 
-    `train` (rows x fits, bool) marks each fit's training rows of `x`.
-    Returns (classes, means, variances, bias), each with a fit axis and
-    then a class axis: the class ids, those present in the fit's rows
+    `x` is (blocks x rows x columns) and `train` (blocks x rows x fits,
+    bool) marks each fit's training rows within its block.  Returns
+    (classes, means, variances, bias), each with a fit axis, block-major,
+    and then a class axis: the class ids, those present in the fit's rows
     first, each part ascending; per-feature means and variances, floored
     at GNB_VAR_FLOOR times the fit's largest feature variance; and the
     log prior plus log normalizer.  An absent class gets mean 0, variance
     1 and bias -inf, so its score is -inf, never NaN, and it ranks after
     every present class.
     """
-    n_rows, n_fits = train.shape
-    member = train[:, :, None] & (y[:, None, None] == np.arange(n_classes))
-    means, variances = _moments(x, np.concatenate([train, member.reshape(n_rows, -1)], axis=1))
-    floor = GNB_VAR_FLOOR * variances[:n_fits].max(axis=1)
+    n_blocks, n_rows, n_fits = train.shape
+    member = train[..., None] & (y[:, None, None] == np.arange(n_classes))
+    count, means, variances = _moments(x, np.concatenate([train, member.reshape(n_blocks, n_rows, -1)], axis=2))
+    floor = GNB_VAR_FLOOR * variances[:, :n_fits].max(axis=2).reshape(-1)
     floor[floor == 0.0] = 1e-300  # every feature constant: keep densities finite
-    counts = np.count_nonzero(member, axis=0)
+    counts = count[:, n_fits:].reshape(-1, n_classes)
     classes = np.argsort(counts == 0, axis=1, kind="stable")
-    order = np.arange(n_fits)[:, None], classes
+    order = np.arange(len(classes))[:, None], classes
     counts = counts[order]
-    means = means[n_fits:].reshape(n_fits, n_classes, -1)[order]
-    variances = np.maximum(variances[n_fits:].reshape(n_fits, n_classes, -1)[order], floor[:, None, None])
-    means[counts == 0] = 0.0
-    variances[counts == 0] = 1.0
+    means, variances = (a[:, n_fits:].reshape(-1, n_classes, x.shape[2])[order] for a in (means, variances))
+    variances = np.maximum(variances, floor[:, None, None])
+    absent = counts == 0
+    means[absent] = 0.0
+    variances[absent] = 1.0
     with np.errstate(divide="ignore"):  # an absent class's log prior is -inf
-        log_prior = np.log(counts / counts.sum(axis=1, keepdims=True))
+        log_prior = np.log(counts / count[:, :n_fits].reshape(-1, 1))
     log_norm = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=2)
     return classes, means, variances, log_prior + log_norm
 
@@ -230,7 +237,7 @@ def gaussian_nb_classify(
     never predicted.  Posterior ties pick the smaller class id.
     """
     train_x, train_y, test_x = _as_blocks(train_x, train_y, test_x, n_classes)
-    fit = _gnb_fit(train_x, train_y, np.ones((train_x.shape[0], 1), dtype=bool), n_classes)
+    fit = _gnb_fit(train_x[None], train_y, np.ones((1, train_x.shape[0], 1), dtype=bool), n_classes)
     classes, means, variances, bias = (a[0] for a in fit)
     return classes[_gnb_pick(test_x, means, variances, bias)]
 

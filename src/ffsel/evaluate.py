@@ -67,11 +67,11 @@ def cross_validate(
 
     The columns come in blocks over all rows: one block for every fold when
     they share a subset and are not scaled per fold, else one per fold,
-    standardized on that fold's training rows.  KNN and GNB predict each
-    block's rows in one out-of-fold pass (`_predict_out_of_fold`), equal
-    to a lone `classify` per fold bit for bit.  The folds' random forests
-    grow in one lockstep fit (`fit_forests`), each fold with its own
-    trees, equal to a lone fit on its training rows.
+    standardized on that fold's training rows.  KNN and GNB predict every
+    row from the rows outside its fold in one pass (`_predict_out_of_fold`),
+    equal to a lone `classify` per fold bit for bit.  The folds' random
+    forests grow in one lockstep fit (`fit_forests`), each fold with its
+    own trees, equal to a lone fit on its training rows.
     """
     subsets = list(selected)
     if subsets and np.ndim(subsets[0]) > 0:
@@ -97,8 +97,7 @@ def cross_validate(
         for model, (x, f, _) in zip(forests, fits):
             pred[folds.fold_rows(f)] = model.predict(x[folds.fold_rows(f)])
     else:
-        for x, fs in blocks:
-            _predict_out_of_fold(pred, classifier, x, d.labels, folds, fs, d.n_classes, k_neighbors)
+        _predict_out_of_fold(pred, classifier, blocks, d, folds, k_neighbors)
     # count / size, which is what `accuracy` computes for each fold
     hits = np.bincount(folds.assignments[pred == d.labels], minlength=folds.n_folds)
     accs = hits / np.bincount(folds.assignments, minlength=folds.n_folds)
@@ -113,38 +112,66 @@ def _fold_block(d: Dataset, folds: FoldPlan, fold: int, sel: np.ndarray, scale: 
     return np.ascontiguousarray(x)
 
 
-def _predict_out_of_fold(pred, classifier, x, labels, folds, fs, n_classes, k_neighbors):
-    """Write into `pred` the KNN or GNB class of each row of the folds in
-    range `fs`, trained on the rows of `x` outside its fold.
+def _predict_out_of_fold(pred, classifier, blocks, d, folds, k_neighbors):
+    """Write into `pred` the KNN or GNB class of every row, trained on the
+    rows outside its fold: KNN one block at a time, GNB all blocks of one
+    width at once.  First come the checks a lone `classify` per fold makes,
+    in fold order."""
+    n_train = d.n_rows - np.bincount(folds.assignments, minlength=folds.n_folds)
+    for x, fs in blocks:
+        if n_train[fs.start] == 0:
+            raise ValueError(f"cannot train on 0 rows and {x.shape[1]} columns")
+        if not np.isfinite(x).all():  # scaling on training rows can overflow the others
+            raise ValueError("test X holds NaN or infinite values")
+        if classifier == KNN:
+            for f in fs:
+                _check_neighbors(k_neighbors, n_train[f])
+    if classifier == KNN:
+        for x, fs in blocks:
+            _knn_out_of_fold(pred, x, d.labels, folds, fs, d.n_classes, k_neighbors)
+    else:
+        for width in dict.fromkeys(x.shape[1] for x, _ in blocks):
+            group = [b for b in blocks if b[0].shape[1] == width]
+            _gnb_out_of_fold(pred, group, d.labels, folds, d.n_classes)
 
-    Scored rows go in chunks.  KNN gives each chunk one distance matrix
-    against all rows, NaN at a row's own fold.  GNB fits every fold's
-    statistics in one `_gnb_fit` and gathers them by row.
-    A chunk holds at most _CELLS distances, or (row x class x column)
-    cells for GNB, so memory stays near one chunk.
+
+def _knn_out_of_fold(pred, x, labels, folds, fs, n_classes, k_neighbors):
+    """Write into `pred` the KNN class of each row of the folds in range
+    `fs`, voted by the rows of `x` outside its fold.
+
+    Scored rows go in chunks of at most _CELLS distances, each one matrix
+    against all rows with the row's own fold set to NaN.
     """
     fold_of = folds.assignments
     scored = np.flatnonzero((fs.start <= fold_of) & (fold_of < fs.stop))
-    n_train = x.shape[0] - np.bincount(fold_of, minlength=folds.n_folds)[fs.start : fs.stop]
-    if n_train.min() == 0:
-        raise ValueError(f"cannot train on 0 rows and {x.shape[1]} columns")
-    if not np.isfinite(x).all():  # scaling on training rows can overflow the scored rows
-        raise ValueError("test X holds NaN or infinite values")
-    if classifier == KNN:
-        for n in n_train:
-            _check_neighbors(k_neighbors, n)
-        width = x.shape[0]
-    else:
-        train = fold_of[:, None] != np.arange(fs.start, fs.stop)
-        classes, means, variances, bias = _gnb_fit(x, labels, train, n_classes)
-        width = n_classes * x.shape[1]
-    step = max(1, _CELLS // width)
+    step = max(1, _CELLS // x.shape[0])
     for start in range(0, scored.size, step):
         rows = scored[start : start + step]
-        if classifier == KNN:
-            dist2 = _squared_distances(x, x[rows])
-            np.putmask(dist2, fold_of[rows, None] == fold_of, np.nan)
-            pred[rows] = _knn_vote(dist2, labels, k_neighbors, n_classes)
-        else:
-            i = fold_of[rows] - fs.start  # each row's fit
-            pred[rows] = classes[i, _gnb_pick(x[rows], means[i], variances[i], bias[i])]
+        dist2 = _squared_distances(x, x[rows])
+        np.putmask(dist2, fold_of[rows, None] == fold_of, np.nan)
+        pred[rows] = _knn_vote(dist2, labels, k_neighbors, n_classes)
+
+
+def _gnb_out_of_fold(pred, blocks, labels, folds, n_classes):
+    """Write into `pred` the GNB class of each row the blocks score.
+
+    The blocks share a width and each scores the same number of folds
+    (one, or all in the one pooled block).  One `_gnb_fit` fits every
+    fold on its block's rows outside the fold; each scored row takes its
+    fold's statistics, in chunks of at most _CELLS (row x class x column)
+    cells.
+    """
+    fold_of = folds.assignments
+    x = np.stack([block for block, _ in blocks])
+    fits = np.array([f for _, fs in blocks for f in fs])  # each fit's fold, block-major
+    per_block = fits.size // len(blocks)
+    at = np.full(folds.n_folds, -1)
+    at[fits] = np.arange(fits.size)  # each fold's fit
+    train = fold_of[:, None] != fits.reshape(len(blocks), 1, per_block)
+    classes, means, variances, bias = _gnb_fit(x, labels, train, n_classes)
+    scored = np.flatnonzero(at[fold_of] >= 0)
+    step = max(1, _CELLS // (n_classes * x.shape[2]))
+    for start in range(0, scored.size, step):
+        rows = scored[start : start + step]
+        i = at[fold_of[rows]]
+        pred[rows] = classes[i, _gnb_pick(x[i // per_block, rows], means[i], variances[i], bias[i])]

@@ -247,20 +247,23 @@ class TestGaussianNb:
     def test_batched_fits_equal_lone_fits(self):
         # One column (summed pairwise), several (summed row by row), and
         # 2400 rows x 12 sets, which splits the moments into one-column
-        # chunks.  Fit 0 lacks the last class wherever it has more than two.
+        # chunks; two blocks of three fits each, rows shared by index.  The
+        # first fit lacks the last class wherever it has more than two.
         rng = np.random.default_rng(86)
         for n_rows, n_cols, n_classes in ((50, 1, 3), (9, 1, 2), (50, 2, 2), (70, 7, 4),
                                           (64, 8, 3), (33, 20, 2), (2400, 3, 3)):
             scale = 10.0 ** rng.uniform(-6, 6, size=n_cols)
-            x = np.round(rng.normal(size=(n_rows, n_cols)) * scale, 1)
+            x = np.round(rng.normal(size=(2, n_rows, n_cols)) * scale, 1)
             y = rng.integers(0, n_classes, size=n_rows)
-            train = rng.random((n_rows, 3)) < 0.7
-            train[y == n_classes - 1, 0] = n_classes == 2
+            train = rng.random((2, n_rows, 3)) < 0.7
+            train[0, y == n_classes - 1, 0] = n_classes == 2
             got = _gnb_fit(x, y, train, n_classes)
-            for f in range(3):
-                want = gnb_fit_oracle(x[train[:, f]], y[train[:, f]], n_classes)
-                for name, a, b in zip(("classes", "means", "variances", "bias"), got, want):
-                    assert np.array_equal(a[f], b), (n_rows, n_cols, f, name)
+            for b in range(2):
+                for f in range(3):
+                    rows = train[b, :, f]
+                    want = gnb_fit_oracle(x[b, rows], y[rows], n_classes)
+                    for name, a, w in zip(("classes", "means", "variances", "bias"), got, want):
+                        assert np.array_equal(a[3 * b + f], w), (n_rows, n_cols, b, f, name)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -95,7 +95,8 @@ class TestCrossValidate:
         # Integer columns put many distance ties at the k-th neighbour; 1, 7
         # and 8 columns cover both summation orders of the distances; class 2
         # lives in fold 0 alone, so fold 0 trains without it.  With 240 rows
-        # the pooled block's rows take two distance chunks.
+        # the pooled block's rows take two distance chunks.  Per-fold subsets
+        # of equal width share one GNB fit, so some widths repeat.
         rng = np.random.default_rng(100)
         labels = rng.permutation(np.repeat([0, 1, 2], (110, 125, 5)))
         features = rng.integers(-2, 3, size=(labels.size, 10)).astype(float)
@@ -105,7 +106,9 @@ class TestCrossValidate:
         folds = FoldPlan(3, assignments)
         pooled = [[4], [9, 0, 3, 7, 1, 5, 2], [2, 8, 6, 1, 0, 9, 4, 3]]
         per_fold = [[[4], [9, 0, 3, 7, 1, 5, 2], [2, 8, 6, 1, 0, 9, 4, 3]],
-                    [[2, 8, 6, 1, 0, 9, 4, 3], [7], [9, 0, 3, 7, 1, 5, 2]]]
+                    [[2, 8, 6, 1, 0, 9, 4, 3], [7], [9, 0, 3, 7, 1, 5, 2]],
+                    [[4], [9, 0, 3, 7, 1, 5, 2], [7]],
+                    [[2, 8, 6, 1, 0, 9, 4, 3], [0, 1, 2, 3, 4, 5, 6, 7], [9, 0, 3, 7, 1, 5, 2]]]
         for selected in [*pooled, *per_fold]:
             subsets = selected if np.ndim(selected[0]) else [selected] * 3
             for clf, k in ((KNN, 1), (KNN, 4), (KNN, 9), (GNB, 5)):
