@@ -30,7 +30,7 @@ class ForestParams:
 
 
 class _Tree(NamedTuple):
-    """CART classification tree stored as node arrays.
+    """One CART classification tree of a forest, as node arrays.
 
     Internal nodes carry (feature, threshold); rows with value <= threshold
     go left.  A leaf has feature -1 and is its own left and right child.
@@ -75,11 +75,10 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     and within it the first boundary.
 
     Returns per node (gain, candidate position, threshold, left size, the
-    winning column's sorted rows, left class counts); the gain is -inf when
-    every candidate is constant at that node.  The threshold is the
-    boundary's midpoint, or its lower value if the midpoint rounds up to the
-    upper.  The sorted rows are gathered into a new array, so children do
-    not keep the chunk's working arrays alive.
+    winning column's sorted rows padded as in ``rows``, left class counts);
+    the gain is -inf when every candidate is constant at that node.  The
+    threshold is the boundary's midpoint, or its lower value if the
+    midpoint rounds up to the upper.
     """
     width, n_nodes = rows.shape
     values = X[rows[:, :, None], candidates]
@@ -100,89 +99,7 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     lo, hi = values[i, s, j], values[i + 1, s, j]
     split = 0.5 * (lo + hi)
     split = np.where(split == hi, lo, split)
-    return gains[i, s, j], j, split, i + 1, rows[:, s, j].T, lc[i, s, j]
-
-
-class _Growth:
-    """One tree while the forest grows: its generator, DFS stack and nodes.
-
-    A stack entry is (node, rows, class counts, impurity); rows index the
-    shared row space of the growth.  With one candidate per node, ``draws``
-    yields the tree's candidate draws, made in one call after the bootstrap
-    draw; otherwise it is None.  ``n_rows`` is the size of the tree's own
-    training block, which weighs its importance terms.
-    """
-
-    def __init__(self, rng, draws, sample, n_rows, counts, gini):
-        self.rng, self.draws, self.n_rows = rng, draws, n_rows
-        self.stack = [(0, sample, counts, gini)]
-        self.feature, self.threshold = [-1], [0.0]
-        self.left, self.right = [0], [0]
-        self.leaf_class = [int(counts.argmax())]
-        self.splits: list[tuple[int, float]] = []  # (feature, importance term), DFS order
-
-    def next_search(self):
-        """Pop the next impure node, leaving pure ones (one-row nodes among
-        them) as leaves."""
-        while self.stack:
-            entry = self.stack.pop()
-            if entry[3] != 0.0:
-                return entry
-        return None
-
-    def candidates(self, n_cols, max_features):
-        if max_features >= n_cols:
-            return np.arange(n_cols)
-        if self.draws is not None:
-            return (next(self.draws),)
-        return self.rng.choice(n_cols, size=max_features, replace=False)
-
-    def split(self, node, f, threshold, term, left, right):
-        """Turn leaf ``node`` into a split on column ``f`` with two new leaves,
-        each its own child until it splits.  ``left`` and ``right`` are the
-        children's (rows, class counts, impurity, leaf class)."""
-        child = len(self.feature)
-        self.splits.append((f, term))
-        self.feature[node], self.threshold[node] = f, threshold
-        self.left[node], self.right[node] = child, child + 1
-        self.feature += (-1, -1)
-        self.threshold += (0.0, 0.0)
-        self.left += (child, child + 1)
-        self.right += (child, child + 1)
-        self.leaf_class += (left[3], right[3])
-        self.stack.append((child, *left[:3]))
-        self.stack.append((child + 1, *right[:3]))
-
-    def tree(self) -> _Tree:
-        return _Tree(*map(np.array, (self.feature, self.threshold, self.left, self.right, self.leaf_class)))
-
-
-def _split_chunk(X, onehot, chunk):
-    """Search a chunk of (growth, node, rows, class counts, impurity,
-    candidates) and split every node with a positive gain."""
-    growths, nodes, node_rows, counts, node_gini, candidates = zip(*chunk)
-    sizes = np.array([len(r) for r in node_rows])
-    rows = np.zeros((sizes[0], len(chunk)), dtype=np.int64)  # padded with row 0
-    for k, r in enumerate(node_rows):
-        rows[: len(r), k] = r
-    counts, candidates = np.stack(counts), np.array(candidates)
-    gain, j, split, n_left, win, counts_l = _best_splits(
-        X, onehot, rows, sizes, candidates, counts, np.array(node_gini)
-    )
-    counts_r = counts - counts_l
-    gini_l = _impurity(counts_l, n_left).tolist()
-    gini_r = _impurity(counts_r, sizes - n_left).tolist()
-    class_l, class_r = counts_l.argmax(axis=1).tolist(), counts_r.argmax(axis=1).tolist()
-    feature = candidates[np.arange(len(chunk)), j].tolist()
-    term = (sizes / np.array([g.n_rows for g in growths]) * gain).tolist()
-    split, n_left = split.tolist(), n_left.tolist()
-    for k in np.flatnonzero(gain > 0.0).tolist():
-        m = n_left[k]
-        growths[k].split(
-            nodes[k], feature[k], split[k], term[k],
-            (win[k, :m], counts_l[k], gini_l[k], class_l[k]),
-            (win[k, m : sizes[k]], counts_r[k], gini_r[k], class_r[k]),
-        )
+    return gains[i, s, j], j, split, i + 1, rows[:, s, j], lc[i, s, j]
 
 
 def _checked(X, y, n_classes):
@@ -212,25 +129,114 @@ def _tree_draws(seed, n_rows, n_cols, max_features, bootstrap):
     if max_features == 1 < n_cols:
         # Equals one rng.choice(n_cols, size=1, replace=False) per
         # searched node; a tree on n rows has at most 2n - 1 nodes.
-        draws = rng.integers(0, n_cols, size=2 * n_rows - 1).tolist()
+        draws = rng.integers(0, n_cols, size=2 * n_rows - 1)
     return rng, sample, draws
+
+
+def _lockstep(X, y, n_classes, max_features, trees, n_rows):
+    """Grow one tree per (generator, sample, draws) in ``trees`` on the row
+    space ``X``, ``y``; tree t trains on ``n_rows[t]`` rows.
+
+    The trees share array state.  Their samples are consecutive segments of
+    one row order, and a node is a ``[lo, hi)`` slice of it: a search writes
+    the node's rows back sorted by its winning column, so a split's children
+    are the slices either side of the boundary.  Each tree's stack holds
+    (node, lo, hi, class counts) and impurity under a top pointer.  Only
+    impure children are pushed, left then right, so the right pops first.
+
+    Each step pops every tree's top entry and scores all popped nodes in a
+    few chunked split searches, so tree t's s-th search is at step s and,
+    with one candidate per node, takes its draw s.
+
+    Returns each tree's split count and root leaf class, and the split
+    records (tree, node, feature, threshold, left child, importance term,
+    left and right leaf class) stably sorted by tree, into (tree, DFS)
+    order.  A tree's i-th split makes its local children 2i + 1 and 2i + 2.
+    """
+    n_trees, n_cols = len(n_rows), X.shape[1]
+    rngs, samples, draws = zip(*trees)
+    order = np.concatenate(samples)
+    onehot = y[:, None] == np.arange(n_classes)
+    lo = np.cumsum(n_rows) - n_rows
+    flat = np.repeat(np.arange(n_trees), n_rows) * n_classes + y[order]
+    counts = np.bincount(flat, minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    root_class = counts.argmax(axis=1)
+    # The stack deepens by doubling, so it holds only the depth reached.
+    stack = np.zeros((n_trees, 8, 3 + n_classes), dtype=np.int64)
+    stack_gini = np.zeros((n_trees, 8))
+    stack[:, 0] = np.column_stack([np.zeros_like(lo), lo, lo + n_rows, counts])
+    stack_gini[:, 0] = _impurity(counts, n_rows)
+    top = (stack_gini[:, 0] != 0.0).astype(np.int64)
+    n_splits = np.zeros(n_trees, dtype=np.int64)
+    if draws[0] is not None:
+        step_draws = np.zeros((n_trees, 2 * n_rows.max() - 1), dtype=np.int64)
+        for t, d in enumerate(draws):
+            step_draws[t, : len(d)] = d
+    records = [(np.zeros(0, dtype=np.int64),) * 8]
+    step = 0
+    while top.any():
+        t = np.flatnonzero(top)
+        top[t] -= 1
+        entry, node_gini = stack[t, top[t]], stack_gini[t, top[t]]
+        node, lo, hi, counts = entry[:, 0], entry[:, 1], entry[:, 2], entry[:, 3:]
+        if max_features >= n_cols:
+            candidates = np.broadcast_to(np.arange(n_cols), (len(t), n_cols))
+        elif draws[0] is not None:
+            candidates = step_draws[t, step, None]
+        else:
+            candidates = np.array([rngs[i].choice(n_cols, size=max_features, replace=False) for i in t.tolist()])
+        step += 1
+        sizes = hi - lo
+        gain, split = np.empty(len(t)), np.empty(len(t))
+        j, n_left, counts_l = np.empty_like(t), np.empty_like(t), np.empty_like(counts)
+        # Largest nodes first, so each chunk pads to its first node's rows.
+        by_size = np.argsort(-sizes, kind="stable")
+        start = 0
+        while start < len(t):
+            k = by_size[start : start + max(1, _CELLS // (int(sizes[by_size[start]]) * max_features))]
+            at = lo[k] + np.arange(sizes[k[0]])[:, None]
+            inside = at < hi[k]
+            at = np.where(inside, at, lo[k])  # padding repeats a node's first row
+            gain[k], j[k], split[k], n_left[k], win, counts_l[k] = _best_splits(
+                X, onehot, order[at], sizes[k], candidates[k], counts[k], node_gini[k]
+            )
+            order[at[inside]] = win[inside]
+            start += len(k)
+        feature = candidates[np.arange(len(t)), j]
+        ok = gain > 0.0
+        t, node, lo, hi, m, counts = t[ok], node[ok], lo[ok], hi[ok], n_left[ok], counts[ok]
+        counts_l, counts_r = counts_l[ok], counts - counts_l[ok]
+        child = 2 * n_splits[t] + 1
+        n_splits[t] += 1
+        term = (hi - lo) / n_rows[t] * gain[ok]
+        classes = counts_l.argmax(axis=1), counts_r.argmax(axis=1)
+        records.append((t, node, feature[ok], split[ok], child, term, *classes))
+        if top.max() + 2 > stack.shape[1]:
+            stack, stack_gini = (np.concatenate([a, np.zeros_like(a)], axis=1) for a in (stack, stack_gini))
+        children = (child, lo, lo + m, counts_l), (child + 1, lo + m, hi, counts_r)
+        for pushed, gini in zip(children, (_impurity(counts_l, m), _impurity(counts_r, hi - lo - m))):
+            impure = gini != 0.0
+            p = t[impure]
+            stack[p, top[p]] = np.column_stack(pushed)[impure]
+            stack_gini[p, top[p]] = gini[impure]
+            top[p] += 1
+    fields = [np.concatenate(f) for f in zip(*records)]
+    by_tree = np.argsort(fields[0], kind="stable")
+    return n_splits, root_class, [f[by_tree] for f in fields]
 
 
 def _grow(forests, blocks):
     """Grow ``forests[b]`` on training block ``blocks[b]``, all in lockstep.
 
     The forests share one ``ForestParams`` and ``n_classes``.  Blocks with
-    one column count grow together: their rows are stacked into one row
-    space, each tree's sample indices are offset into it, and one class
-    indicator serves them all.  Tree t of every block draws from spawned
-    seed t, and each tree keeps its own draws and depth-first stack (right
-    child first), so it grows exactly as it would alone.
+    one column count grow together in one `_lockstep` growth: their rows
+    are stacked into one row space and each tree's sample indices are
+    offset into it.  Tree t of every block draws from spawned seed t and
+    keeps its own draws and stack, so it grows exactly as it would alone.
 
-    Each step pops from every tree the next node that may split, draws its
-    candidates, and scores all popped nodes in a few chunked split
-    searches.  A growth takes about as many steps as its largest tree has
-    internal nodes.  Importances add each split's term in (tree, DFS)
-    order, the order a tree-by-tree fit would.
+    Each forest keeps its trees' root ids and one read-only node table of
+    the `_Tree` fields over all its trees.  Importances add each split's
+    term in (tree, DFS) order, as a tree-by-tree fit would.
     """
     params, n_classes = forests[0].params, forests[0].n_classes
     blocks = [_checked(X, y, n_classes) for X, y in blocks]
@@ -240,54 +246,42 @@ def _grow(forests, blocks):
         # A lone block is its own row space; stacking would only copy it.
         X = np.concatenate([blocks[b][0] for b in group]) if len(group) > 1 else blocks[group[0]][0]
         y = np.concatenate([blocks[b][1] for b in group])
-        onehot = y[:, None] == np.arange(n_classes)
         max_features = params.resolve_max_features(n_cols)
         # Only rng.choice reads a generator after its up-front draws; without
         # it, blocks of one row count share those draws.
         reread = 1 < max_features < n_cols
         drawn = {}
-        roots = []  # (rng, draws, sample, n_rows), block by block
+        trees = []  # (rng, sample, draws), block by block
         offset = 0
         for b in group:
             n_rows = len(blocks[b][1])
             if reread or n_rows not in drawn:
-                drawn[n_rows] = [
-                    _tree_draws(seed, n_rows, n_cols, max_features, params.bootstrap) for seed in seeds
-                ]
-            for rng, sample, draws in drawn[n_rows]:
-                roots.append((rng, None if draws is None else iter(draws), sample + offset, n_rows))
+                drawn[n_rows] = [_tree_draws(seed, n_rows, n_cols, max_features, params.bootstrap) for seed in seeds]
+            trees += [(rng, sample + offset, draws) for rng, sample, draws in drawn[n_rows]]
             offset += n_rows
-        sizes = np.array([r[3] for r in roots])
-        tree = np.repeat(np.arange(len(roots)), sizes)
-        flat = tree * n_classes + y[np.concatenate([r[2] for r in roots])]
-        counts = np.bincount(flat, minlength=len(roots) * n_classes).reshape(len(roots), n_classes)
-        ginis = _impurity(counts, sizes).tolist()
-        growths = [_Growth(*r, c, gini) for r, c, gini in zip(roots, counts, ginis)]
-        growing = growths
-        while growing:
-            batch = []
-            for g in growing:
-                entry = g.next_search()
-                if entry is not None:
-                    batch.append((g, *entry, g.candidates(n_cols, max_features)))
-            # Largest nodes first, so each chunk pads to its first node's rows.
-            batch.sort(key=lambda b: -len(b[2]))
-            start = 0
-            while start < len(batch):
-                stop = start + max(1, _CELLS // (len(batch[start][2]) * max_features))
-                _split_chunk(X, onehot, batch[start:stop])
-                start = stop
-            growing = [b[0] for b in batch if b[0].stack]
+        sizes = np.repeat([len(blocks[b][1]) for b in group], params.n_trees)
+        n_splits, root_class, records = _lockstep(X, y, n_classes, max_features, trees, sizes)
+        tree, node, feature, threshold, child, term, class_l, class_r = records
+        n_nodes = 2 * n_splits + 1
+        first = np.cumsum(n_nodes) - n_nodes  # each root's id in the group's table
+        at, left = first[tree] + node, first[tree] + child
+        ids = np.arange(n_nodes.sum())  # the table's columns are the `_Tree` fields
+        table = np.full(ids.size, -1), np.zeros(ids.size), ids.copy(), ids, np.empty_like(ids)
+        table[0][at], table[1][at], table[2][at], table[3][at] = feature, threshold, left, left + 1
+        table[4][first], table[4][left], table[4][left + 1] = root_class, class_l, class_r
+        for a in table:
+            a.flags.writeable = False
+        # Each forest's trees, and so its records and nodes, are consecutive.
+        edges = np.searchsorted(tree, np.arange(len(group) + 1) * params.n_trees)
+        ends = np.append(first, ids.size)[:: params.n_trees]
         for i, b in enumerate(group):
-            trees = growths[i * params.n_trees : (i + 1) * params.n_trees]
+            n0, n1 = ends[i], ends[i + 1]
+            feature_of, threshold_of, left_of, right_of, leaf_class = (a[n0:n1] for a in table)
+            roots = first[i * params.n_trees : (i + 1) * params.n_trees] - n0
+            forests[b]._table = roots, feature_of, threshold_of, left_of - n0, right_of - n0, leaf_class
             importances = np.zeros(n_cols, dtype=np.float64)
-            splits = [s for g in trees for s in g.splits]
-            if splits:
-                f, term = zip(*splits)
-                np.add.at(importances, np.array(f), np.array(term))
-            importances /= params.n_trees
-            forests[b].trees = [g.tree() for g in trees]
-            forests[b]._raw_importances = importances
+            np.add.at(importances, feature[edges[i] : edges[i + 1]], term[edges[i] : edges[i + 1]])
+            forests[b]._raw_importances = importances / params.n_trees
             forests[b]._n_cols = n_cols
 
 
@@ -315,7 +309,7 @@ class RandomForest:
             raise ValueError("n_trees must be positive")
         self.params = params
         self.n_classes = n_classes
-        self.trees: list[_Tree] = []
+        self._table: tuple[np.ndarray, ...] | None = None  # root ids, then the node table of `_grow`
         self._raw_importances: np.ndarray | None = None
         self._n_cols = 0
 
@@ -324,14 +318,24 @@ class RandomForest:
         _grow([self], [(X, y)])
         return self
 
+    @property
+    def trees(self) -> list[_Tree]:
+        """Each tree as a read-only view of the node table, with child ids
+        local to the tree; ``[]`` before a fit."""
+        if self._table is None:
+            return []
+        roots, *nodes = self._table
+        parts = [np.split(a, roots[1:]) for a in nodes]
+        return [_Tree(f, t, l - r, rt - r, c) for r, f, t, l, rt, c in zip(roots.tolist(), *parts)]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority vote over trees; vote ties go to the smaller class id.
 
-        All trees walk together over their concatenated node arrays, every
-        (tree, row) pair moving down one level per step; a pair that reached
-        a leaf stays there, since a leaf is its own child.
+        All trees walk together over the node table, every (tree, row) pair
+        moving down one level per step; a pair that reached a leaf stays
+        there, since a leaf is its own child.
         """
-        if not self.trees:
+        if self._table is None:
             raise RuntimeError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._n_cols:
@@ -340,13 +344,9 @@ class RandomForest:
             )
         if not np.isfinite(X).all():
             raise ValueError("X holds NaN or infinite values")
-        n_nodes = [len(t.feature) for t in self.trees]
-        start = np.cumsum([0] + n_nodes[:-1])
-        feature, threshold, left, right, leaf_class = map(np.concatenate, zip(*self.trees))
-        shift = np.repeat(start, n_nodes)
-        left, right = left + shift, right + shift
+        roots, feature, threshold, left, right, leaf_class = self._table
         rows = np.arange(X.shape[0])
-        node = np.repeat(start[:, None], X.shape[0], axis=1)
+        node = np.repeat(roots[:, None], X.shape[0], axis=1)
         while not (feature[node] < 0).all():
             goes_left = X[rows, feature[node]] <= threshold[node]
             node = np.where(goes_left, left[node], right[node])

@@ -238,6 +238,12 @@ def lockstep_cases():
     y = rng.integers(0, 4, size=70)
     params = ForestParams(n_trees=30, max_features=2, bootstrap=False, seed=7)
     yield "no bootstrap", x, y, 4, params
+    # Noisy labels over twelve classes, one candidate per node: trees grow
+    # deep, and stacks many entries deep push and pop beside shallow ones.
+    x = np.round(rng.normal(size=(120, 6)), 2)
+    y = rng.integers(0, 12, size=120)
+    params = ForestParams(n_trees=20, max_features=1, bootstrap=False, seed=8)
+    yield "deep stacks", x, y, 12, params
 
 
 class TestLockstepShapes:
@@ -312,6 +318,38 @@ class TestFitForests:
             fit_forests(ForestParams(n_trees=2), 2, [])
 
 
+class TestTreesView:
+    """`RandomForest.trees` gives each tree with child ids local to it."""
+
+    def test_walking_each_tree_gives_the_votes_predict_counts(self):
+        # Five folds of 62 rows train on 49 or 50 rows; one more block has
+        # 23 rows of 4 columns, so it grows in a growth of its own.
+        rng = np.random.default_rng(4400)
+        x = np.round(rng.normal(size=(62, 6)), 1)
+        y = rng.integers(0, 3, size=62)
+        blocks = fold_blocks(x, y, 5) + [(x[:23, :4], y[:23])]
+        forests = fit_forests(ForestParams(n_trees=9, seed=3), 3, blocks)
+        test_x = np.round(rng.normal(size=(30, 6)), 1)
+        for b, (forest, (bx, _)) in enumerate(zip(forests, blocks)):
+            tx = test_x[:, : bx.shape[1]]
+            votes = np.zeros((len(tx), 3), dtype=np.int64)
+            assert len(forest.trees) == 9, b
+            for tree in forest.trees:
+                walk = [(0, np.arange(len(tx)))]
+                while walk:
+                    node, rows = walk.pop()
+                    if tree.feature[node] < 0:
+                        votes[rows, tree.leaf_class[node]] += 1
+                        continue
+                    goes_left = tx[rows, tree.feature[node]] <= tree.threshold[node]
+                    walk += [(tree.left[node], rows[goes_left]), (tree.right[node], rows[~goes_left])]
+            assert (votes.sum(axis=1) == 9).all(), b
+            assert forest.predict(tx).tolist() == votes.argmax(axis=1).tolist(), b
+
+    def test_unfitted_forest_has_no_trees(self):
+        assert RandomForest(ForestParams(n_trees=2), n_classes=2).trees == []
+
+
 class TestFitMemory:
     """Chunked split searches keep a default fit's working arrays small."""
 
@@ -344,6 +382,24 @@ class TestFitMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("max_features", [None, 1])
+    def test_peak_traced_memory_of_a_five_fold_lung_shaped_fit(self, max_features):
+        # The study's largest shape, 203 rows in 5 classes (ROADMAP item 7),
+        # on 12 selected columns: deep trees, whose stacks hold only the
+        # depth they reach.
+        rng = np.random.default_rng(203)
+        y = rng.permutation(np.repeat(np.arange(5), (139, 21, 20, 17, 6)))
+        x = rng.normal(size=(203, 12))
+        x[:, :6] += 0.8 * rng.normal(size=(5, 6))[y]
+        blocks = fold_blocks(x, y, 5)
+        tracemalloc.start()
+        try:
+            fit_forests(ForestParams(max_features=max_features), 5, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # Fits one tree on three rows whose first two values are adjacent doubles,

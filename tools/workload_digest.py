@@ -16,16 +16,18 @@ training rows.  The next line, ``fine-bins``, digests a sweep on a 200x60
 synth at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and
 MIFS; KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of
 its pair tables hold more than 128 nonzero cells, so MI scoring splits
-their runs of terms as ``np.sum`` does.  The last line, ``multi-class``,
+their runs of terms as ``np.sum`` does.  The next line, ``multi-class``,
 digests three sweeps over two 3-class designs drawn here with NumPy at the
 seed (perfbench's synth is two-class): ``m3.csv``, 60x40 with classes of
 24, 21 and 15 rows, and ``m3s.csv``, 49x40 with classes of 26, 22 and 1
 row, so the lone row's fold trains without its class.  Each sweep runs MI
 and FVALUE; the default algorithms; KNN and GNB; alpha 0.5 and 1.3; k
 2..6; sweep seed 2: once pooled, once pooled with ``scale_per_fold=True``
-and once with selection inside each fold.  Two revisions whose sweeps
-differ only in timing print the same lines.  It reads ``perfbench/`` and
-changes nothing there.
+and once with selection inside each fold.  The last line,
+``multi-class-rf``, digests the same three sweeps with RF as the only
+classifier, so 3-class forests, and a fold's forest trained without a
+class, are covered.  Two revisions whose sweeps differ only in timing
+print the same lines.  It reads ``perfbench/`` and changes nothing there.
 
 With ``--check FILE`` it also compares the lines with FILE's, by workload
 name, and exits 1 naming each line that differs.  ``tools/workload_digests.txt``
@@ -78,7 +80,8 @@ def write_multi_class(path: Path, class_sizes, n_cols: int, seed: int) -> None:
 
 def digest_lines(seed: int) -> Iterator[str]:
     """The line of each workload's sweep, then the per-fold,
-    scale-per-fold, fine-bins and multi-class lines, at `seed`."""
+    scale-per-fold, fine-bins, multi-class and multi-class-rf lines, at
+    `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w in workloads.WORKLOADS.values():
@@ -127,20 +130,21 @@ def digest_lines(seed: int) -> Iterator[str]:
             datasets=tuple(map(str, designs)),
             output_dir=str(work / "multi-class"),
             estimators=("MI", "FVALUE"),
-            classifiers=("KNN", "GNB"),
             alpha_grid=(0.5, 1.3),
             k_min=2,
             k_max=6,
             seed=2,
         )
-        with warnings.catch_warnings():  # m3s's lone row spans one fold of five
-            warnings.simplefilter("ignore", UserWarning)
-            line = sweep_line(
-                pooled,
-                replace(pooled, output_dir=str(work / "multi-class-scaled"), scale_per_fold=True),
-                replace(pooled, output_dir=str(work / "multi-class-per-fold"), select_per_fold=True),
-            )
-        yield f"multi-class: {line}"
+        for name, classifiers in (("multi-class", ("KNN", "GNB")), ("multi-class-rf", ("RF",))):
+            base = replace(pooled, output_dir=str(work / name), classifiers=classifiers)
+            with warnings.catch_warnings():  # m3s's lone row spans one fold of five
+                warnings.simplefilter("ignore", UserWarning)
+                line = sweep_line(
+                    base,
+                    replace(base, output_dir=str(work / f"{name}-scaled"), scale_per_fold=True),
+                    replace(base, output_dir=str(work / f"{name}-per-fold"), select_per_fold=True),
+                )
+            yield f"{name}: {line}"
 
 
 def by_name(lines) -> dict[str, str]:
