@@ -59,6 +59,19 @@ def _impurity(counts, sizes):
     return 1.0 - np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]
 
 
+def _class_sum(a):
+    """``a.sum(axis=-1)`` bit for bit.  NumPy's pairwise sum adds fewer than 8
+    terms left to right, so a short class axis folds in the same order with
+    one whole-array add per class, far faster than a reduction over a short
+    last axis."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    total = a[..., 0]
+    for c in range(1, a.shape[-1]):
+        total = total + a[..., c]
+    return total
+
+
 def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     """First maximal Gini gain at each node of a chunk.
 
@@ -88,8 +101,8 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     lc = onehot[rows[:-1]].cumsum(axis=0)
     nl = np.arange(1, width, dtype=np.float64)[:, None, None]
     nr = np.maximum(sizes[:, None] - nl, 1.0)  # 1 past a node's rows keeps padding finite
-    gini_l = 1.0 - np.square(lc / nl[..., None]).sum(axis=3)
-    gini_r = 1.0 - np.square((counts[:, None, :] - lc) / nr[..., None]).sum(axis=3)
+    gini_l = 1.0 - _class_sum(np.square(lc / nl[..., None]))
+    gini_r = 1.0 - _class_sum(np.square((counts[:, None, :] - lc) / nr[..., None]))
     gains = node_gini[:, None] - (nl * gini_l + nr * gini_r) / sizes[:, None]
     inside = nl < sizes[:, None]
     gains = np.where(inside & (values[1:] > values[:-1]), gains, -np.inf)
@@ -133,16 +146,68 @@ def _tree_draws(seed, n_rows, n_cols, max_features, bootstrap):
     return rng, sample, draws
 
 
-def _lockstep(X, y, n_classes, max_features, trees, n_rows):
-    """Grow one tree per (generator, sample, draws) in ``trees`` on the row
-    space ``X``, ``y``; tree t trains on ``n_rows[t]`` rows.
+def _bounded(words, n):
+    """``Generator.integers(0, n)`` of each 32-bit word in ``words`` (uint64)
+    by Lemire's method, and whether NumPy rejects the word and draws again."""
+    m = words * np.uint64(n)
+    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - n) % n
 
-    The trees share array state.  Their samples are consecutive segments of
-    one row order, and a node is a ``[lo, hi)`` slice of it: a search writes
-    the node's rows back sorted by its winning column, so a split's children
-    are the slices either side of the boundary.  Each tree's stack holds
-    (node, lo, hi, class counts) and impurity under a top pointer.  Only
-    impure children are pushed, left then right, so the right pops first.
+
+def _replayed(seeds, row_counts, n_cols, max_features, bootstrap):
+    """Every tree's `_tree_draws` sample and draws for each row count, when
+    no generator is read after them (``max_features`` 1 or every column).
+
+    ``integers(0, n)`` maps 32-bit words by `_bounded`, and PCG64 gives them
+    as the low, then the high half of each 64-bit output, keeping a high half
+    for the next call.  So one ``random_raw`` per seed serves every row count
+    n: the sample takes words ``[0, n)`` (none when n is 1, which needs no
+    word), the draws the next ``2 * longest - 1`` for the largest row count
+    ``longest``.  A tree with a rejected word among them (chance below
+    bound / 2**32 per word) takes `_tree_draws`.
+
+    Returns per row count a (trees x n) sample array and, with one candidate
+    per node, a (trees x 2 * longest - 1) draw array, else None; a tree on
+    n rows reads only its first 2n - 1 draws.
+    """
+    one = max_features == 1 < n_cols
+    width = 2 * max(row_counts) - 1
+    n_words = max(row_counts) * bootstrap + width * one
+    words = np.zeros((len(seeds), 0), dtype=np.uint64)
+    if n_words:
+        raw = np.array([np.random.PCG64(seed).random_raw((n_words + 1) // 2) for seed in seeds])
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(len(seeds), -1)
+    replayed = {}
+    for n in row_counts:
+        sample, draws = np.tile(np.arange(n), (len(seeds), 1)), None
+        rejected = np.zeros(len(seeds), dtype=bool)
+        if bootstrap:
+            sample, bad = _bounded(words[:, :n], n)
+            rejected |= bad.any(axis=1)
+        if one:
+            start = n if bootstrap and n > 1 else 0
+            draws, bad = _bounded(words[:, start : start + width], n_cols)
+            rejected |= bad.any(axis=1)
+        for t in np.flatnonzero(rejected).tolist():
+            _, sample[t], d = _tree_draws(seeds[t], n, n_cols, max_features, bootstrap)
+            if one:
+                draws[t, : len(d)] = d
+        replayed[n] = sample, draws
+    return replayed
+
+
+def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
+    """Grow one tree per entry of ``n_rows`` on the row space ``X``, ``y``.
+    Tree t's sample is the t-th segment of the row order ``order``, of
+    ``n_rows[t]`` rows.  ``draws`` holds each tree's generator when nodes
+    draw by ``rng.choice``, its one-candidate draws as rows of an array, or
+    None when every column is a candidate.
+
+    The trees share array state.  A node is a ``[lo, hi)`` slice of
+    ``order``: a search writes the node's rows back sorted by its winning
+    column, so a split's children are the slices either side of the
+    boundary.  Each tree's stack holds (node, lo, hi, class counts) and
+    impurity under a top pointer.  Only impure children are pushed, left
+    then right, so the right pops first.
 
     Each step pops every tree's top entry and scores all popped nodes in a
     few chunked split searches, so tree t's s-th search is at step s and,
@@ -154,9 +219,7 @@ def _lockstep(X, y, n_classes, max_features, trees, n_rows):
     order.  A tree's i-th split makes its local children 2i + 1 and 2i + 2.
     """
     n_trees, n_cols = len(n_rows), X.shape[1]
-    rngs, samples, draws = zip(*trees)
-    order = np.concatenate(samples)
-    onehot = y[:, None] == np.arange(n_classes)
+    onehot = (y[:, None] == np.arange(n_classes)).astype(np.float64)
     lo = np.cumsum(n_rows) - n_rows
     flat = np.repeat(np.arange(n_trees), n_rows) * n_classes + y[order]
     counts = np.bincount(flat, minlength=n_trees * n_classes).reshape(n_trees, n_classes)
@@ -168,10 +231,6 @@ def _lockstep(X, y, n_classes, max_features, trees, n_rows):
     stack_gini[:, 0] = _impurity(counts, n_rows)
     top = (stack_gini[:, 0] != 0.0).astype(np.int64)
     n_splits = np.zeros(n_trees, dtype=np.int64)
-    if draws[0] is not None:
-        step_draws = np.zeros((n_trees, 2 * n_rows.max() - 1), dtype=np.int64)
-        for t, d in enumerate(draws):
-            step_draws[t, : len(d)] = d
     records = [(np.zeros(0, dtype=np.int64),) * 8]
     step = 0
     while top.any():
@@ -181,10 +240,10 @@ def _lockstep(X, y, n_classes, max_features, trees, n_rows):
         node, lo, hi, counts = entry[:, 0], entry[:, 1], entry[:, 2], entry[:, 3:]
         if max_features >= n_cols:
             candidates = np.broadcast_to(np.arange(n_cols), (len(t), n_cols))
-        elif draws[0] is not None:
-            candidates = step_draws[t, step, None]
+        elif max_features == 1:
+            candidates = draws[t, step, None]
         else:
-            candidates = np.array([rngs[i].choice(n_cols, size=max_features, replace=False) for i in t.tolist()])
+            candidates = np.array([draws[i].choice(n_cols, size=max_features, replace=False) for i in t.tolist()])
         step += 1
         sizes = hi - lo
         gain, split = np.empty(len(t)), np.empty(len(t))
@@ -232,7 +291,9 @@ def _grow(forests, blocks):
     one column count grow together in one `_lockstep` growth: their rows
     are stacked into one row space and each tree's sample indices are
     offset into it.  Tree t of every block draws from spawned seed t and
-    keeps its own draws and stack, so it grows exactly as it would alone.
+    keeps its own draws and stack, so it grows exactly as it would alone;
+    without ``rng.choice``, one `_replayed` stream per seed gives tree t's
+    draws for every block.
 
     Each forest keeps its trees' root ids and one read-only node table of
     the `_Tree` fields over all its trees.  Importances add each split's
@@ -247,20 +308,21 @@ def _grow(forests, blocks):
         X = np.concatenate([blocks[b][0] for b in group]) if len(group) > 1 else blocks[group[0]][0]
         y = np.concatenate([blocks[b][1] for b in group])
         max_features = params.resolve_max_features(n_cols)
-        # Only rng.choice reads a generator after its up-front draws; without
-        # it, blocks of one row count share those draws.
-        reread = 1 < max_features < n_cols
-        drawn = {}
-        trees = []  # (rng, sample, draws), block by block
-        offset = 0
-        for b in group:
-            n_rows = len(blocks[b][1])
-            if reread or n_rows not in drawn:
-                drawn[n_rows] = [_tree_draws(seed, n_rows, n_cols, max_features, params.bootstrap) for seed in seeds]
-            trees += [(rng, sample + offset, draws) for rng, sample, draws in drawn[n_rows]]
-            offset += n_rows
-        sizes = np.repeat([len(blocks[b][1]) for b in group], params.n_trees)
-        n_splits, root_class, records = _lockstep(X, y, n_classes, max_features, trees, sizes)
+        row_counts = [len(blocks[b][1]) for b in group]
+        if 1 < max_features < n_cols:
+            # rng.choice reads each tree's generator again at every node.
+            trees = [[_tree_draws(seed, n, n_cols, max_features, params.bootstrap) for seed in seeds] for n in row_counts]
+            draws = [rng for block in trees for rng, _, _ in block]
+            samples = [np.array([sample for _, sample, _ in block]) for block in trees]
+        else:
+            replayed = _replayed(seeds, dict.fromkeys(row_counts), n_cols, max_features, params.bootstrap)
+            samples = [replayed[n][0] for n in row_counts]
+            draws = None if max_features >= n_cols else np.concatenate([replayed[n][1] for n in row_counts])
+        # Block b's samples index its rows, offset into the stacked row space.
+        offsets = np.cumsum(row_counts) - row_counts
+        order = np.concatenate([sample + offset for sample, offset in zip(samples, offsets)], axis=None)
+        sizes = np.repeat(row_counts, params.n_trees)
+        n_splits, root_class, records = _lockstep(X, y, n_classes, max_features, order, draws, sizes)
         tree, node, feature, threshold, child, term, class_l, class_r = records
         n_nodes = 2 * n_splits + 1
         first = np.cumsum(n_nodes) - n_nodes  # each root's id in the group's table

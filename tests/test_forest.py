@@ -155,9 +155,15 @@ class TestInputValidation:
                 f.predict(np.zeros((6, n_cols)))
 
 
+def words_of(seed, n_words):
+    """The first ``n_words`` 32-bit words of a PCG64 stream, as uint64."""
+    raw = np.random.PCG64(seed).random_raw((n_words + 1) // 2)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:n_words]
+
+
 class TestNumpyAssumptions:
-    """The lockstep fit leans on two NumPy behaviours; a NumPy change fails here
-    before it can move trees."""
+    """The lockstep fit leans on these NumPy behaviours; a NumPy change fails
+    here before it can move trees."""
 
     def test_choice_of_one_equals_batched_integers(self):
         # One integers(0, n, size=m) draw stands in for a tree's successive
@@ -169,6 +175,53 @@ class TestNumpyAssumptions:
                 batched.integers(0, 62, size=62)
                 per_node = [int(one.choice(n, size=1, replace=False)[0]) for _ in range(123)]
                 assert per_node == batched.integers(0, n, size=123).tolist(), (n, seed)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("n_cols", [2, 3, 2000])
+    def test_replay_equals_default_rng_integers(self, monkeypatch, n_cols, bootstrap):
+        # One call replays every row count from each seed's one raw stream:
+        # odd row counts leave a high half buffered for the draws, and
+        # smaller row counts start their draws earlier in the stream.
+        def no_fallback(*args):
+            raise AssertionError("a word was rejected; pick seeds without one")
+
+        monkeypatch.setattr(forest_module, "_tree_draws", no_fallback)
+        row_counts = (1, 3, 49, 50, 161, 203)
+        seeds = np.random.SeedSequence(17).spawn(20)
+        replayed = forest_module._replayed(seeds, row_counts, n_cols, 1, bootstrap)
+        for n in row_counts:
+            sample, draws = replayed[n]
+            assert draws.shape == (len(seeds), 2 * max(row_counts) - 1)
+            for t, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                expected = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+                assert sample[t].tolist() == expected.tolist(), (n, t)
+                expected = rng.integers(0, n_cols, size=2 * n - 1)
+                assert draws[t, : 2 * n - 1].tolist() == expected.tolist(), (n, t)
+
+    def test_bounded_accepts_what_integers_returns(self):
+        # Near 3 * 2**30 NumPy rejects about a quarter of all words and
+        # draws again; the words the helper accepts are its values in order.
+        for n in (3 * 2**30, 3 * 2**30 + 1, 2**31 + 1, 50, 2000):
+            for seed in range(5):
+                values, rejected = forest_module._bounded(words_of(seed, 4001), n)
+                accepted = values[~rejected]
+                if n > 2**31:
+                    assert rejected.sum() > 500, n  # the rejection path is exercised
+                expected = np.random.default_rng(seed).integers(0, n, size=len(accepted))
+                assert accepted.tolist() == expected.tolist(), (n, seed)
+
+    @pytest.mark.parametrize("n_classes", range(1, 13))
+    def test_class_sum_equals_sum_over_last_axis(self, n_classes):
+        # Size-1 axes (one candidate, one node, one boundary) are coalesced
+        # by NumPy's reduction, so each shape is pinned on its own.
+        rng = np.random.default_rng(4100 + n_classes)
+        shapes = [(61, 3, 44), (61, 1, 44), (61, 3, 1), (61, 1, 1), (1, 3, 44), (1, 1, 1), (200,), (1,), ()]
+        for shape in shapes:
+            a = np.square(rng.random(shape + (n_classes,)) * 10.0 ** rng.integers(-6, 6, size=shape + (n_classes,)))
+            got, expected = forest_module._class_sum(a), a.sum(axis=-1)
+            assert np.shape(got) == expected.shape, shape
+            assert np.asarray(got).tobytes() == expected.tobytes(), shape
 
     def test_batched_impurity_equals_per_node_dot(self):
         rng = np.random.default_rng(41)
@@ -316,6 +369,58 @@ class TestFitForests:
             fit_forests(ForestParams(n_trees=2), 2, [good, (np.zeros((4, 2)), np.array([0, 1, 2, 1]))])
         with pytest.raises(ValueError, match="at least one training block"):
             fit_forests(ForestParams(n_trees=2), 2, [])
+
+
+class TestMixedRowCounts:
+    """One growth over blocks of several row counts, and a tree whose replayed
+    draws hit a rejected word, reproduce the oracle exactly."""
+
+    @staticmethod
+    def blocks():
+        # Five folds of 62 rows train on 49 or 50 rows; one more block has 23.
+        rng = np.random.default_rng(4500)
+        x = np.round(rng.normal(size=(62, 5)), 1)
+        y = rng.integers(0, 3, size=62)
+        test_x = np.round(rng.normal(size=(20, 5)), 1)
+        return fold_blocks(x, y, 5) + [(x[:23], y[:23])], test_x
+
+    def assert_blocks_match_oracle(self, params):
+        blocks, test_x = self.blocks()
+        forests = fit_forests(params, 3, blocks)
+        for b, (forest, (bx, by)) in enumerate(zip(forests, blocks)):
+            imp, pred, n_nodes = oracle_forest(bx, by, 3, params, test_x)
+            assert forest.feature_importances().tolist() == imp.tolist(), b
+            assert forest.predict(test_x).tolist() == pred.tolist(), b
+            assert sum(len(t.feature) for t in forest.trees) == n_nodes, b
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_features", [1, 5])
+    def test_each_block_equals_the_oracle(self, max_features, bootstrap):
+        self.assert_blocks_match_oracle(ForestParams(n_trees=10, max_features=max_features, bootstrap=bootstrap, seed=11))
+
+    # Whole data and every column draw nothing, so nothing can be rejected.
+    @pytest.mark.parametrize("max_features, bootstrap", [(1, True), (1, False), (5, True)])
+    def test_rejected_word_falls_back_to_the_generator(self, monkeypatch, max_features, bootstrap):
+        # Tree 2's words read as rejected, and its replayed values are wrong
+        # as they would be after a rejection; its own generator must redraw.
+        bounded, tree_draws = forest_module._bounded, forest_module._tree_draws
+        fallbacks = []
+
+        def rejecting(words, n):
+            values, rejected = bounded(words, n)
+            values[2] = (values[2] + 1) % n
+            rejected[2] = True
+            return values, rejected
+
+        def counted(seed, n_rows, *rest):
+            fallbacks.append(n_rows)
+            return tree_draws(seed, n_rows, *rest)
+
+        monkeypatch.setattr(forest_module, "_bounded", rejecting)
+        monkeypatch.setattr(forest_module, "_tree_draws", counted)
+        params = ForestParams(n_trees=6, max_features=max_features, bootstrap=bootstrap, seed=12)
+        self.assert_blocks_match_oracle(params)
+        assert sorted(fallbacks) == [23, 49, 50], fallbacks
 
 
 class TestTreesView:
