@@ -46,13 +46,14 @@ ABS_PEARSON = "ABS_PEARSON"
 REDUNDANCY_MEASURES = (MI_PAIR, ABS_PEARSON)
 
 DEFAULT_MI_BINS = 10
-# Columns coded together by `discretize_columns`; rows of `_code_rows`
-# counted together by one ``bincount`` in `_mi_against`, the one MI routine
-# (many code rows against one row: the labels, or the newest mRMR pick).
+# Rows of `_code_rows` counted together by one ``bincount`` in
+# `_mi_against`, the one MI routine (many code rows against one row: the
+# labels, or the newest mRMR pick).
 _BLOCK = 128
-# Most count-table cells one `_mutual_info_stack` call scores.  The tables
-# of one shape are scored in chunks of this size, so a call's working
-# arrays stay small however many rows share that shape.
+# Most count-table cells one `_mutual_info_stack` call scores, and most
+# matrix values `discretize_columns` codes in one block.  The tables of one
+# shape are scored in chunks of this size, so a call's working arrays stay
+# small however many rows share that shape or columns a matrix has.
 _CELLS = 51200
 # NumPy's pairwise summation sums runs of at most this many values with
 # eight strided accumulators, and halves longer runs.
@@ -111,30 +112,33 @@ def discretize_columns(x: np.ndarray, bins: int) -> np.ndarray:
     A column with at most ``bins`` distinct values keeps one code per
     distinct value.  Otherwise interior edges sit at the 1/bins..(bins-1)/bins
     quantiles and each value maps to the lowest bin whose edge reaches it,
-    so equal values always share a bin.  Columns are coded in blocks of
-    ``_BLOCK`` so temporaries stay small on wide matrices.
+    so equal values always share a bin.  Columns are coded in blocks of at
+    most ``_CELLS`` values, each copied to contiguous rows: the sorts, run
+    starts and compare-adds then all read and write contiguous rows.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     x = np.asarray(x, dtype=np.float64)
-    rows = np.zeros(x.shape[::-1], dtype=np.min_scalar_type(bins - 1))
-    codes = rows.T
-    for lo in range(0, x.shape[1], _BLOCK):
-        block = x[:, lo : lo + _BLOCK]
-        s = np.sort(block, axis=0)
+    n_rows, n_cols = x.shape
+    rows = np.zeros((n_cols, n_rows), dtype=np.min_scalar_type(bins - 1))
+    width = max(1, _CELLS // max(1, n_rows))
+    for lo in range(0, n_cols, width):
+        block = np.ascontiguousarray(x[:, lo : lo + width].T)
+        s = np.sort(block, axis=1)
         # Where each run of equal sorted values starts (-0.0 equals 0.0).
-        starts = np.concatenate([np.ones((1, s.shape[1]), bool), s[1:] != s[:-1]])
-        few = starts.sum(axis=0) <= bins
+        starts = np.concatenate([np.ones((s.shape[0], 1), bool), s[:, 1:] != s[:, :-1]], axis=1)
+        few = starts.sum(axis=1) <= bins
         # A code counts the thresholds below the value: bins - 1 quantile edges
         # (only if rows > bins) or each distinct value; +inf pads the rest.
-        thresholds = np.full((min(bins, s.shape[0]), s.shape[1]), np.inf)
+        thresholds = np.full((min(bins, n_rows), s.shape[0]), np.inf)
         if not few.all():
-            thresholds[: bins - 1, ~few] = _sorted_quantiles(s[:, ~few], np.arange(1, bins) / bins)
+            thresholds[: bins - 1, ~few] = _sorted_quantiles(s[~few].T, np.arange(1, bins) / bins)
         if few.any():
             cols = np.flatnonzero(few)
-            thresholds[np.cumsum(starts[:, cols], axis=0) - 1, cols] = s[:, cols]
+            thresholds[np.cumsum(starts[cols], axis=1) - 1, cols[:, None]] = s[cols]
+        out = rows[lo : lo + width]
         for t in thresholds:
-            codes[:, lo : lo + _BLOCK] += block > t
+            out += block > t[:, None]
     return rows
 
 
@@ -208,6 +212,48 @@ def _pairwise_runs(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.n
     return sums
 
 
+def _stack_sum(p: np.ndarray, axis: int) -> np.ndarray:
+    """``p.sum(axis=axis)`` of a C-contiguous (m, ka, kb) stack, axis 1 or 2,
+    bit for bit, by whole-array adds in the order NumPy adds.
+
+    NumPy reduces the last axis with its pairwise summation, per row of kb
+    values (see `_pairwise_runs`): fewer than 8 values add one at a time
+    from 0.0; from 8 on, 8 strided accumulators take whole blocks, combine
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and take the tail one value at
+    a time, and runs over ``_PW_BLOCKSIZE`` split at a multiple of 8 near
+    the middle.  It reduces the middle axis with its inner loop along the
+    contiguous last one, adding the ka rows of kb values one at a time to
+    0.0, except when kb is 1: then it coalesces the stack to (m, ka) and
+    sums each run pairwise, which ``p.sum`` is left to do.
+    """
+    if axis == 1:
+        if p.shape[2] == 1:
+            return p.sum(axis=1)
+        total = p[:, 0] + 0.0
+        for a in range(1, p.shape[1]):
+            total += p[:, a]
+        return total
+    kb = p.shape[2]
+    if kb > _PW_BLOCKSIZE:
+        half = kb // 2
+        half -= half % 8
+        return _stack_sum(p[:, :, :half], 2) + _stack_sum(p[:, :, half:], 2)
+    if kb < 8:
+        total = p[:, :, 0] + 0.0
+        tail = range(1, kb)
+    else:
+        r = p[:, :, :8] + 0.0
+        for j in range(8, kb - 7, 8):
+            r += p[:, :, j : j + 8]
+        r = r[:, :, 0::2] + r[:, :, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[:, :, 0::2] + r[:, :, 1::2]
+        total = r[:, :, 0] + r[:, :, 1]
+        tail = range(kb - kb % 8, kb)
+    for j in tail:
+        total += p[:, :, j]
+    return total
+
+
 def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
     """`mutual_info_from_counts` of each table in an (m, ka, kb) stack.
 
@@ -222,7 +268,7 @@ def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
     n = joint.sum(axis=(1, 2))
     # An empty table scores 0.0, as its L = 0 cells sum to.
     p = joint / np.where(n == 0, 1.0, n)[:, None, None]
-    outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+    outer = _stack_sum(p, 2)[:, :, None] * _stack_sum(p, 1)[:, None, :]
     cells = np.flatnonzero(p > 0)
     pv = p.take(cells)
     # The terms, computed in place, then the 8 zeros `_pairwise_runs` reads.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
-from ffsel import ForestParams, RedundancyCache, relevance_all
+from ffsel import ForestParams, RedundancyCache, relevance, relevance_all
 from oracles import (
     oracle_abs_pearson,
     oracle_cosine,
@@ -29,6 +29,7 @@ from ffsel.relevance import (
     _mutual_info_stack,
     _pairwise_runs,
     _sorted_quantiles,
+    _stack_sum,
     discretize_columns,
     mutual_info_from_counts,
 )
@@ -138,6 +139,29 @@ class TestDiscretize:
         for j in range(x.shape[1]):
             np.testing.assert_array_equal(codes[j], oracle_discretize(x[:, j], bins), err_msg=f"column {j}")
 
+    @pytest.mark.parametrize("bins", [1, 3, 10, 17, 300])
+    @pytest.mark.parametrize("n_rows", [1, 2, 62, 203])
+    def test_columns_across_block_edges(self, bins, n_rows, monkeypatch):
+        # Blocks of 37 columns, so the 120 columns span three whole blocks
+        # and part of a fourth.  Ties, few distinct values, constant columns
+        # and signed zeros each straddle a block edge.  With 1 or 2 rows
+        # every column is few; with more rows and up to 17 bins, none of
+        # the fourth block's is.
+        monkeypatch.setattr(relevance, "_CELLS", 37 * n_rows)
+        rng = np.random.default_rng(58)
+        x = rng.normal(size=(n_rows, 120))
+        x[:, 30:45] = np.round(x[:, 30:45] * rng.integers(1, 8, size=15))
+        x[:, 45:70] = rng.integers(0, 3, size=(n_rows, 25)) / 2.0
+        x[:, 70:80] = 1.5
+        zeros = rng.random((n_rows, 14)) < 0.4
+        x[:, 100:114][zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        x[:, 108] = np.where(rng.random(n_rows) < 0.5, -0.0, 0.0)
+        x[:, 109] = np.where(rng.random(n_rows) < 0.5, -0.0, 1.0)
+        codes = discretize_columns(x, bins)
+        assert codes.shape == (120, n_rows) and codes.dtype == np.min_scalar_type(bins - 1)
+        for j in range(x.shape[1]):
+            np.testing.assert_array_equal(codes[j], oracle_discretize(x[:, j], bins), err_msg=f"column {j}")
+
     def test_bins_must_be_positive(self):
         with pytest.raises(ValueError):
             discretize_columns(np.zeros((3, 2)), 0)
@@ -218,6 +242,22 @@ class TestMutualInfoStack:
             assert total.tobytes() == want.tobytes(), (start, size)
         for lo, hi in ((0, 0), (1, 7), (8, 128), (129, 300)):
             assert ((sizes >= lo) & (sizes <= hi)).sum() >= 2, (lo, hi)
+
+    @pytest.mark.parametrize("ka", range(1, 21))
+    def test_marginals_match_numpy_sums_bytewise(self, ka):
+        # `_stack_sum` copies the order NumPy reduces each axis of a stack
+        # in: a left fold below 8 values and pairwise from 8 on along the
+        # last axis, a left fold along the middle one, except kb = 1, which
+        # NumPy sums pairwise.  A NumPy release that changes it fails here.
+        rng = np.random.default_rng(60 + ka)
+        for kb in [*range(1, 21), 129, 300]:
+            joint = rng.integers(0, rng.integers(2, 50), size=(20, ka, kb))
+            joint[rng.random(joint.shape) < rng.random((20, 1, 1))] = 0
+            joint[0] = 0  # a zero table
+            spread = rng.random((20, ka, kb)) * 10.0 ** rng.integers(-6, 7, size=(20, ka, kb))
+            for p in (joint / np.maximum(joint.sum(axis=(1, 2)), 1)[:, None, None], spread):
+                for axis in (1, 2):
+                    assert _stack_sum(p, axis).tobytes() == p.sum(axis=axis).tobytes(), (ka, kb, axis)
 
     @pytest.mark.parametrize("ka", range(1, 13))
     def test_stack_equals_scalar_bitwise(self, ka):

@@ -16,7 +16,10 @@ training rows.  The next line, ``fine-bins``, digests a sweep on a 200x60
 synth at the seed with ``mi_bins=16``: MI; KBEST, KGROUPS, MID, MIQ and
 MIFS; KNN; alpha 0.5 and 1.3; k 2..10; sweep seed 2.  At 16 bins most of
 its pair tables hold more than 128 nonzero cells, so MI scoring splits
-their runs of terms as ``np.sum`` does.  The next line, ``multi-class``,
+their runs of terms as ``np.sum`` does.  The next line, ``coarse-bins``,
+digests the same sweep with ``mi_bins=3``, so every label and pair table
+has fewer than 8 columns and both marginals of each table sum in a left
+fold.  The next line, ``multi-class``,
 digests three sweeps over two 3-class designs drawn here with NumPy at the
 seed (perfbench's synth is two-class): ``m3.csv``, 60x40 with classes of
 24, 21 and 15 rows, and ``m3s.csv``, 49x40 with classes of 26, 22 and 1
@@ -80,8 +83,8 @@ def write_multi_class(path: Path, class_sizes, n_cols: int, seed: int) -> None:
 
 def digest_lines(seed: int) -> Iterator[str]:
     """The line of each workload's sweep, then the per-fold,
-    scale-per-fold, fine-bins, multi-class and multi-class-rf lines, at
-    `seed`."""
+    scale-per-fold, fine-bins, coarse-bins, multi-class and multi-class-rf
+    lines, at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w in workloads.WORKLOADS.values():
@@ -122,6 +125,8 @@ def digest_lines(seed: int) -> Iterator[str]:
             mi_bins=16,
         )
         yield f"fine-bins: {sweep_line(fine_bins)}"
+        coarse_bins = replace(fine_bins, output_dir=str(work / "coarse-bins"), mi_bins=3)
+        yield f"coarse-bins: {sweep_line(coarse_bins)}"
         designs = []
         for name, sizes in (("m3", (24, 21, 15)), ("m3s", (26, 22, 1))):
             designs.append(work / f"{name}.csv")
