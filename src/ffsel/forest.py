@@ -9,6 +9,7 @@ fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -153,17 +154,38 @@ def _bounded(words, n):
     return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - n) % n
 
 
-def _replayed(seeds, row_counts, n_cols, max_features, bootstrap):
+def _words(seed, n_trees, n_raw):
+    """The first ``n_raw`` 64-bit outputs of each of ``n_trees`` PCG64
+    streams spawned from ``seed``, as (trees x 2 * n_raw) read-only uint64
+    32-bit words: the low, then the high half of each output."""
+    seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    raw = np.array([np.random.PCG64(s).random_raw(n_raw) for s in seeds])
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(n_trees, -1)
+    words.flags.writeable = False
+    return words
+
+
+# The words `fit_forests` reads, kept per (seed, trees, outputs) for the
+# process.  A sweep's cross-validation forests share the seed, the tree
+# count and the folds' row counts, so only the first builds its streams.
+# `RandomForest.fit` builds its own words, so the GINI relevance fit inside
+# a recorded selection cost reads no table another cell warmed.
+_shared_words = lru_cache(maxsize=8)(_words)
+
+
+def _replayed(seed, n_trees, row_counts, n_cols, max_features, bootstrap, words_of):
     """Every tree's `_tree_draws` sample and draws for each row count, when
     no generator is read after them (``max_features`` 1 or every column).
 
     ``integers(0, n)`` maps 32-bit words by `_bounded`, and PCG64 gives them
     as the low, then the high half of each 64-bit output, keeping a high half
-    for the next call.  So one ``random_raw`` per seed serves every row count
-    n: the sample takes words ``[0, n)`` (none when n is 1, which needs no
-    word), the draws the next ``2 * longest - 1`` for the largest row count
-    ``longest``.  A tree with a rejected word among them (chance below
-    bound / 2**32 per word) takes `_tree_draws`.
+    for the next call.  So one stream of words per tree, from
+    ``words_of(seed, n_trees, n_raw)`` (`_words` or its shared table), serves
+    every row count n: the sample takes words ``[0, n)`` (none when n is 1,
+    which needs no word), the draws the next ``2 * longest - 1`` for the
+    largest row count ``longest``.  A tree with a rejected word among them
+    (chance below bound / 2**32 per word) takes `_tree_draws` on its spawned
+    seed.
 
     Returns per row count a (trees x n) sample array and, with one candidate
     per node, a (trees x 2 * longest - 1) draw array, else None; a tree on
@@ -172,14 +194,11 @@ def _replayed(seeds, row_counts, n_cols, max_features, bootstrap):
     one = max_features == 1 < n_cols
     width = 2 * max(row_counts) - 1
     n_words = max(row_counts) * bootstrap + width * one
-    words = np.zeros((len(seeds), 0), dtype=np.uint64)
-    if n_words:
-        raw = np.array([np.random.PCG64(seed).random_raw((n_words + 1) // 2) for seed in seeds])
-        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(len(seeds), -1)
+    words = words_of(seed, n_trees, (n_words + 1) // 2) if n_words else None
     replayed = {}
     for n in row_counts:
-        sample, draws = np.tile(np.arange(n), (len(seeds), 1)), None
-        rejected = np.zeros(len(seeds), dtype=bool)
+        sample, draws = np.tile(np.arange(n), (n_trees, 1)), None
+        rejected = np.zeros(n_trees, dtype=bool)
         if bootstrap:
             sample, bad = _bounded(words[:, :n], n)
             rejected |= bad.any(axis=1)
@@ -188,7 +207,8 @@ def _replayed(seeds, row_counts, n_cols, max_features, bootstrap):
             draws, bad = _bounded(words[:, start : start + width], n_cols)
             rejected |= bad.any(axis=1)
         for t in np.flatnonzero(rejected).tolist():
-            _, sample[t], d = _tree_draws(seeds[t], n, n_cols, max_features, bootstrap)
+            tree_seed = np.random.SeedSequence(seed).spawn(n_trees)[t]
+            _, sample[t], d = _tree_draws(tree_seed, n, n_cols, max_features, bootstrap)
             if one:
                 draws[t, : len(d)] = d
         replayed[n] = sample, draws
@@ -284,7 +304,7 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
     return n_splits, root_class, [f[by_tree] for f in fields]
 
 
-def _grow(forests, blocks):
+def _grow(forests, blocks, words_of):
     """Grow ``forests[b]`` on training block ``blocks[b]``, all in lockstep.
 
     The forests share one ``ForestParams`` and ``n_classes``.  Blocks with
@@ -292,8 +312,8 @@ def _grow(forests, blocks):
     are stacked into one row space and each tree's sample indices are
     offset into it.  Tree t of every block draws from spawned seed t and
     keeps its own draws and stack, so it grows exactly as it would alone;
-    without ``rng.choice``, one `_replayed` stream per seed gives tree t's
-    draws for every block.
+    without ``rng.choice``, one `_replayed` stream of words per seed, from
+    ``words_of``, gives tree t's draws for every block.
 
     Each forest keeps its trees' root ids and one read-only node table of
     the `_Tree` fields over all its trees.  Importances add each split's
@@ -301,7 +321,6 @@ def _grow(forests, blocks):
     """
     params, n_classes = forests[0].params, forests[0].n_classes
     blocks = [_checked(X, y, n_classes) for X, y in blocks]
-    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     for n_cols in dict.fromkeys(X.shape[1] for X, _ in blocks):
         group = [b for b, (X, _) in enumerate(blocks) if X.shape[1] == n_cols]
         # A lone block is its own row space; stacking would only copy it.
@@ -311,11 +330,14 @@ def _grow(forests, blocks):
         row_counts = [len(blocks[b][1]) for b in group]
         if 1 < max_features < n_cols:
             # rng.choice reads each tree's generator again at every node.
+            seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
             trees = [[_tree_draws(seed, n, n_cols, max_features, params.bootstrap) for seed in seeds] for n in row_counts]
             draws = [rng for block in trees for rng, _, _ in block]
             samples = [np.array([sample for _, sample, _ in block]) for block in trees]
         else:
-            replayed = _replayed(seeds, dict.fromkeys(row_counts), n_cols, max_features, params.bootstrap)
+            replayed = _replayed(
+                params.seed, params.n_trees, dict.fromkeys(row_counts), n_cols, max_features, params.bootstrap, words_of
+            )
             samples = [replayed[n][0] for n in row_counts]
             draws = None if max_features >= n_cols else np.concatenate([replayed[n][1] for n in row_counts])
         # Block b's samples index its rows, offset into the stacked row space.
@@ -354,12 +376,14 @@ def fit_forests(
 
     Each forest equals ``RandomForest(params, n_classes).fit(X, y)`` on its
     own block, trees and importances alike.  Blocks may differ in row and
-    column counts.
+    column counts.  The replayed words come from `_shared_words`, so a
+    second growth with the same seed, tree count and row counts builds no
+    PCG64 stream.
     """
     if not blocks:
         raise ValueError("need at least one training block")
     forests = [RandomForest(params, n_classes) for _ in blocks]
-    _grow(forests, blocks)
+    _grow(forests, blocks, _shared_words)
     return forests
 
 
@@ -376,8 +400,9 @@ class RandomForest:
         self._n_cols = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        """Grow all trees in lockstep: the one-block case of `fit_forests`."""
-        _grow([self], [(X, y)])
+        """Grow all trees in lockstep: the one-block case of `fit_forests`,
+        with words built for this fit alone (see `_shared_words`)."""
+        _grow([self], [(X, y)], _words)
         return self
 
     @property

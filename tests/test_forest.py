@@ -188,7 +188,7 @@ class TestNumpyAssumptions:
         monkeypatch.setattr(forest_module, "_tree_draws", no_fallback)
         row_counts = (1, 3, 49, 50, 161, 203)
         seeds = np.random.SeedSequence(17).spawn(20)
-        replayed = forest_module._replayed(seeds, row_counts, n_cols, 1, bootstrap)
+        replayed = forest_module._replayed(17, len(seeds), row_counts, n_cols, 1, bootstrap, forest_module._words)
         for n in row_counts:
             sample, draws = replayed[n]
             assert draws.shape == (len(seeds), 2 * max(row_counts) - 1)
@@ -400,7 +400,7 @@ class TestMixedRowCounts:
 
     # Whole data and every column draw nothing, so nothing can be rejected.
     @pytest.mark.parametrize("max_features, bootstrap", [(1, True), (1, False), (5, True)])
-    def test_rejected_word_falls_back_to_the_generator(self, monkeypatch, max_features, bootstrap):
+    def test_rejected_word_falls_back_to_the_generator(self, monkeypatch, cold_words, max_features, bootstrap):
         # Tree 2's words read as rejected, and its replayed values are wrong
         # as they would be after a rejection; its own generator must redraw.
         bounded, tree_draws = forest_module._bounded, forest_module._tree_draws
@@ -421,6 +421,80 @@ class TestMixedRowCounts:
         params = ForestParams(n_trees=6, max_features=max_features, bootstrap=bootstrap, seed=12)
         self.assert_blocks_match_oracle(params)
         assert sorted(fallbacks) == [23, 49, 50], fallbacks
+
+
+@pytest.fixture
+def cold_words():
+    """The shared word table, empty before and after the test, so no test
+    reads a table another one built."""
+    forest_module._shared_words.cache_clear()
+    yield forest_module._shared_words
+    forest_module._shared_words.cache_clear()
+
+
+class TestSharedWords:
+    """`fit_forests` builds each seed's replayed words once per process;
+    `RandomForest.fit` builds its own."""
+
+    @staticmethod
+    def two_column_blocks():
+        # Five folds of 62 rows train on 49 or 50 rows: one candidate per node.
+        blocks, _ = TestMixedRowCounts.blocks()
+        return [(bx[:, :2], by) for bx, by in blocks[:5]]
+
+    def test_second_growth_builds_no_stream(self, monkeypatch, cold_words):
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counted(*args):
+            built.append(args)
+            return pcg64(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        blocks, test_x = TestMixedRowCounts.blocks()
+        params = ForestParams(n_trees=10, max_features=1, seed=11)
+        first = fit_forests(params, 3, blocks)
+        assert len(built) == params.n_trees
+        second = fit_forests(params, 3, blocks)
+        assert len(built) == params.n_trees
+        for b, (again, forest, (bx, by)) in enumerate(zip(second, first, blocks)):
+            for a, e in zip(again._table, forest._table):
+                assert a.tobytes() == e.tobytes(), b
+            assert again._raw_importances.tobytes() == forest._raw_importances.tobytes(), b
+            imp, pred, n_nodes = oracle_forest(bx, by, 3, params, test_x)
+            assert again.feature_importances().tolist() == imp.tolist(), b
+            assert again.predict(test_x).tolist() == pred.tolist(), b
+            assert sum(len(t.feature) for t in again.trees) == n_nodes, b
+
+    def test_lone_fit_reads_no_table(self, cold_words):
+        # The lone fit replays as many words per tree as the CV growth did
+        # (50 rows at most), so reading the table would be a hit.
+        blocks = self.two_column_blocks()
+        params = ForestParams(n_trees=10, seed=11)
+        fit_forests(params, 3, blocks)
+        filled = cold_words.cache_info()
+        assert filled.misses == 1
+        x, y = blocks[2]
+        assert len(y) == 50
+        RandomForest(params, n_classes=3).fit(x, y)
+        assert cold_words.cache_info() == filled
+        fit_forests(params, 3, [(x, y)])
+        assert cold_words.cache_info().hits == filled.hits + 1
+
+    def test_tables_are_read_only_and_bounded(self, cold_words):
+        x, y = self.two_column_blocks()[2]
+        bound = cold_words.cache_parameters()["maxsize"]
+        for seed in range(bound + 3):
+            fit_forests(ForestParams(n_trees=4, seed=seed), 3, [(x, y)])
+            assert cold_words.cache_info().currsize <= bound, seed
+        assert cold_words.cache_info().currsize == bound
+        # 50 bootstrap words and 99 draws per tree: 75 raw outputs.
+        hits = cold_words.cache_info().hits
+        words = cold_words(bound + 2, 4, 75)
+        assert cold_words.cache_info().hits == hits + 1
+        assert words.shape == (4, 150) and not words.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            words[0, 0] = 0
 
 
 class TestTreesView:
