@@ -71,11 +71,14 @@ def cross_validate(
     row from the rows outside its fold in one pass (`_predict_out_of_fold`),
     equal to a lone `classify` per fold bit for bit.  The folds' random
     forests grow in one lockstep fit (`fit_forests`), each fold with its
-    own trees, equal to a lone fit on its training rows.  The first RF
-    cross-validation per (seed, trees, row counts) in a process pays 1–3 ms
-    to build the forest's shared table of replayed PCG64 words; later
-    ones read it.  Selection costs never read it: the GINI estimator fits
-    through `RandomForest.fit`, which builds its own words.
+    own trees, equal to a lone fit on its training rows; folds of one row
+    count share each tree's ``rng.choice`` generator.  An RF
+    cross-validation on at most 3 columns (with the default max_features:
+    one candidate per node, or every column) replays its draws from raw
+    PCG64 words.  The first such one per (seed, trees, outputs per tree) in
+    a process pays 1–3 ms to build the forest's shared table of those
+    words; later ones read it.  Selection costs never read it: the GINI
+    estimator fits through `RandomForest.fit`, which builds its own words.
     """
     subsets = list(selected)
     if subsets and np.ndim(subsets[0]) > 0:

@@ -165,11 +165,14 @@ def _words(seed, n_trees, n_raw):
     return words
 
 
-# The words `fit_forests` reads, kept per (seed, trees, outputs) for the
-# process.  A sweep's cross-validation forests share the seed, the tree
-# count and the folds' row counts, so only the first builds its streams.
-# `RandomForest.fit` builds its own words, so the GINI relevance fit inside
-# a recorded selection cost reads no table another cell warmed.
+# The words `fit_forests` reads, kept per (seed, trees, outputs per tree)
+# for the process.  Only growths replayed from raw words read them: one
+# candidate per node or every column, which the default max_features gives
+# on at most 3 columns.  A sweep's cross-validation forests share the seed,
+# the tree count and the folds' row counts, so only the first such growth
+# builds its streams.  `RandomForest.fit` builds its own words, so the GINI
+# relevance fit inside a recorded selection cost reads no table another
+# cell warmed.
 _shared_words = lru_cache(maxsize=8)(_words)
 
 
@@ -207,7 +210,8 @@ def _replayed(seed, n_trees, row_counts, n_cols, max_features, bootstrap, words_
             draws, bad = _bounded(words[:, start : start + width], n_cols)
             rejected |= bad.any(axis=1)
         for t in np.flatnonzero(rejected).tolist():
-            tree_seed = np.random.SeedSequence(seed).spawn(n_trees)[t]
+            # Spawned seed t of ``seed``, built alone.
+            tree_seed = np.random.SeedSequence(seed, spawn_key=(t,))
             _, sample[t], d = _tree_draws(tree_seed, n, n_cols, max_features, bootstrap)
             if one:
                 draws[t, : len(d)] = d
@@ -218,9 +222,9 @@ def _replayed(seed, n_trees, row_counts, n_cols, max_features, bootstrap, words_
 def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
     """Grow one tree per entry of ``n_rows`` on the row space ``X``, ``y``.
     Tree t's sample is the t-th segment of the row order ``order``, of
-    ``n_rows[t]`` rows.  ``draws`` holds each tree's generator when nodes
-    draw by ``rng.choice``, its one-candidate draws as rows of an array, or
-    None when every column is a candidate.
+    ``n_rows[t]`` rows.  ``draws`` holds (generators, each tree's generator
+    id) when nodes draw by ``rng.choice``, each tree's one-candidate draws as
+    rows of an array, or None when every column is a candidate.
 
     The trees share array state.  A node is a ``[lo, hi)`` slice of
     ``order``: a search writes the node's rows back sorted by its winning
@@ -231,7 +235,9 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
 
     Each step pops every tree's top entry and scores all popped nodes in a
     few chunked split searches, so tree t's s-th search is at step s and,
-    with one candidate per node, takes its draw s.
+    with one candidate per node, takes its draw s.  A tree searches at every
+    step until its stack empties, so trees on one generator take its s-th
+    ``rng.choice`` at step s: one call per step serves them all.
 
     Returns each tree's split count and root leaf class, and the split
     records (tree, node, feature, threshold, left child, importance term,
@@ -263,7 +269,12 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
         elif max_features == 1:
             candidates = draws[t, step, None]
         else:
-            candidates = np.array([draws[i].choice(n_cols, size=max_features, replace=False) for i in t.tolist()])
+            rngs, rng_of = draws
+            # A lone block's trees each have their own generator.
+            shared = len(rngs) < len(rng_of)
+            used, at = np.unique(rng_of[t], return_inverse=True) if shared else (t, slice(None))
+            drawn = [rngs[i].choice(n_cols, size=max_features, replace=False) for i in used.tolist()]
+            candidates = np.array(drawn)[at]
         step += 1
         sizes = hi - lo
         gain, split = np.empty(len(t)), np.empty(len(t))
@@ -311,8 +322,10 @@ def _grow(forests, blocks, words_of):
     one column count grow together in one `_lockstep` growth: their rows
     are stacked into one row space and each tree's sample indices are
     offset into it.  Tree t of every block draws from spawned seed t and
-    keeps its own draws and stack, so it grows exactly as it would alone;
-    without ``rng.choice``, one `_replayed` stream of words per seed, from
+    keeps its own stack, and its draws are those of a lone fit, so it grows
+    exactly as it would alone.  With ``rng.choice``, blocks of one row
+    count share tree t's generator, whose draws are the same for each;
+    without it, one `_replayed` stream of words per seed, from
     ``words_of``, gives tree t's draws for every block.
 
     Each forest keeps its trees' root ids and one read-only node table of
@@ -330,10 +343,14 @@ def _grow(forests, blocks, words_of):
         row_counts = [len(blocks[b][1]) for b in group]
         if 1 < max_features < n_cols:
             # rng.choice reads each tree's generator again at every node.
+            # Blocks of one row count draw alike, so they share generators.
             seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-            trees = [[_tree_draws(seed, n, n_cols, max_features, params.bootstrap) for seed in seeds] for n in row_counts]
-            draws = [rng for block in trees for rng, _, _ in block]
-            samples = [np.array([sample for _, sample, _ in block]) for block in trees]
+            distinct = list(dict.fromkeys(row_counts))
+            trees = [[_tree_draws(seed, n, n_cols, max_features, params.bootstrap) for seed in seeds] for n in distinct]
+            of_block = [distinct.index(n) for n in row_counts]
+            rng_of = np.concatenate([i * params.n_trees + np.arange(params.n_trees) for i in of_block])
+            draws = [rng for trees_of_n in trees for rng, _, _ in trees_of_n], rng_of
+            samples = [np.array([sample for _, sample, _ in trees[i]]) for i in of_block]
         else:
             replayed = _replayed(
                 params.seed, params.n_trees, dict.fromkeys(row_counts), n_cols, max_features, params.bootstrap, words_of

@@ -390,10 +390,11 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     file are skipped, so re-running an interrupted sweep adds no duplicates.
     A record's `selection_cpu_seconds` is its relevance estimation plus a
     cold selection of k features, whatever order the cells run in.  Its
-    `training_cpu_seconds` is not cold in that sense: the first RF
-    cross-validation per (seed, trees, row counts) in the process pays
-    1–3 ms to build the forest's shared table of replayed PCG64 words,
-    and later ones read it.  Selection costs never read that table.
+    `training_cpu_seconds` is not cold in that sense: among RF
+    cross-validations on at most 3 columns (those that replay their draws
+    from raw PCG64 words), the first per (seed, trees, outputs per tree)
+    in the process pays 1–3 ms to build the forest's shared table of those
+    words, and later ones read it.  Selection costs never read that table.
     `stats`, when given, is filled with counters (cells skipped and run).
     A dataset that cannot be loaded stops the sweep before anything is
     written, with load_csv's DataError or OSError.  So does stored output

@@ -363,6 +363,45 @@ class TestFitForests:
                     assert a.tolist() == e.tolist(), (b, field)
             assert forest.feature_importances().tolist() == alone.feature_importances().tolist(), b
 
+    def test_blocks_of_one_row_count_share_generators(self, monkeypatch):
+        # With rng.choice per node, tree t of every block with n rows reads
+        # one generator, called once per step while any of them searches:
+        # as often as the longest of their lone fits calls its own.
+        tree_draws, made = forest_module._tree_draws, []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def choice(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.choice(*args, **kwargs)
+
+        def counted(*args):
+            rng, sample, draws = tree_draws(*args)
+            made.append(Counted(rng))
+            return made[-1], sample, draws
+
+        monkeypatch.setattr(forest_module, "_tree_draws", counted)
+        blocks, _ = TestMixedRowCounts.blocks()  # 49, 49, 50, 50, 50 and 23 rows
+        params = ForestParams(n_trees=10, max_features=2, seed=11)
+        longest, alone = {}, []
+        for bx, by in blocks:
+            made.clear()
+            alone.append(RandomForest(params, n_classes=3).fit(bx, by))
+            for t, rng in enumerate(made):
+                longest[len(by), t] = max(longest.get((len(by), t), 0), rng.calls)
+        made.clear()
+        forests = fit_forests(params, 3, blocks)
+        row_counts = [49, 50, 23]
+        assert len(made) == len(row_counts) * params.n_trees
+        calls = {(row_counts[i // params.n_trees], i % params.n_trees): rng.calls for i, rng in enumerate(made)}
+        assert calls == longest
+        for b, (forest, lone) in enumerate(zip(forests, alone)):
+            for a, e in zip(forest._table, lone._table):
+                assert a.tobytes() == e.tobytes(), b
+            assert forest._raw_importances.tobytes() == lone._raw_importances.tobytes(), b
+
     def test_each_block_is_checked(self):
         good = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
