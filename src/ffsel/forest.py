@@ -88,6 +88,17 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     row, is no split.  The first column in ``candidates`` order wins a tie,
     and within it the first boundary.
 
+    The sort is NumPy's default, which is not stable: equal values may come
+    out in any order, and no split depends on it.  Padding is +inf and real
+    values are finite, so padding sorts after every real row.  A boundary
+    counts only where ``values[i + 1] > values[i]``, so a valid boundary's
+    left rows are exactly the node's rows valued at most ``values[i]``.  Its
+    left class counts (sums of ones, exact in any order), its threshold and
+    both children's row multisets are therefore fixed, and so is every
+    gain, tree, importance and prediction.  The class counts gather
+    ``onehot`` rows by ``take``, which NumPy runs far faster than the equal
+    fancy index.
+
     Returns per node (gain, candidate position, threshold, left size, the
     winning column's sorted rows padded as in ``rows``, left class counts);
     the gain is -inf when every candidate is constant at that node.  The
@@ -97,9 +108,9 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     width, n_nodes = rows.shape
     values = X[rows[:, :, None], candidates]
     values[np.arange(width)[:, None] >= sizes] = np.inf
-    rows = rows[values.argsort(axis=0, kind="stable"), np.arange(n_nodes)[:, None]]
+    rows = rows[values.argsort(axis=0), np.arange(n_nodes)[:, None]]
     values = X[rows, candidates]
-    lc = onehot[rows[:-1]].cumsum(axis=0)
+    lc = onehot.take(rows[:-1], axis=0).cumsum(axis=0)
     nl = np.arange(1, width, dtype=np.float64)[:, None, None]
     nr = np.maximum(sizes[:, None] - nl, 1.0)  # 1 past a node's rows keeps padding finite
     gini_l = 1.0 - _class_sum(np.square(lc / nl[..., None]))
@@ -380,8 +391,9 @@ def _grow(forests, blocks, words_of):
             feature_of, threshold_of, left_of, right_of, leaf_class = (a[n0:n1] for a in table)
             roots = first[i * params.n_trees : (i + 1) * params.n_trees] - n0
             forests[b]._table = roots, feature_of, threshold_of, left_of - n0, right_of - n0, leaf_class
-            importances = np.zeros(n_cols, dtype=np.float64)
-            np.add.at(importances, feature[edges[i] : edges[i + 1]], term[edges[i] : edges[i + 1]])
+            # A weighted bincount adds each feature's terms in record order.
+            mine = slice(edges[i], edges[i + 1])
+            importances = np.bincount(feature[mine], weights=term[mine], minlength=n_cols)
             forests[b]._raw_importances = importances / params.n_trees
             forests[b]._n_cols = n_cols
 
@@ -454,8 +466,8 @@ class RandomForest:
         while not (feature[node] < 0).all():
             goes_left = X[rows, feature[node]] <= threshold[node]
             node = np.where(goes_left, left[node], right[node])
-        votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-        np.add.at(votes, (rows, leaf_class[node]), 1)
+        n, c = X.shape[0], self.n_classes
+        votes = np.bincount((rows * c + leaf_class[node]).ravel(), minlength=n * c).reshape(n, c)
         return votes.argmax(axis=1)
 
     def feature_importances(self) -> np.ndarray:

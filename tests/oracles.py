@@ -1,11 +1,12 @@
 """Brute-force reference selectors for testing the fast implementations.
 
 Deliberately slow and obvious: a full re-sort, a per-step rescan with no
-caching, a direct interval scan for the binning, and per-column and
-per-pair estimators of their own, and a forest that searches each node's
-split one candidate column at a time.  Integration tests require the fast
-paths to reproduce these outputs exactly, so score arithmetic here mirrors
-the fast code term for term.  Nothing here calls an estimator or
+caching, a direct interval scan for the binning, per-column and per-pair
+estimators of their own, a forest that searches each node's split one
+candidate column at a time, and NumPy's bounded draws and
+``Generator.choice`` replayed one 32-bit word at a time.  Integration
+tests require the fast paths to reproduce these outputs exactly, so score
+arithmetic here mirrors the fast code term for term.  Nothing here calls an estimator or
 redundancy function of ``ffsel.relevance``, or the forest of
 ``ffsel.forest``; GINI comes from ``oracle_forest``.
 """
@@ -49,6 +50,8 @@ __all__ = [
     "oracle_cosine",
     "oracle_abs_pearson",
     "oracle_forest",
+    "oracle_bounded",
+    "oracle_choice",
     "oracle_kbest",
     "oracle_mrmr",
     "oracle_kgroups",
@@ -244,6 +247,38 @@ def oracle_forest(
     total = raw.sum()
     importances = np.zeros_like(raw) if total == 0.0 else raw / total
     return importances, votes.argmax(axis=1), n_nodes
+
+
+def oracle_bounded(next_word, n: int) -> int:
+    """``Generator.integers(0, n)`` from 32-bit words, by Lemire's method.
+
+    ``next_word()`` gives the generator's next 32-bit word.  A word whose
+    product with ``n`` has its low 32 bits below ``(2**32 - n) % n`` is
+    rejected and the next word drawn.
+    """
+    threshold = (2**32 - n) % n
+    while True:
+        m = next_word() * n
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
+
+
+def oracle_choice(next_word, n: int, m: int) -> list[int]:
+    """``Generator.choice(n, size=m, replace=False)`` by Floyd's algorithm.
+
+    For j = n - m ... n - 1 draw val on [0, j] and keep it, or keep j if val
+    was already taken; then for i = m - 1 ... 1 swap pick i with the pick at
+    an index drawn on [0, i].  Each draw is one `oracle_bounded` call; a
+    draw on [0, 0] reads no word.
+    """
+    picks: list[int] = []
+    for j in range(n - m, n):
+        val = oracle_bounded(next_word, j + 1) if j else 0
+        picks.append(j if val in picks else val)
+    for i in range(m - 1, 0, -1):
+        k = oracle_bounded(next_word, i + 1)
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
 
 
 def oracle_kbest(rel: RelevanceVector, k: int) -> SelectionResult:

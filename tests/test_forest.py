@@ -15,7 +15,7 @@ from conftest import random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest
 from ffsel.forest import fit_forests
 from ffsel import forest as forest_module
-from oracles import oracle_forest
+from oracles import oracle_bounded, oracle_choice, oracle_forest
 
 
 class TestForestParams:
@@ -211,6 +211,44 @@ class TestNumpyAssumptions:
                 expected = np.random.default_rng(seed).integers(0, n, size=len(accepted))
                 assert accepted.tolist() == expected.tolist(), (n, seed)
 
+    def test_choice_without_replacement_is_floyd_then_shuffle(self):
+        # Without p, Generator.choice(n, m, replace=False) runs Floyd's
+        # algorithm and shuffles the picks, each draw one Lemire-bounded
+        # word as `_bounded` maps it, unless n > 10,000 and m > n // 50:
+        # then it shuffles the tail of arange(n), which Floyd does not match.
+        for n, m in [(4, 2), (10, 3), (49, 7), (50, 10), (2000, 44), (20000, 141), (20000, 400)]:
+            for seed in range(2):
+                rng, words = np.random.default_rng(seed), iter(words_of(seed, 2**16).tolist())
+                next_word = words.__next__
+                bootstrap = rng.integers(0, 62, size=62).tolist()
+                assert [oracle_bounded(next_word, 62) for _ in range(62)] == bootstrap
+                for call in range(60):
+                    picks = rng.choice(n, size=m, replace=False).tolist()
+                    assert picks == oracle_choice(next_word, n, m), (n, m, seed, call)
+        for seed in range(2):
+            rng, words = np.random.default_rng(seed), iter(words_of(seed, 2**16).tolist())
+            tail = rng.choice(20000, size=401, replace=False).tolist()
+            assert tail != oracle_choice(words.__next__, 20000, 401), seed
+
+    def test_weighted_bincount_adds_in_order_as_add_at(self):
+        # `_grow` sums each forest's importance terms with a weighted
+        # bincount; it must add each bin's terms in input order, as
+        # np.add.at and a tree-by-tree fit do.
+        rng = np.random.default_rng(42)
+        ids = rng.integers(0, 7, size=3000)
+        terms = rng.random(3000) * 10.0 ** rng.integers(-12, 1, size=3000)
+        expected = np.zeros(9)
+        np.add.at(expected, ids, terms)
+        in_order = [0.0] * 9
+        for i, term in zip(ids.tolist(), terms.tolist()):
+            in_order[i] += term
+        assert expected.tolist() == in_order
+        assert np.bincount(ids, weights=terms, minlength=9).tobytes() == expected.tobytes()
+        # The terms are spread so that another order sums to other bits.
+        shuffled = np.zeros(9)
+        np.add.at(shuffled, ids[::-1], terms[::-1])
+        assert shuffled.tobytes() != expected.tobytes()
+
     @pytest.mark.parametrize("n_classes", range(1, 13))
     def test_class_sum_equals_sum_over_last_axis(self, n_classes):
         # Size-1 axes (one candidate, one node, one boundary) are coalesced
@@ -329,6 +367,59 @@ class TestLockstepShapes:
             if any(len(sizes) > 1 and splits == 1 for sizes, splits in searches):
                 shapes.add("one of many splits")
         assert shapes == {"mixed sizes", "root step in chunks", "one of many splits"}
+
+
+class TestTieOrder:
+    """The split search may order equal values either way: permuting the
+    rows inside each tree's segment of the row order moves no split."""
+
+    @staticmethod
+    def draws(path, n_trees, n_cols, longest):
+        """Fresh draws for one growth on ``path``, as `_lockstep` takes them."""
+        if path == "every column":
+            return None
+        if path == "one candidate":
+            return np.random.default_rng(13).integers(0, n_cols, size=(n_trees, 2 * longest - 1))
+        rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(13).spawn(n_trees)]
+        return rngs, np.arange(n_trees)
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    @pytest.mark.parametrize("path, max_features", [("one candidate", 1), ("rng.choice", 3), ("every column", 7)])
+    def test_permuted_segments_give_identical_records(self, monkeypatch, path, max_features, n_classes):
+        sorted_rows, search = [], forest_module._best_splits
+
+        def recorded(*args):
+            out = search(*args)
+            sorted_rows.append(out[4].tobytes())
+            return out
+
+        monkeypatch.setattr(forest_module, "_best_splits", recorded)
+        rng = np.random.default_rng(4600 + n_classes)
+        x = np.round(rng.normal(size=(60, 7)), 0)
+        x[:, 3:] = np.round(rng.normal(size=(60, 4)), 1)
+        x[:, 1] = x[:, 4]  # a duplicated column
+        y = rng.integers(0, n_classes, size=60)
+        n_rows = np.array([60, 60, 60, 45, 45, 30, 30, 30])
+        # Bootstrap samples: rows repeat inside a segment.
+        order = np.concatenate([rng.integers(0, 60, size=n) for n in n_rows])
+        edges = np.cumsum(n_rows)[:-1]
+        permuted = np.concatenate([rng.permutation(seg) for seg in np.split(order, edges)])
+        assert permuted.tolist() != order.tolist()
+        grown, searched = [], []
+        for rows in (order, permuted):
+            sorted_rows.clear()
+            draws = self.draws(path, len(n_rows), x.shape[1], int(n_rows.max()))
+            grown.append(forest_module._lockstep(x, y, n_classes, max_features, rows.copy(), draws, n_rows))
+            searched.append(list(sorted_rows))
+        (n_splits, root_class, records), (n_splits_b, root_class_b, records_b) = grown
+        assert n_splits.tolist() == n_splits_b.tolist()
+        assert n_splits.sum() > 5 * len(n_rows)
+        assert root_class.tolist() == root_class_b.tolist()
+        for a, b in zip(records, records_b):
+            assert a.tobytes() == b.tobytes()
+        # The searches saw the same nodes with their rows in other orders.
+        assert len(searched[0]) == len(searched[1])
+        assert searched[0] != searched[1]
 
 
 def fold_blocks(x, y, n_folds):
