@@ -35,11 +35,10 @@ from .classifiers import (
     GNB,
     KNN,
     RF,
-    classify,
     gaussian_nb_classify,
     knn_classify,
 )
-from .evaluate import accuracy, cross_validate
+from .evaluate import cross_validate
 from .records import BenchmarkRecord, read_records
 from .report import algorithm_label, best_config_report, n_selected_distributions
 from .sweep import SweepConfig, run_sweep

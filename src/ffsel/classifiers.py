@@ -25,7 +25,6 @@ __all__ = [
     "CLASSIFIERS",
     "knn_classify",
     "gaussian_nb_classify",
-    "classify",
 ]
 
 KNN = "KNN"
@@ -241,21 +240,3 @@ def gaussian_nb_classify(
     classes, means, variances, bias = (a[0] for a in fit)
     return classes[_gnb_pick(test_x, means, variances, bias)]
 
-
-def classify(
-    name: str,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    test_x: np.ndarray,
-    *,
-    n_classes: int,
-    k_neighbors: int = 5,
-) -> np.ndarray:
-    """Dispatch to KNN or GNB by name."""
-    if name == KNN:
-        return knn_classify(
-            train_x, train_y, test_x, n_classes=n_classes, k_neighbors=k_neighbors
-        )
-    if name == GNB:
-        return gaussian_nb_classify(train_x, train_y, test_x, n_classes=n_classes)
-    raise ValueError(f"unknown classifier: {name!r}")

@@ -91,10 +91,10 @@ def _write_csv(rows: list[dict], columns: tuple[str, ...], path: Path) -> None:
 
 def _relevance(args, estimator: str):
     """Load, scale and time one relevance estimation: (dataset, forest, relevance, CPU s)."""
+    forest = ForestParams(n_trees=args.trees, seed=args.seed)
     d = load_csv(args.data, label_column=args.label_column)
     if not args.no_scale:
         d = standard_scale(d)
-    forest = ForestParams(n_trees=args.trees, seed=args.seed)
     t0 = thread_time()
     rel = relevance_all(d, estimator, mi_bins=args.mi_bins, forest=forest)
     return d, forest, rel, thread_time() - t0

@@ -20,18 +20,7 @@ from .classifiers import (
 from .data import Dataset, FoldPlan, standardize
 from .forest import ForestParams, fit_forests
 
-__all__ = ["accuracy", "cross_validate"]
-
-
-def accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
-    """Fraction of exact matches between predictions and ground truth."""
-    p = np.asarray(pred)
-    t = np.asarray(truth)
-    if p.ndim != 1 or p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ValueError("need at least one prediction")
-    return float(np.mean(p == t))
+__all__ = ["cross_validate"]
 
 
 def _columns(d: Dataset, selected: Sequence[int]) -> np.ndarray:
@@ -69,13 +58,12 @@ def cross_validate(
     they share a subset and are not scaled per fold, else one per fold,
     standardized on that fold's training rows.  KNN and GNB predict every
     row from the rows outside its fold in one pass (`_predict_out_of_fold`),
-    equal to a lone `classify` per fold bit for bit.  The folds' random
-    forests grow in one lockstep fit (`fit_forests`), each fold with its
-    own trees, equal to a lone fit on its training rows; folds of one row
-    count share each tree's ``rng.choice`` generator.  An RF
-    cross-validation on at most 3 columns (with the default max_features:
-    one candidate per node, or every column) replays its draws from raw
-    PCG64 words.  The first such one per (seed, trees, outputs per tree) in
+    equal to a lone `knn_classify` or `gaussian_nb_classify` per fold bit
+    for bit.  The folds' random forests grow in one lockstep fit
+    (`fit_forests`), each fold with its own trees, equal to a lone fit on
+    its training rows; folds of one row count share each tree's
+    ``rng.choice`` generator.  An RF cross-validation on at most 3 columns
+    (one candidate per node) replays its draws from raw PCG64 words.  The first such one per (seed, trees, outputs per tree) in
     a process pays 1–3 ms to build the forest's shared table of those
     words; later ones read it.  Selection costs never read it: the GINI
     estimator fits through `RandomForest.fit`, which builds its own words.
@@ -105,7 +93,7 @@ def cross_validate(
             pred[folds.fold_rows(f)] = model.predict(x[folds.fold_rows(f)])
     else:
         _predict_out_of_fold(pred, classifier, blocks, d, folds, k_neighbors)
-    # count / size, which is what `accuracy` computes for each fold
+    # each fold's accuracy: its hits over its size
     hits = np.bincount(folds.assignments[pred == d.labels], minlength=folds.n_folds)
     accs = hits / np.bincount(folds.assignments, minlength=folds.n_folds)
     return float(accs.mean()), float(accs.std())
@@ -122,8 +110,8 @@ def _fold_block(d: Dataset, folds: FoldPlan, fold: int, sel: np.ndarray, scale: 
 def _predict_out_of_fold(pred, classifier, blocks, d, folds, k_neighbors):
     """Write into `pred` the KNN or GNB class of every row, trained on the
     rows outside its fold: KNN one block at a time, GNB all blocks of one
-    width at once.  First come the checks a lone `classify` per fold makes,
-    in fold order."""
+    width at once.  First come the checks a lone `knn_classify` or
+    `gaussian_nb_classify` per fold makes, in fold order."""
     n_train = d.n_rows - np.bincount(folds.assignments, minlength=folds.n_folds)
     for x, fs in blocks:
         if n_train[fs.start] == 0:

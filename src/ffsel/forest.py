@@ -19,15 +19,23 @@ __all__ = ["ForestParams", "RandomForest", "fit_forests"]
 
 @dataclass(frozen=True)
 class ForestParams:
+    """A forest of ``n_trees`` trees, tree t drawn from spawned seed t of
+    ``seed``.  Every tree grows on a bootstrap sample of its training rows
+    and scores `_max_features` candidate columns per node."""
+
     n_trees: int = 100
-    max_features: int | None = None  # None -> floor(sqrt(n_cols)), min 1
-    bootstrap: bool = True
     seed: int = 0
 
-    def resolve_max_features(self, n_cols: int) -> int:
-        if self.max_features is None:
-            return max(1, int(np.sqrt(n_cols)))
-        return max(1, min(self.max_features, n_cols))
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be positive, got {self.n_trees}")
+        if self.seed < 0:
+            raise ValueError(f"forest seed must be >= 0, got {self.seed}")
+
+
+def _max_features(n_cols):
+    """Candidate columns per node on ``n_cols`` columns: floor(sqrt(n_cols)), at least 1."""
+    return max(1, int(np.sqrt(n_cols)))
 
 
 class _Tree(NamedTuple):
@@ -60,16 +68,44 @@ def _impurity(counts, sizes):
     return 1.0 - np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]
 
 
-def _class_sum(a):
-    """``a.sum(axis=-1)`` bit for bit.  NumPy's pairwise sum adds fewer than 8
-    terms left to right, so a short class axis folds in the same order with
-    one whole-array add per class, far faster than a reduction over a short
-    last axis."""
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    total = a[..., 0]
-    for c in range(1, a.shape[-1]):
-        total = total + a[..., c]
+# NumPy's pairwise summation sums runs of at most this many values with
+# eight strided accumulators, and halves longer runs.
+_PW_BLOCKSIZE = 128
+
+
+def _last_axis_sum(a):
+    """``a.sum(axis=-1)`` bit for bit, by whole-array adds in the order NumPy
+    adds, for any number of leading axes.
+
+    NumPy reduces the last axis with its pairwise summation, per run of its
+    k values: fewer than 8 values add one at a time from 0.0; from 8 on, 8
+    strided accumulators take whole blocks, combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and take the tail one value at a
+    time, and runs over ``_PW_BLOCKSIZE`` split at a multiple of 8 near the
+    middle.  On a short axis, such as a node's classes, this is far faster
+    than NumPy's own reduction.  Below 8 values the fold starts from the
+    first value, not 0.0, which saves a pass and differs only where every
+    value is -0.0: then it gives -0.0 where NumPy gives 0.0.  Squares and
+    probabilities, which both callers sum, hold no -0.0.
+    """
+    k = a.shape[-1]
+    if k > _PW_BLOCKSIZE:
+        half = k // 2
+        half -= half % 8
+        return _last_axis_sum(a[..., :half]) + _last_axis_sum(a[..., half:])
+    if k < 8:
+        total = a[..., 0] + (a[..., 1] if k > 1 else 0.0)
+        tail = range(2, k)
+    else:
+        r = a[..., :8] + 0.0
+        for j in range(8, k - 7, 8):
+            r += a[..., j : j + 8]
+        r = r[..., 0::2] + r[..., 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[..., 0::2] + r[..., 1::2]
+        total = r[..., 0] + r[..., 1]
+        tail = range(k - k % 8, k)
+    for j in tail:
+        total += a[..., j]
     return total
 
 
@@ -113,8 +149,8 @@ def _best_splits(X, onehot, rows, sizes, candidates, counts, node_gini):
     lc = onehot.take(rows[:-1], axis=0).cumsum(axis=0)
     nl = np.arange(1, width, dtype=np.float64)[:, None, None]
     nr = np.maximum(sizes[:, None] - nl, 1.0)  # 1 past a node's rows keeps padding finite
-    gini_l = 1.0 - _class_sum(np.square(lc / nl[..., None]))
-    gini_r = 1.0 - _class_sum(np.square((counts[:, None, :] - lc) / nr[..., None]))
+    gini_l = 1.0 - _last_axis_sum(np.square(lc / nl[..., None]))
+    gini_r = 1.0 - _last_axis_sum(np.square((counts[:, None, :] - lc) / nr[..., None]))
     gains = node_gini[:, None] - (nl * gini_l + nr * gini_r) / sizes[:, None]
     inside = nl < sizes[:, None]
     gains = np.where(inside & (values[1:] > values[:-1]), gains, -np.inf)
@@ -145,13 +181,13 @@ def _checked(X, y, n_classes):
     return X, y
 
 
-def _tree_draws(seed, n_rows, n_cols, max_features, bootstrap):
+def _tree_draws(seed, n_rows, n_cols):
     """A tree's generator, bootstrap sample and, with one candidate per
     node, its candidate draws (else None), drawn up front."""
     rng = np.random.default_rng(seed)
-    sample = rng.integers(0, n_rows, size=n_rows) if bootstrap else np.arange(n_rows)
+    sample = rng.integers(0, n_rows, size=n_rows)
     draws = None
-    if max_features == 1 < n_cols:
+    if _max_features(n_cols) == 1:
         # Equals one rng.choice(n_cols, size=1, replace=False) per
         # searched node; a tree on n rows has at most 2n - 1 nodes.
         draws = rng.integers(0, n_cols, size=2 * n_rows - 1)
@@ -177,19 +213,19 @@ def _words(seed, n_trees, n_raw):
 
 
 # The words `fit_forests` reads, kept per (seed, trees, outputs per tree)
-# for the process.  Only growths replayed from raw words read them: one
-# candidate per node or every column, which the default max_features gives
-# on at most 3 columns.  A sweep's cross-validation forests share the seed,
-# the tree count and the folds' row counts, so only the first such growth
-# builds its streams.  `RandomForest.fit` builds its own words, so the GINI
-# relevance fit inside a recorded selection cost reads no table another
-# cell warmed.
+# for the process.  Only growths with one candidate per node read them,
+# which is every growth on at most 3 columns.  A sweep's cross-validation
+# forests share the seed, the tree count and the folds' row counts, so
+# only the first such growth builds its streams.  `RandomForest.fit`
+# builds its own words, so the GINI relevance fit inside a recorded
+# selection cost reads no table another cell warmed.
 _shared_words = lru_cache(maxsize=8)(_words)
 
 
-def _replayed(seed, n_trees, row_counts, n_cols, max_features, bootstrap, words_of):
-    """Every tree's `_tree_draws` sample and draws for each row count, when
-    no generator is read after them (``max_features`` 1 or every column).
+def _replayed(seed, n_trees, row_counts, n_cols, words_of):
+    """Every tree's `_tree_draws` sample and one-candidate draws for each
+    row count, for a growth on at most 3 columns, where no generator is
+    read after them.
 
     ``integers(0, n)`` maps 32-bit words by `_bounded`, and PCG64 gives them
     as the low, then the high half of each 64-bit output, keeping a high half
@@ -197,35 +233,27 @@ def _replayed(seed, n_trees, row_counts, n_cols, max_features, bootstrap, words_
     ``words_of(seed, n_trees, n_raw)`` (`_words` or its shared table), serves
     every row count n: the sample takes words ``[0, n)`` (none when n is 1,
     which needs no word), the draws the next ``2 * longest - 1`` for the
-    largest row count ``longest``.  A tree with a rejected word among them
-    (chance below bound / 2**32 per word) takes `_tree_draws` on its spawned
-    seed.
+    largest row count ``longest``.  On one column every draw is 0, and no
+    word is rejected for it.  A tree with a rejected word among them (chance
+    below bound / 2**32 per word) takes `_tree_draws` on its spawned seed.
 
-    Returns per row count a (trees x n) sample array and, with one candidate
-    per node, a (trees x 2 * longest - 1) draw array, else None; a tree on
-    n rows reads only its first 2n - 1 draws.
+    Returns per row count a (trees x n) sample array and a (trees x 2 *
+    longest - 1) draw array; a tree on n rows reads only its first 2n - 1
+    draws.
     """
-    one = max_features == 1 < n_cols
-    width = 2 * max(row_counts) - 1
-    n_words = max(row_counts) * bootstrap + width * one
-    words = words_of(seed, n_trees, (n_words + 1) // 2) if n_words else None
+    longest = max(row_counts)
+    width = 2 * longest - 1
+    words = words_of(seed, n_trees, (longest + width + 1) // 2)
     replayed = {}
     for n in row_counts:
-        sample, draws = np.tile(np.arange(n), (n_trees, 1)), None
-        rejected = np.zeros(n_trees, dtype=bool)
-        if bootstrap:
-            sample, bad = _bounded(words[:, :n], n)
-            rejected |= bad.any(axis=1)
-        if one:
-            start = n if bootstrap and n > 1 else 0
-            draws, bad = _bounded(words[:, start : start + width], n_cols)
-            rejected |= bad.any(axis=1)
-        for t in np.flatnonzero(rejected).tolist():
+        sample, bad = _bounded(words[:, :n], n)
+        start = n if n > 1 else 0
+        draws, bad_draw = _bounded(words[:, start : start + width], n_cols)
+        for t in np.flatnonzero(bad.any(axis=1) | bad_draw.any(axis=1)).tolist():
             # Spawned seed t of ``seed``, built alone.
             tree_seed = np.random.SeedSequence(seed, spawn_key=(t,))
-            _, sample[t], d = _tree_draws(tree_seed, n, n_cols, max_features, bootstrap)
-            if one:
-                draws[t, : len(d)] = d
+            _, sample[t], d = _tree_draws(tree_seed, n, n_cols)
+            draws[t, : len(d)] = d
         replayed[n] = sample, draws
     return replayed
 
@@ -233,9 +261,10 @@ def _replayed(seed, n_trees, row_counts, n_cols, max_features, bootstrap, words_
 def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
     """Grow one tree per entry of ``n_rows`` on the row space ``X``, ``y``.
     Tree t's sample is the t-th segment of the row order ``order``, of
-    ``n_rows[t]`` rows.  ``draws`` holds (generators, each tree's generator
-    id) when nodes draw by ``rng.choice``, each tree's one-candidate draws as
-    rows of an array, or None when every column is a candidate.
+    ``n_rows[t]`` rows.  Each node scores ``max_features`` candidates.  With
+    one, ``draws`` holds each tree's one-candidate draws as rows of an
+    array; with more, (generators, each tree's generator id), from which
+    nodes draw by ``rng.choice``.
 
     The trees share array state.  A node is a ``[lo, hi)`` slice of
     ``order``: a search writes the node's rows back sorted by its winning
@@ -275,9 +304,7 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
         top[t] -= 1
         entry, node_gini = stack[t, top[t]], stack_gini[t, top[t]]
         node, lo, hi, counts = entry[:, 0], entry[:, 1], entry[:, 2], entry[:, 3:]
-        if max_features >= n_cols:
-            candidates = np.broadcast_to(np.arange(n_cols), (len(t), n_cols))
-        elif max_features == 1:
+        if max_features == 1:
             candidates = draws[t, step, None]
         else:
             rngs, rng_of = draws
@@ -334,10 +361,11 @@ def _grow(forests, blocks, words_of):
     are stacked into one row space and each tree's sample indices are
     offset into it.  Tree t of every block draws from spawned seed t and
     keeps its own stack, and its draws are those of a lone fit, so it grows
-    exactly as it would alone.  With ``rng.choice``, blocks of one row
-    count share tree t's generator, whose draws are the same for each;
-    without it, one `_replayed` stream of words per seed, from
-    ``words_of``, gives tree t's draws for every block.
+    exactly as it would alone.  On 4 columns or more nodes draw by
+    ``rng.choice``, and blocks of one row count share tree t's generator,
+    whose draws are the same for each; on at most 3, one `_replayed`
+    stream of words per seed, from ``words_of``, gives tree t's draws for
+    every block.
 
     Each forest keeps its trees' root ids and one read-only node table of
     the `_Tree` fields over all its trees.  Importances add each split's
@@ -350,24 +378,22 @@ def _grow(forests, blocks, words_of):
         # A lone block is its own row space; stacking would only copy it.
         X = np.concatenate([blocks[b][0] for b in group]) if len(group) > 1 else blocks[group[0]][0]
         y = np.concatenate([blocks[b][1] for b in group])
-        max_features = params.resolve_max_features(n_cols)
+        max_features = _max_features(n_cols)
         row_counts = [len(blocks[b][1]) for b in group]
-        if 1 < max_features < n_cols:
+        if max_features > 1:
             # rng.choice reads each tree's generator again at every node.
             # Blocks of one row count draw alike, so they share generators.
             seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
             distinct = list(dict.fromkeys(row_counts))
-            trees = [[_tree_draws(seed, n, n_cols, max_features, params.bootstrap) for seed in seeds] for n in distinct]
+            trees = [[_tree_draws(seed, n, n_cols) for seed in seeds] for n in distinct]
             of_block = [distinct.index(n) for n in row_counts]
             rng_of = np.concatenate([i * params.n_trees + np.arange(params.n_trees) for i in of_block])
             draws = [rng for trees_of_n in trees for rng, _, _ in trees_of_n], rng_of
             samples = [np.array([sample for _, sample, _ in trees[i]]) for i in of_block]
         else:
-            replayed = _replayed(
-                params.seed, params.n_trees, dict.fromkeys(row_counts), n_cols, max_features, params.bootstrap, words_of
-            )
+            replayed = _replayed(params.seed, params.n_trees, dict.fromkeys(row_counts), n_cols, words_of)
             samples = [replayed[n][0] for n in row_counts]
-            draws = None if max_features >= n_cols else np.concatenate([replayed[n][1] for n in row_counts])
+            draws = np.concatenate([replayed[n][1] for n in row_counts])
         # Block b's samples index its rows, offset into the stacked row space.
         offsets = np.cumsum(row_counts) - row_counts
         order = np.concatenate([sample + offset for sample, offset in zip(samples, offsets)], axis=None)
@@ -420,8 +446,6 @@ class RandomForest:
     """Forest of Gini-split CART trees with MDI feature importances."""
 
     def __init__(self, params: ForestParams, n_classes: int):
-        if params.n_trees < 1:
-            raise ValueError("n_trees must be positive")
         self.params = params
         self.n_classes = n_classes
         self._table: tuple[np.ndarray, ...] | None = None  # root ids, then the node table of `_grow`

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .forest import ForestParams, RandomForest
+from .forest import _PW_BLOCKSIZE, ForestParams, RandomForest, _last_axis_sum
 
 __all__ = [
     "MI",
@@ -55,9 +55,6 @@ _BLOCK = 128
 # shape are scored in chunks of this size, so a call's working arrays stay
 # small however many rows share that shape or columns a matrix has.
 _CELLS = 51200
-# NumPy's pairwise summation sums runs of at most this many values with
-# eight strided accumulators, and halves longer runs.
-_PW_BLOCKSIZE = 128
 # Stand-in for an infinite F statistic (zero within-group variance with
 # separated means); finite so downstream sorting and binning stay usable.
 F_VALUE_CAP = 1e30
@@ -212,45 +209,20 @@ def _pairwise_runs(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.n
     return sums
 
 
-def _stack_sum(p: np.ndarray, axis: int) -> np.ndarray:
-    """``p.sum(axis=axis)`` of a C-contiguous (m, ka, kb) stack, axis 1 or 2,
-    bit for bit, by whole-array adds in the order NumPy adds.
+def _middle_sum(p: np.ndarray) -> np.ndarray:
+    """``p.sum(axis=1)`` of a C-contiguous (m, ka, kb) stack, bit for bit.
 
-    NumPy reduces the last axis with its pairwise summation, per row of kb
-    values (see `_pairwise_runs`): fewer than 8 values add one at a time
-    from 0.0; from 8 on, 8 strided accumulators take whole blocks, combine
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and take the tail one value at
-    a time, and runs over ``_PW_BLOCKSIZE`` split at a multiple of 8 near
-    the middle.  It reduces the middle axis with its inner loop along the
-    contiguous last one, adding the ka rows of kb values one at a time to
-    0.0, except when kb is 1: then it coalesces the stack to (m, ka) and
-    sums each run pairwise, which ``p.sum`` is left to do.
+    NumPy reduces the middle axis with its inner loop along the contiguous
+    last one, adding the ka rows of kb values one at a time to 0.0, except
+    when kb is 1: then it coalesces the stack to (m, ka) and sums each run
+    pairwise, which ``p.sum`` is left to do.  `_last_axis_sum` copies the
+    last axis's order.
     """
-    if axis == 1:
-        if p.shape[2] == 1:
-            return p.sum(axis=1)
-        total = p[:, 0] + 0.0
-        for a in range(1, p.shape[1]):
-            total += p[:, a]
-        return total
-    kb = p.shape[2]
-    if kb > _PW_BLOCKSIZE:
-        half = kb // 2
-        half -= half % 8
-        return _stack_sum(p[:, :, :half], 2) + _stack_sum(p[:, :, half:], 2)
-    if kb < 8:
-        total = p[:, :, 0] + 0.0
-        tail = range(1, kb)
-    else:
-        r = p[:, :, :8] + 0.0
-        for j in range(8, kb - 7, 8):
-            r += p[:, :, j : j + 8]
-        r = r[:, :, 0::2] + r[:, :, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
-        r = r[:, :, 0::2] + r[:, :, 1::2]
-        total = r[:, :, 0] + r[:, :, 1]
-        tail = range(kb - kb % 8, kb)
-    for j in tail:
-        total += p[:, :, j]
+    if p.shape[2] == 1:
+        return p.sum(axis=1)
+    total = p[:, 0] + 0.0
+    for a in range(1, p.shape[1]):
+        total += p[:, a]
     return total
 
 
@@ -268,7 +240,7 @@ def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
     n = joint.sum(axis=(1, 2))
     # An empty table scores 0.0, as its L = 0 cells sum to.
     p = joint / np.where(n == 0, 1.0, n)[:, None, None]
-    outer = _stack_sum(p, 2)[:, :, None] * _stack_sum(p, 1)[:, None, :]
+    outer = _last_axis_sum(p)[:, :, None] * _middle_sum(p)[:, None, :]
     cells = np.flatnonzero(p > 0)
     pv = p.take(cells)
     # The terms, computed in place, then the 8 zeros `_pairwise_runs` reads.

@@ -166,6 +166,8 @@ class SweepConfig:
                     raise ValueError(f"config key 'tie_breaker_map' repeats {tb!r} for {est!r}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mi_bins < 1:
             raise ValueError(f"mi_bins must be >= 1, got {self.mi_bins}")
         if self.k_neighbors < 1:
@@ -391,10 +393,10 @@ def run_sweep(config: SweepConfig, stats: dict | None = None) -> Iterator[Benchm
     A record's `selection_cpu_seconds` is its relevance estimation plus a
     cold selection of k features, whatever order the cells run in.  Its
     `training_cpu_seconds` is not cold in that sense: among RF
-    cross-validations on at most 3 columns (those that replay their draws
-    from raw PCG64 words), the first per (seed, trees, outputs per tree)
-    in the process pays 1–3 ms to build the forest's shared table of those
-    words, and later ones read it.  Selection costs never read that table.
+    cross-validations on at most 3 columns (those with one candidate per
+    node, which replay their draws from raw PCG64 words), the first per
+    (seed, trees, outputs per tree) in the process pays 1–3 ms to build
+    the forest's shared table of those words, and later ones read it.  Selection costs never read that table.
     `stats`, when given, is filled with counters (cells skipped and run).
     A dataset that cannot be loaded stops the sweep before anything is
     written, with load_csv's DataError or OSError.  So does stored output

@@ -2,9 +2,10 @@
 
 import numpy as np
 
+import ffsel.forest
 import ffsel.relevance
 from ffsel import Dataset, RandomForest
-from ffsel.classifiers import RF, classify
+from ffsel.classifiers import GNB, KNN, RF, gaussian_nb_classify, knn_classify
 
 
 def make_dataset(features, labels, name="toy"):
@@ -31,11 +32,25 @@ def count_discretizations(monkeypatch):
 
 
 def predict(name, train_x, train_y, test_x, *, n_classes, k_neighbors, forest):
-    """`classify`, with RF as the vote of one forest fitted on the training
-    block, the fit cross-validation grows for each fold."""
+    """The lone classifier ``name`` trained on one block; RF is the vote of
+    one forest fitted on it, the fit cross-validation grows for each fold."""
     if name == RF:
         return RandomForest(forest, n_classes).fit(train_x, train_y).predict(test_x)
-    return classify(name, train_x, train_y, test_x, n_classes=n_classes, k_neighbors=k_neighbors)
+    lone = {
+        KNN: lambda: knn_classify(train_x, train_y, test_x, n_classes=n_classes, k_neighbors=k_neighbors),
+        GNB: lambda: gaussian_nb_classify(train_x, train_y, test_x, n_classes=n_classes),
+    }
+    return lone[name]()
+
+
+def grow_whole(x, y, n_classes, draws):
+    """One tree grown by `forest._lockstep` on every row of ``x``, in row
+    order, its s-th searched node scoring the one candidate column
+    ``draws[s]``: its split count, root class and split records."""
+    n = len(y)
+    draws = np.array([list(draws) + [0] * (2 * n - 1 - len(draws))])
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    return ffsel.forest._lockstep(x, y, n_classes, 1, np.arange(n), draws, np.array([n]))
 
 
 def random_dataset(rng, n_rows, n_cols, n_classes=2, name="rand"):

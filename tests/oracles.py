@@ -13,6 +13,7 @@ redundancy function of ``ffsel.relevance``, or the forest of
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -186,6 +187,8 @@ def oracle_forest(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Normalized importances, majority-vote predictions and total node count.
 
+    Breiman's forest: each tree grows on a bootstrap sample, and each node
+    draws floor(sqrt(p)) of the p columns as candidates by ``rng.choice``.
     Each tree grows depth first (right child first) from a node stack, and
     each node scores its candidate columns one at a time in ``candidates``
     order, keeping a column only when its gain is strictly greater.  Each
@@ -194,16 +197,13 @@ def oracle_forest(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_rows, n_cols = X.shape
-    max_features = params.resolve_max_features(n_cols)
+    max_features = math.isqrt(n_cols)
     raw = np.zeros(n_cols, dtype=np.float64)
     votes = np.zeros((X_test.shape[0], n_classes), dtype=np.int64)
     n_nodes = 0
     for seed in np.random.SeedSequence(params.seed).spawn(params.n_trees):
         rng = np.random.default_rng(seed)
-        if params.bootstrap:
-            sample = rng.integers(0, n_rows, size=n_rows)
-        else:
-            sample = np.arange(n_rows)
+        sample = rng.integers(0, n_rows, size=n_rows)
         nodes: list[list] = [[-1, 0.0, -1, -1, -1]]  # feature, threshold, left, right, class
         stack = [(0, sample)]
         while stack:
@@ -213,10 +213,7 @@ def oracle_forest(
             if node_gini == 0.0:
                 nodes[node][4] = int(np.argmax(counts))
                 continue
-            if max_features >= n_cols:
-                candidates = np.arange(n_cols)
-            else:
-                candidates = rng.choice(n_cols, size=max_features, replace=False)
+            candidates = rng.choice(n_cols, size=max_features, replace=False)
             best_gain, best_f, best_t = 0.0, -1, 0.0
             for f in candidates:
                 gain, t = _oracle_column_split(

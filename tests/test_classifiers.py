@@ -15,9 +15,7 @@ from ffsel.classifiers import (
     GNB,
     KNN,
     GNB_VAR_FLOOR,
-    RF,
     _gnb_fit,
-    classify,
     gaussian_nb_classify,
     knn_classify,
 )
@@ -150,6 +148,11 @@ class TestKnn:
             knn_classify(x, y, x, n_classes=2, k_neighbors=0)
         with pytest.raises(ValueError):
             knn_classify(x, y, x, n_classes=2, k_neighbors=4)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            knn_classify(np.zeros((4, 3)), np.zeros(4, dtype=int),
+                         np.zeros((2, 2)), n_classes=2, k_neighbors=1)
 
 
 class TestKnnMemory:
@@ -305,43 +308,3 @@ class TestForestClassifier:
         a = RandomForest(params, 2).fit(train_x, train_y).predict(test_x)
         b = RandomForest(params, 2).fit(train_x, train_y).predict(test_x)
         np.testing.assert_array_equal(a, b)
-
-
-class TestDispatch:
-    """Name-based classifier dispatch."""
-
-    def test_known_names(self):
-        rng = np.random.default_rng(86)
-        train_x = rng.normal(size=(20, 3))
-        train_y = rng.integers(0, 2, size=20)
-        train_y[:2] = [0, 1]
-        test_x = rng.normal(size=(6, 3))
-        assert set(CLASSIFIERS) == {KNN, GNB, RF}
-        for name in (KNN, GNB):
-            pred = classify(name, train_x, train_y, test_x, n_classes=2)
-            assert pred.shape == (6,)
-            assert set(pred.tolist()) <= {0, 1}
-
-    def test_dispatch_equals_direct_call(self):
-        rng = np.random.default_rng(87)
-        train_x = rng.normal(size=(15, 2))
-        train_y = rng.integers(0, 2, size=15)
-        train_y[:2] = [0, 1]
-        test_x = rng.normal(size=(5, 2))
-        np.testing.assert_array_equal(
-            classify(KNN, train_x, train_y, test_x, n_classes=2,
-                     k_neighbors=3),
-            knn_classify(train_x, train_y, test_x, n_classes=2,
-                         k_neighbors=3))
-
-    def test_unknown_name_rejected(self):
-        # RF is no classify name: cross-validation grows it through fit_forests.
-        for name in ("SVM", RF):
-            with pytest.raises(ValueError, match="unknown classifier"):
-                classify(name, np.zeros((2, 1)), np.array([0, 1]),
-                         np.zeros((1, 1)), n_classes=2)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            knn_classify(np.zeros((4, 3)), np.zeros(4, dtype=int),
-                         np.zeros((2, 2)), n_classes=2, k_neighbors=1)

@@ -110,6 +110,17 @@ class TestEstimate:
         assert params["gini"] == dataclasses.asdict(ForestParams(n_trees=3, seed=2))
         assert params["fvalue"] == params["cosine"] == {}
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-3", "forest seed must be >= 0, got -3"),
+        ("--trees", "0", "n_trees must be positive, got 0"),
+    ])
+    def test_bad_forest_params_exit_1(self, data_csv, capsys, flag, value, message):
+        code = main(["estimate", "--data", data_csv, "--estimator", "gini", flag, value])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_label_col_int_cannot_read_exits_2(self, data_csv, capsys):
         code = main(["estimate", "--data", data_csv, "--estimator", "mi", "--label-col=--1"])
         err = capsys.readouterr().err
@@ -303,6 +314,15 @@ class TestBenchmark:
                      "--n-folds", "3"])
         capsys.readouterr()
         assert code == EXIT_DATA
+
+    def test_negative_seed_exits_1_before_loading(self, tmp_path, capsys):
+        # The dataset does not exist: the seed is checked before any load.
+        code = main(["benchmark", "--datasets", str(tmp_path / "gone.csv"),
+                     "--output-dir", str(tmp_path / "o"), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "o").exists()
 
     def test_resume_under_other_settings_exits_2(self, data_csv, tmp_path, capsys):
         args = ["benchmark", "--datasets", data_csv,

@@ -1,4 +1,4 @@
-"""Accuracy metrics, cross-validation, and benchmark records."""
+"""Cross-validation and benchmark records."""
 
 import dataclasses
 import re
@@ -11,7 +11,6 @@ from ffsel import (
     BenchmarkRecord,
     FoldPlan,
     ForestParams,
-    accuracy,
     cross_validate,
     make_folds,
     standard_scale,
@@ -21,25 +20,6 @@ from ffsel.data import standardize
 from ffsel.records import TIMING_FIELDS, appending, read_records
 
 FOREST = ForestParams(n_trees=20, seed=3)
-
-
-class TestAccuracy:
-    """Exact-match fraction."""
-
-    def test_binary_case(self):
-        assert accuracy([1, 1, 0, 0], [1, 0, 0, 0]) == 0.75
-
-    def test_perfect_and_zero(self):
-        assert accuracy([2, 1], [2, 1]) == 1.0
-        assert accuracy([0, 0], [1, 1]) == 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy([0, 1], [0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
 
 
 class TestCrossValidate:
@@ -61,7 +41,7 @@ class TestCrossValidate:
                 pred = predict(clf, d.features[np.ix_(tr, cols)], d.labels[tr],
                                d.features[np.ix_(te, cols)], n_classes=2,
                                k_neighbors=3, forest=FOREST)
-                accs.append(accuracy(pred, d.labels[te]))
+                accs.append(np.mean(pred == d.labels[te]))
             assert mean == np.mean(accs), clf
             assert sd == np.std(accs), clf  # population sd over folds
 
@@ -86,7 +66,7 @@ class TestCrossValidate:
                 cols = np.asarray(cols)
                 pred = predict(clf, train_x[:, cols], d.labels[tr], test_x[:, cols],
                                n_classes=3, k_neighbors=3, forest=FOREST)
-                accs.append(accuracy(pred, d.labels[te]))
+                accs.append(np.mean(pred == d.labels[te]))
             assert mean == np.mean(accs), clf
             assert sd == np.std(accs), clf
 
@@ -123,7 +103,7 @@ class TestCrossValidate:
                         train_x, test_x = standardize(train_x, test_x)
                     pred = predict(clf, train_x, d.labels[tr], test_x, n_classes=3,
                                    k_neighbors=k, forest=None)
-                    accs.append(accuracy(pred, d.labels[te]))
+                    accs.append(np.mean(pred == d.labels[te]))
                 assert (mean, sd) == (np.mean(accs), np.std(accs)), (clf, k, selected)
 
     def test_neighbor_count_checked_against_each_fold(self):

@@ -1,5 +1,6 @@
 """Random forest learner: determinism, oracle agreement, and prediction."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ffsel
-from conftest import random_dataset, separable_dataset
+from conftest import grow_whole, random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest
 from ffsel.forest import fit_forests
 from ffsel import forest as forest_module
@@ -19,18 +20,24 @@ from oracles import oracle_bounded, oracle_choice, oracle_forest
 
 
 class TestForestParams:
-    """Hyperparameter resolution."""
+    """One forest configuration: a tree count and a seed."""
 
     def test_default_max_features_is_sqrt(self):
-        p = ForestParams()
-        assert p.resolve_max_features(100) == 10
-        assert p.resolve_max_features(2) == 1
-        assert p.resolve_max_features(1) == 1
+        assert [forest_module._max_features(n) for n in (1, 2, 3, 4, 8, 9, 100, 2000)] == [1, 1, 1, 2, 2, 3, 10, 44]
+        assert [f.name for f in dataclasses.fields(ForestParams)] == ["n_trees", "seed"]
 
-    def test_explicit_max_features_clamped(self):
-        p = ForestParams(max_features=8)
-        assert p.resolve_max_features(5) == 5
-        assert p.resolve_max_features(20) == 8
+    def test_tree_count_and_seed_checked(self):
+        with pytest.raises(ValueError, match="n_trees must be positive, got 0"):
+            ForestParams(n_trees=0)
+        with pytest.raises(ValueError, match="forest seed must be >= 0, got -1"):
+            ForestParams(seed=-1)
+
+    def test_choice_never_takes_numpys_tail_branch(self):
+        # Generator.choice(n, m, replace=False) shuffles the tail of
+        # arange(n) when n > 10,000 and m > n // 50, which Floyd's algorithm
+        # (the pinned behaviour) does not match; floor(sqrt(n)) exceeds
+        # n // 50 only below n = 2,500.
+        assert all(forest_module._max_features(n) <= n // 50 for n in range(10_001, 60_001))
 
 
 class TestRandomForest:
@@ -87,12 +94,11 @@ class TestRandomForest:
 
     def test_single_row_nodes_become_leaves(self):
         # 2 rows of different classes allow exactly one split
-        x = np.array([[0.0], [1.0]])
-        y = np.array([0, 1])
-        f = RandomForest(ForestParams(n_trees=1, bootstrap=False, seed=0),
-                         n_classes=2)
-        f.fit(x, y)
-        np.testing.assert_array_equal(f.predict(x), y)
+        n_splits, root_class, records = grow_whole([[0.0], [1.0]], [0, 1], 2, [0])
+        tree, node, feature, threshold, child, term, class_l, class_r = records
+        assert n_splits.tolist() == [1]
+        assert (node.tolist(), feature.tolist(), threshold.tolist()) == ([0], [0], [0.5])
+        assert (class_l.tolist(), class_r.tolist(), term.tolist()) == ([0], [1], [0.5])
 
     def test_constant_features_fall_back_to_majority(self):
         x = np.ones((6, 2))
@@ -176,9 +182,8 @@ class TestNumpyAssumptions:
                 per_node = [int(one.choice(n, size=1, replace=False)[0]) for _ in range(123)]
                 assert per_node == batched.integers(0, n, size=123).tolist(), (n, seed)
 
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    @pytest.mark.parametrize("n_cols", [2, 3, 2000])
-    def test_replay_equals_default_rng_integers(self, monkeypatch, n_cols, bootstrap):
+    @pytest.mark.parametrize("n_cols", [1, 2, 3])
+    def test_replay_equals_default_rng_integers(self, monkeypatch, n_cols):
         # One call replays every row count from each seed's one raw stream:
         # odd row counts leave a high half buffered for the draws, and
         # smaller row counts start their draws earlier in the stream.
@@ -188,14 +193,13 @@ class TestNumpyAssumptions:
         monkeypatch.setattr(forest_module, "_tree_draws", no_fallback)
         row_counts = (1, 3, 49, 50, 161, 203)
         seeds = np.random.SeedSequence(17).spawn(20)
-        replayed = forest_module._replayed(17, len(seeds), row_counts, n_cols, 1, bootstrap, forest_module._words)
+        replayed = forest_module._replayed(17, len(seeds), row_counts, n_cols, forest_module._words)
         for n in row_counts:
             sample, draws = replayed[n]
             assert draws.shape == (len(seeds), 2 * max(row_counts) - 1)
             for t, seed in enumerate(seeds):
                 rng = np.random.default_rng(seed)
-                expected = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-                assert sample[t].tolist() == expected.tolist(), (n, t)
+                assert sample[t].tolist() == rng.integers(0, n, size=n).tolist(), (n, t)
                 expected = rng.integers(0, n_cols, size=2 * n - 1)
                 assert draws[t, : 2 * n - 1].tolist() == expected.tolist(), (n, t)
 
@@ -257,7 +261,7 @@ class TestNumpyAssumptions:
         shapes = [(61, 3, 44), (61, 1, 44), (61, 3, 1), (61, 1, 1), (1, 3, 44), (1, 1, 1), (200,), (1,), ()]
         for shape in shapes:
             a = np.square(rng.random(shape + (n_classes,)) * 10.0 ** rng.integers(-6, 6, size=shape + (n_classes,)))
-            got, expected = forest_module._class_sum(a), a.sum(axis=-1)
+            got, expected = forest_module._last_axis_sum(a), a.sum(axis=-1)
             assert np.shape(got) == expected.shape, shape
             assert np.asarray(got).tobytes() == expected.tobytes(), shape
 
@@ -275,7 +279,9 @@ class TestNumpyAssumptions:
 
 
 def forest_case(case: int):
-    """Seeded inputs: ties, a duplicated and a constant column, 2-12 classes."""
+    """Seeded inputs: ties, a duplicated and a constant column, 2-12 classes,
+    and 1-12 columns, so one candidate per node (at most 3 columns) or
+    several by ``rng.choice``."""
     rng = np.random.default_rng(4000 + case)
     n_rows = int(rng.integers(2, 121))
     n_cols = int(rng.integers(1, 13))
@@ -286,12 +292,7 @@ def forest_case(case: int):
         x[:, 2] = 0.25
     y = rng.integers(0, n_classes, size=n_rows)
     y[: min(n_rows, n_classes)] = np.arange(min(n_rows, n_classes))
-    params = ForestParams(
-        n_trees=3,
-        max_features=(1, None, n_cols)[case % 3],
-        bootstrap=bool((case // 3) % 2),
-        seed=case,
-    )
+    params = ForestParams(n_trees=3, seed=case)
     test_x = np.round(rng.normal(size=(17, n_cols)), case % 4)
     return x, y, n_classes, params, test_x
 
@@ -300,8 +301,10 @@ class TestAgainstOracle:
     """The array split search reproduces a per-candidate, stack-walk forest."""
 
     def test_importances_predictions_and_node_count_exact(self):
+        widths = set()
         for case in range(102):
             x, y, n_classes, params, test_x = forest_case(case)
+            widths.add(x.shape[1])
             imp, pred, n_nodes = oracle_forest(x, y, n_classes, params, test_x)
             f = RandomForest(params, n_classes=n_classes).fit(x, y)
             assert f.feature_importances().tolist() == imp.tolist(), case
@@ -309,6 +312,7 @@ class TestAgainstOracle:
             assert sum(len(t.feature) for t in f.trees) == n_nodes, case
             # Every split leaves rows on both sides, so at most n leaves.
             assert all(len(t.feature) <= 2 * len(x) - 1 for t in f.trees), case
+        assert widths == set(range(1, 13))
 
 
 def lockstep_cases():
@@ -319,22 +323,20 @@ def lockstep_cases():
     y = rng.integers(0, 3, size=90)
     yield "two chunks", x, y, 3, ForestParams(n_trees=60, seed=5)
     # One informative column among constant ones: with one candidate per
-    # node, most searched nodes in a step find no split.
-    x = np.full((40, 4), 0.5)
-    x[:, 3] = rng.normal(size=40)
-    y = (x[:, 3] + rng.normal(size=40) > 0).astype(np.int64)
-    yield "one split", x, y, 2, ForestParams(n_trees=40, max_features=1, seed=6)
-    # Whole data and four classes.
-    x = np.round(rng.normal(size=(70, 9)), 2)
+    # node (3 columns), most searched nodes in a step find no split.
+    x = np.full((40, 3), 0.5)
+    x[:, 2] = rng.normal(size=40)
+    y = (x[:, 2] + rng.normal(size=40) > 0).astype(np.int64)
+    yield "one split", x, y, 2, ForestParams(n_trees=40, seed=6)
+    # Four classes, two candidates per node.
+    x = np.round(rng.normal(size=(70, 5)), 2)
     y = rng.integers(0, 4, size=70)
-    params = ForestParams(n_trees=30, max_features=2, bootstrap=False, seed=7)
-    yield "no bootstrap", x, y, 4, params
+    yield "four classes", x, y, 4, ForestParams(n_trees=30, seed=7)
     # Noisy labels over twelve classes, one candidate per node: trees grow
     # deep, and stacks many entries deep push and pop beside shallow ones.
-    x = np.round(rng.normal(size=(120, 6)), 2)
+    x = np.round(rng.normal(size=(120, 2)), 2)
     y = rng.integers(0, 12, size=120)
-    params = ForestParams(n_trees=20, max_features=1, bootstrap=False, seed=8)
-    yield "deep stacks", x, y, 12, params
+    yield "deep stacks", x, y, 12, ForestParams(n_trees=20, seed=8)
 
 
 class TestLockstepShapes:
@@ -376,15 +378,13 @@ class TestTieOrder:
     @staticmethod
     def draws(path, n_trees, n_cols, longest):
         """Fresh draws for one growth on ``path``, as `_lockstep` takes them."""
-        if path == "every column":
-            return None
         if path == "one candidate":
             return np.random.default_rng(13).integers(0, n_cols, size=(n_trees, 2 * longest - 1))
         rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(13).spawn(n_trees)]
         return rngs, np.arange(n_trees)
 
     @pytest.mark.parametrize("n_classes", [2, 5])
-    @pytest.mark.parametrize("path, max_features", [("one candidate", 1), ("rng.choice", 3), ("every column", 7)])
+    @pytest.mark.parametrize("path, max_features", [("one candidate", 1), ("rng.choice", 3)])
     def test_permuted_segments_give_identical_records(self, monkeypatch, path, max_features, n_classes):
         sorted_rows, search = [], forest_module._best_splits
 
@@ -431,19 +431,18 @@ def fold_blocks(x, y, n_folds):
 class TestFitForests:
     """Several training blocks grown in one lockstep growth equal lone fits."""
 
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    @pytest.mark.parametrize("max_features", [1, 3, 6])
-    def test_each_block_equals_a_lone_fit(self, max_features, bootstrap):
-        # 1: up-front candidate draws; 3: rng.choice per node; 6: every
-        # column.  Five folds of 62 rows give training blocks of 49 and 50
-        # rows; two more blocks have 23 rows, one of them only 4 columns
-        # (so max_features 6 takes every column there).
+    @pytest.mark.parametrize("n_cols", [1, 3, 6])
+    def test_each_block_equals_a_lone_fit(self, n_cols):
+        # 1: one column, every column a candidate; 3: up-front candidate
+        # draws; 6: rng.choice per node.  Five folds of 62 rows give
+        # training blocks of 49 and 50 rows; two more blocks have 23 rows,
+        # one of them 4 columns (rng.choice, in a growth of its own).
         rng = np.random.default_rng(4300)
         x = np.round(rng.normal(size=(62, 6)), 1)
         x[:, 5] = x[:, 4]
         y = rng.integers(0, 3, size=62)
-        blocks = fold_blocks(x, y, 5) + [(x[:23], y[:23]), (x[30:53, :4], y[30:53])]
-        params = ForestParams(n_trees=12, max_features=max_features, bootstrap=bootstrap, seed=9)
+        blocks = fold_blocks(x[:, :n_cols], y, 5) + [(x[:23, :n_cols], y[:23]), (x[30:53, :4], y[30:53])]
+        params = ForestParams(n_trees=12, seed=9)
         forests = fit_forests(params, 3, blocks)
         assert len(forests) == len(blocks)
         for b, (forest, (bx, by)) in enumerate(zip(forests, blocks)):
@@ -474,8 +473,8 @@ class TestFitForests:
             return made[-1], sample, draws
 
         monkeypatch.setattr(forest_module, "_tree_draws", counted)
-        blocks, _ = TestMixedRowCounts.blocks()  # 49, 49, 50, 50, 50 and 23 rows
-        params = ForestParams(n_trees=10, max_features=2, seed=11)
+        blocks, _ = TestMixedRowCounts.blocks(5)  # 49, 49, 50, 50, 50 and 23 rows
+        params = ForestParams(n_trees=10, seed=11)  # two candidates per node
         longest, alone = {}, []
         for bx, by in blocks:
             made.clear()
@@ -506,16 +505,16 @@ class TestMixedRowCounts:
     draws hit a rejected word, reproduce the oracle exactly."""
 
     @staticmethod
-    def blocks():
+    def blocks(n_cols):
         # Five folds of 62 rows train on 49 or 50 rows; one more block has 23.
         rng = np.random.default_rng(4500)
-        x = np.round(rng.normal(size=(62, 5)), 1)
+        x = np.round(rng.normal(size=(62, 5)), 1)[:, :n_cols]
         y = rng.integers(0, 3, size=62)
-        test_x = np.round(rng.normal(size=(20, 5)), 1)
+        test_x = np.round(rng.normal(size=(20, 5)), 1)[:, :n_cols]
         return fold_blocks(x, y, 5) + [(x[:23], y[:23])], test_x
 
-    def assert_blocks_match_oracle(self, params):
-        blocks, test_x = self.blocks()
+    def assert_blocks_match_oracle(self, params, n_cols):
+        blocks, test_x = self.blocks(n_cols)
         forests = fit_forests(params, 3, blocks)
         for b, (forest, (bx, by)) in enumerate(zip(forests, blocks)):
             imp, pred, n_nodes = oracle_forest(bx, by, 3, params, test_x)
@@ -523,14 +522,15 @@ class TestMixedRowCounts:
             assert forest.predict(test_x).tolist() == pred.tolist(), b
             assert sum(len(t.feature) for t in forest.trees) == n_nodes, b
 
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    @pytest.mark.parametrize("max_features", [1, 5])
-    def test_each_block_equals_the_oracle(self, max_features, bootstrap):
-        self.assert_blocks_match_oracle(ForestParams(n_trees=10, max_features=max_features, bootstrap=bootstrap, seed=11))
+    # 1: one column, every column a candidate; 2: up-front candidate
+    # draws; 5: rng.choice per node.
+    @pytest.mark.parametrize("n_cols", [1, 2, 5])
+    def test_each_block_equals_the_oracle(self, n_cols):
+        self.assert_blocks_match_oracle(ForestParams(n_trees=10, seed=11), n_cols)
 
-    # Whole data and every column draw nothing, so nothing can be rejected.
-    @pytest.mark.parametrize("max_features, bootstrap", [(1, True), (1, False), (5, True)])
-    def test_rejected_word_falls_back_to_the_generator(self, monkeypatch, cold_words, max_features, bootstrap):
+    # Only growths on at most 3 columns replay words; rng.choice reads none.
+    @pytest.mark.parametrize("n_cols", [1, 2])
+    def test_rejected_word_falls_back_to_the_generator(self, monkeypatch, cold_words, n_cols):
         # Tree 2's words read as rejected, and its replayed values are wrong
         # as they would be after a rejection; its own generator must redraw.
         bounded, tree_draws = forest_module._bounded, forest_module._tree_draws
@@ -548,8 +548,7 @@ class TestMixedRowCounts:
 
         monkeypatch.setattr(forest_module, "_bounded", rejecting)
         monkeypatch.setattr(forest_module, "_tree_draws", counted)
-        params = ForestParams(n_trees=6, max_features=max_features, bootstrap=bootstrap, seed=12)
-        self.assert_blocks_match_oracle(params)
+        self.assert_blocks_match_oracle(ForestParams(n_trees=6, seed=12), n_cols)
         assert sorted(fallbacks) == [23, 49, 50], fallbacks
 
 
@@ -569,8 +568,7 @@ class TestSharedWords:
     @staticmethod
     def two_column_blocks():
         # Five folds of 62 rows train on 49 or 50 rows: one candidate per node.
-        blocks, _ = TestMixedRowCounts.blocks()
-        return [(bx[:, :2], by) for bx, by in blocks[:5]]
+        return TestMixedRowCounts.blocks(2)[0][:5]
 
     def test_second_growth_builds_no_stream(self, monkeypatch, cold_words):
         built = []
@@ -581,8 +579,8 @@ class TestSharedWords:
             return pcg64(*args)
 
         monkeypatch.setattr(np.random, "PCG64", counted)
-        blocks, test_x = TestMixedRowCounts.blocks()
-        params = ForestParams(n_trees=10, max_features=1, seed=11)
+        blocks, test_x = TestMixedRowCounts.blocks(2)  # one candidate per node
+        params = ForestParams(n_trees=10, seed=11)
         first = fit_forests(params, 3, blocks)
         assert len(built) == params.n_trees
         second = fit_forests(params, 3, blocks)
@@ -692,45 +690,42 @@ class TestFitMemory:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("max_features", [None, 1])
-    def test_peak_traced_memory_of_a_five_fold_lung_shaped_fit(self, max_features):
+    @pytest.mark.parametrize("n_cols", [12, 3])
+    def test_peak_traced_memory_of_a_five_fold_lung_shaped_fit(self, n_cols):
         # The study's largest shape, 203 rows in 5 classes (ROADMAP item 7),
-        # on 12 selected columns: deep trees, whose stacks hold only the
-        # depth they reach.
+        # on 12 selected columns (rng.choice) or 3 (one candidate per node):
+        # deep trees, whose stacks hold only the depth they reach.
         rng = np.random.default_rng(203)
         y = rng.permutation(np.repeat(np.arange(5), (139, 21, 20, 17, 6)))
         x = rng.normal(size=(203, 12))
         x[:, :6] += 0.8 * rng.normal(size=(5, 6))[y]
-        blocks = fold_blocks(x, y, 5)
+        blocks = fold_blocks(x[:, :n_cols], y, 5)
         tracemalloc.start()
         try:
-            fit_forests(ForestParams(max_features=max_features), 5, blocks)
+            fit_forests(ForestParams(), 5, blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
 
-# Fits one tree on three rows whose first two values are adjacent doubles,
-# so their midpoint rounds up to the larger one, and prints what it grew.
+# Grows one tree on all three rows, whose first two values are adjacent
+# doubles, so their midpoint rounds up to the larger one, and prints what
+# it grew.
 ADJACENT_DOUBLES_FIT = """
 import json
 import numpy as np
-from ffsel import ForestParams, RandomForest
 from ffsel import forest as forest_module
-from oracles import oracle_forest
 
 x = np.array([[1 + 2.0**-52], [1 + 2.0**-51], [2 + 2.0**-51]])
 y = np.array([0, 1, 1])
-params = ForestParams(n_trees=1, bootstrap=False, seed=0)
-f = RandomForest(params, n_classes=2).fit(x, y)
-imp, pred, n_nodes = oracle_forest(x, y, 2, params, x)
+n_splits, _, records = forest_module._lockstep(x, y, 2, 1, np.arange(3), np.zeros((1, 5), dtype=np.int64), np.array([3]))
+_, _, _, threshold, _, term, class_l, class_r = records
 print(json.dumps({
-    "nodes": len(f.trees[0].feature),
-    "threshold": float(f.trees[0].threshold[0]),
-    "predict": f.predict(x).tolist(),
-    "importances": f.feature_importances().tolist(),
-    "oracle": [imp.tolist(), pred.tolist(), n_nodes],
+    "nodes": 2 * int(n_splits[0]) + 1,
+    "threshold": float(threshold[0]),
+    "predict": np.where(x[:, 0] <= threshold[0], class_l[0], class_r[0]).tolist(),
+    "importance term": float(term[0]),
 }))
 """
 
@@ -755,4 +750,4 @@ class TestAdjacentDoubles:
         assert got["nodes"] == 3
         assert got["threshold"] == 1 + 2.0**-52
         assert got["predict"] == [0, 1, 1]
-        assert got["oracle"] == [got["importances"], got["predict"], got["nodes"]]
+        assert got["importance term"] == pytest.approx(4 / 9, rel=1e-15)  # the root's whole impurity

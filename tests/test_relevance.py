@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_dataset
+from conftest import grow_whole, make_dataset, random_dataset
 from ffsel import ForestParams, RedundancyCache, relevance, relevance_all
 from oracles import (
     oracle_abs_pearson,
@@ -15,6 +15,7 @@ from oracles import (
     oracle_f_value,
     oracle_mi_of_codes,
 )
+from ffsel.forest import _last_axis_sum
 from ffsel.relevance import (
     ABS_PEARSON,
     COSINE,
@@ -28,8 +29,8 @@ from ffsel.relevance import (
     _CELLS,
     _mutual_info_stack,
     _pairwise_runs,
+    _middle_sum,
     _sorted_quantiles,
-    _stack_sum,
     discretize_columns,
     mutual_info_from_counts,
 )
@@ -245,10 +246,11 @@ class TestMutualInfoStack:
 
     @pytest.mark.parametrize("ka", range(1, 21))
     def test_marginals_match_numpy_sums_bytewise(self, ka):
-        # `_stack_sum` copies the order NumPy reduces each axis of a stack
-        # in: a left fold below 8 values and pairwise from 8 on along the
-        # last axis, a left fold along the middle one, except kb = 1, which
-        # NumPy sums pairwise.  A NumPy release that changes it fails here.
+        # `_last_axis_sum` and `_middle_sum` copy the order NumPy reduces
+        # each axis of a stack in: a left fold below 8 values and pairwise
+        # from 8 on along the last axis, a left fold along the middle one,
+        # except kb = 1, which NumPy sums pairwise.  A NumPy release that
+        # changes it fails here.
         rng = np.random.default_rng(60 + ka)
         for kb in [*range(1, 21), 129, 300]:
             joint = rng.integers(0, rng.integers(2, 50), size=(20, ka, kb))
@@ -256,8 +258,8 @@ class TestMutualInfoStack:
             joint[0] = 0  # a zero table
             spread = rng.random((20, ka, kb)) * 10.0 ** rng.integers(-6, 7, size=(20, ka, kb))
             for p in (joint / np.maximum(joint.sum(axis=(1, 2)), 1)[:, None, None], spread):
-                for axis in (1, 2):
-                    assert _stack_sum(p, axis).tobytes() == p.sum(axis=axis).tobytes(), (ka, kb, axis)
+                assert _middle_sum(p).tobytes() == p.sum(axis=1).tobytes(), (ka, kb)
+                assert _last_axis_sum(p).tobytes() == p.sum(axis=2).tobytes(), (ka, kb)
 
     @pytest.mark.parametrize("ka", range(1, 13))
     def test_stack_equals_scalar_bitwise(self, ka):
@@ -348,6 +350,15 @@ class TestCosine:
                                    one_column(d, COSINE), rtol=1e-12)
 
 
+def whole_data_tree(x, y, draws):
+    """Normalized importances and split thresholds of `grow_whole`'s tree."""
+    x = np.asarray(x, dtype=np.float64)
+    records = grow_whole(x, y, max(y) + 1, draws)[2]
+    feature, threshold, term = records[2], records[3], records[5]
+    raw = np.bincount(feature, weights=term, minlength=x.shape[1])
+    return raw / raw.sum(), threshold
+
+
 class TestGiniImportance:
     """Forest-based impurity-decrease relevance."""
 
@@ -371,21 +382,23 @@ class TestGiniImportance:
     def test_single_tree_hand_trace_one_split(self):
         x = np.column_stack([np.arange(1.0, 7.0),
                              np.array([10.0, 20.0, 20.0, 20.0, 20.0, 20.0])])
-        d = make_dataset(x, [0, 0, 0, 1, 1, 1])
-        params = ForestParams(n_trees=1, bootstrap=False, max_features=2, seed=0)
-        rel = relevance_all(d, GINI, forest=params)
         # column 0 splits perfectly at 3.5; the root consumes all impurity
-        np.testing.assert_allclose(rel.values, [1.0, 0.0], atol=1e-12)
+        imp, threshold = whole_data_tree(x, [0, 0, 0, 1, 1, 1], [0])
+        assert threshold.tolist() == [3.5]
+        np.testing.assert_allclose(imp, [1.0, 0.0], atol=1e-12)
+        # column 1 alone leaves the right child impure, and splits no further
+        imp, threshold = whole_data_tree(x, [0, 0, 0, 1, 1, 1], [1, 1])
+        assert threshold.tolist() == [15.0]
+        np.testing.assert_allclose(imp, [0.0, 1.0], atol=1e-12)
 
     def test_single_tree_hand_trace_two_splits(self):
         x = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0],
                       [0.0, 9.0], [1.0, 9.0], [2.0, 9.0]])
-        d = make_dataset(x, [0, 0, 1, 1, 1, 1])
-        params = ForestParams(n_trees=1, bootstrap=False, max_features=2, seed=0)
-        rel = relevance_all(d, GINI, forest=params)
         # root on column 1 and the left child on column 0 each decrease
         # weighted impurity by 2/9, so normalized importances split evenly
-        np.testing.assert_allclose(rel.values, [0.5, 0.5], atol=1e-12)
+        imp, threshold = whole_data_tree(x, [0, 0, 1, 1, 1, 1], [1, 0])
+        assert threshold.tolist() == [7.0, 1.5]
+        np.testing.assert_allclose(imp, [0.5, 0.5], atol=1e-12)
 
     def test_normalized_when_any_split_exists(self):
         rng = np.random.default_rng(20)

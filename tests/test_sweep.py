@@ -13,7 +13,7 @@ import pytest
 
 import ffsel.selectors
 import ffsel.sweep
-from conftest import count_discretizations, make_dataset, same_stem_csvs, two_label_csv, write_csv
+from conftest import count_discretizations, make_dataset, predict, same_stem_csvs, two_label_csv, write_csv
 from ffsel import (
     BenchmarkRecord,
     DataError,
@@ -22,7 +22,6 @@ from ffsel import (
     SweepConfig,
     algorithm_label,
     best_config_report,
-    classify,
     load_csv,
     make_folds,
     n_selected_distributions,
@@ -462,9 +461,9 @@ class TestRunSweep:
                                          mi_bins=cfg.mi_bins)
                 cols = np.asarray(picked.selected)
                 n_sel.append(cols.size)
-                pred = classify(rec.classifier, train_x[:, cols], d.labels[tr],
-                                test_x[:, cols], n_classes=d.n_classes,
-                                k_neighbors=cfg.k_neighbors)
+                pred = predict(rec.classifier, train_x[:, cols], d.labels[tr],
+                               test_x[:, cols], n_classes=d.n_classes,
+                               k_neighbors=cfg.k_neighbors, forest=forest)
                 accs.append(float(np.mean(pred == d.labels[te])))
             cell = (rec.algorithm, rec.alpha, rec.k, rec.classifier)
             assert rec.cv_mean_accuracy == np.mean(accs), cell
