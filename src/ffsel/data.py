@@ -292,6 +292,8 @@ def make_folds(d: Dataset, n_folds: int, seed: int = 0) -> FoldPlan:
         raise ValueError("n_folds must be positive")
     if n_folds > d.n_rows:
         raise ValueError(f"n_folds={n_folds} exceeds n_rows={d.n_rows}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     assignments = np.empty(d.n_rows, dtype=np.int64)
     pointer = 0

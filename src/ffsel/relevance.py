@@ -31,7 +31,6 @@ __all__ = [
     "RelevanceVector",
     "RedundancyCache",
     "discretize_columns",
-    "mutual_info_from_counts",
     "relevance_all",
 ]
 
@@ -149,21 +148,6 @@ def _code_rows(x: np.ndarray, bins: int, rel: RelevanceVector | None = None) -> 
     return rows, rows.max(axis=1).astype(np.intp) + 1
 
 
-def mutual_info_from_counts(joint: np.ndarray) -> float:
-    """Plug-in mutual information in nats from a joint count table."""
-    joint = np.asarray(joint, dtype=np.float64)
-    n = joint.sum()
-    if n == 0:
-        return 0.0
-    p = joint / n
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    nz = p > 0
-    outer = px[:, None] * py[None, :]
-    mi = float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
-    return max(mi, 0.0)
-
-
 def _pairwise_runs(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Sum each run ``t[start : start + size]`` in the order ``np.sum`` sums
     a 1-D array; ``t`` ends with 8 zeros that no run covers.
@@ -227,13 +211,14 @@ def _middle_sum(p: np.ndarray) -> np.ndarray:
 
 
 def _mutual_info_stack(joint: np.ndarray) -> np.ndarray:
-    """`mutual_info_from_counts` of each table in an (m, ka, kb) stack.
+    """Plug-in MI, in nats, of each table in an (m, ka, kb) stack of counts.
 
-    Each step is the scalar function's arithmetic applied to the whole
-    stack, which rounds as it does table by table.  The nonzero cells are
-    gathered once, in row-major order, so each table's L terms form one
-    run, and `_pairwise_runs` sums every run in ``np.sum``'s order: every
-    value equals the scalar function's bit for bit.
+    Each step is the per-table formula's arithmetic (``tests/oracles.py``'s
+    ``oracle_mi_from_counts``) applied to the whole stack, which rounds as
+    it does table by table.  The nonzero cells are gathered once, in
+    row-major order, so each table's L terms form one run, and
+    `_pairwise_runs` sums every run in ``np.sum``'s order: every value
+    equals the per-table formula's bit for bit.
     """
     m, ka, kb = joint.shape
     # Integer counts, summed and divided as exactly as their float64 copies.

@@ -218,6 +218,14 @@ def compute_bins(rel: RelevanceVector, k: int, alpha: float) -> tuple[np.ndarray
     return edges, np.searchsorted(edges, values, side="left")
 
 
+def _ties(groups: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Mark the scores that tie with their group's maximum (see TIE_EPS)."""
+    best = np.full(int(groups.max()) + 1, -np.inf)
+    np.maximum.at(best, groups, scores)
+    best = best[groups]
+    return best - scores <= TIE_EPS * np.maximum(1.0, np.abs(best))
+
+
 def select_kgroups(
     d: Dataset,
     rel: RelevanceVector,
@@ -230,13 +238,14 @@ def select_kgroups(
 ) -> SelectionResult:
     """Bin features by relevance, then keep each bin's most relevant one.
 
-    Within a bin, features whose relevance sits within TIE_EPS of the bin
-    maximum are tied.  Tie-breaker estimators are applied in order, each
-    round keeping only the features maximizing that estimator, until a
-    single survivor remains or the list runs out.  An exhausted list
-    returns every surviving feature, so the result can exceed k.  Output
-    is ordered by descending relevance.  k larger than the feature count
-    is allowed; surplus bins are simply empty.
+    Features tie within a bin as `_ties` rules (TIE_EPS).  Tie-breaker
+    estimators are applied in order: each round scores the survivors of
+    every bin that still has several with one `relevance_all` call on a
+    dataset of those columns (GINI reads one whole-data fit), then keeps
+    each bin's ties at its maximum.  An exhausted list keeps every
+    survivor, so the result can exceed k.  Output is ordered by descending
+    relevance, then ascending index.  k larger than the feature count is
+    allowed; surplus bins are simply empty.
     """
     t0 = thread_time()
     values = rel.values
@@ -245,38 +254,27 @@ def select_kgroups(
         if name not in ESTIMATORS:
             raise ValueError(f"unknown tie-breaker estimator {name!r}")
     _, bins = compute_bins(rel, k, alpha)
-    gini = None  # the whole-data forest's importances, fitted on first use
-    chosen: list[int] = []
-    for j in np.unique(bins):
-        members = np.flatnonzero(bins == j)
-        vmax = float(values[members].max())
-        tol = TIE_EPS * max(1.0, abs(vmax))
-        survivors = members[vmax - values[members] <= tol]
-        for name in tie_breakers:
-            if survivors.size <= 1:
-                break
-            if name == GINI:
-                if gini is None:
-                    gini = relevance_all(d, GINI, forest=forest).values
-                tvals = gini[survivors]
-            else:
-                # The survivors' columns scored as a dataset of their own.
-                tied = dataclasses.replace(
-                    d,
-                    features=d.features[:, survivors],
-                    feature_names=[d.feature_names[i] for i in survivors],
-                )
-                tvals = relevance_all(tied, name, mi_bins=mi_bins).values
-            tmax = float(tvals.max())
-            ttol = TIE_EPS * max(1.0, abs(tmax))
-            survivors = survivors[tmax - tvals <= ttol]
-        chosen.extend(int(i) for i in survivors)
+    keep = _ties(bins, values)
+    for name in tie_breakers:
+        survivors = np.flatnonzero(keep)
+        groups = bins[survivors]
+        tied = survivors[np.bincount(groups)[groups] > 1]
+        if tied.size == 0:
+            break
+        if name == GINI:
+            scores = relevance_all(d, GINI, forest=forest).values[tied]
+        else:
+            # The tied columns scored as a dataset of their own.
+            names = [d.feature_names[i] for i in tied]
+            sub = dataclasses.replace(d, features=d.features[:, tied], feature_names=names)
+            scores = relevance_all(sub, name, mi_bins=mi_bins).values
+        keep[tied] = _ties(bins[tied], scores)
 
-    idx = np.asarray(chosen, dtype=np.int64)
-    order = np.argsort(-values[idx], kind="stable")
-    selected = tuple(int(i) for i in idx[order])
+    chosen = np.flatnonzero(keep)
+    # Equal relevance always shares a bin, so ties fall to the lower index.
+    order = np.argsort(-values[chosen], kind="stable")
     return SelectionResult(
         algorithm=KGROUPS,
-        selected=selected,
+        selected=tuple(int(i) for i in chosen[order]),
         cpu_time_seconds=thread_time() - t0,
     )

@@ -294,6 +294,11 @@ class TestMakeFolds:
         with pytest.raises(ValueError):
             make_folds(d, 11)
 
+    def test_negative_seed_rejected(self):
+        d = random_dataset(np.random.default_rng(9), 20, 2)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            make_folds(d, 5, seed=-1)
+
     def test_tiny_class_spans_fewer_folds_with_warning(self):
         labels = np.array([0] * 9 + [1] * 3)
         rng = np.random.default_rng(10)

@@ -13,12 +13,13 @@ from ffsel import (
     MRMR_VARIANTS,
     ForestParams,
     RelevanceVector,
+    compute_bins,
     relevance_all,
     select_kbest,
     select_kgroups,
     select_mrmr,
 )
-from ffsel.relevance import ABS_PEARSON, COSINE, FVALUE, MI, MI_PAIR
+from ffsel.relevance import ABS_PEARSON, COSINE, FVALUE, GINI, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, QUOTIENT
 
 
@@ -160,6 +161,23 @@ class TestKGroupsOracle:
             slow = oracle_kgroups(d, rel_vec(values), k, alpha, breakers)
             assert set(fast.selected) == set(slow.selected)
             assert fast.selected == slow.selected  # shared ordering rule
+        # Many tied bins: up to 60 columns on rounded relevance levels, k up
+        # to 40, and GINI in the pool, read off one small forest on both sides.
+        forest = ForestParams(n_trees=3, seed=5)
+        tied_bins = []
+        for _ in range(30):
+            d, values = messy_instance(rng, max_cols=61)
+            values = np.round(values, int(rng.integers(1, 3)))
+            k = int(rng.integers(1, 41))
+            alpha = float(rng.choice([0.3, 0.5, 1.0, 1.5, 2.0]))
+            breakers = tuple(rng.choice((COSINE, FVALUE, MI, GINI), size=int(rng.integers(0, 5)), replace=False))
+            fast = select_kgroups(d, rel_vec(values), k, alpha, breakers, forest=forest)
+            slow = oracle_kgroups(d, rel_vec(values), k, alpha, breakers, forest=forest)
+            assert fast.selected == slow.selected
+            _, bins = compute_bins(rel_vec(values), k, alpha)
+            best = {j: values[bins == j].max() for j in set(bins.tolist())}
+            tied_bins.append(sum(np.sum(values[bins == j] == v) > 1 for j, v in best.items()))
+        assert sum(n >= 5 for n in tied_bins) >= 10
 
     def test_alpha_one_distinct_values(self):
         rng = np.random.default_rng(75)

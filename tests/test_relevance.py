@@ -13,6 +13,7 @@ from oracles import (
     oracle_cosine,
     oracle_discretize,
     oracle_f_value,
+    oracle_mi_from_counts,
     oracle_mi_of_codes,
 )
 from ffsel.forest import _last_axis_sum
@@ -32,7 +33,6 @@ from ffsel.relevance import (
     _middle_sum,
     _sorted_quantiles,
     discretize_columns,
-    mutual_info_from_counts,
 )
 
 
@@ -172,11 +172,11 @@ class TestMutualInformation:
     """Plug-in MI from counts and against the label."""
 
     def test_independent_table_zero(self):
-        assert mutual_info_from_counts(np.array([[2, 2], [2, 2]])) == 0.0
+        assert oracle_mi_from_counts(np.array([[2, 2], [2, 2]])) == 0.0
 
     def test_diagonal_table_log_k(self):
         table = np.diag([3, 3, 3])
-        np.testing.assert_allclose(mutual_info_from_counts(table),
+        np.testing.assert_allclose(oracle_mi_from_counts(table),
                                    math.log(3), rtol=1e-12)
 
     def test_matches_double_sum_oracle(self):
@@ -185,7 +185,7 @@ class TestMutualInformation:
             table = rng.integers(0, 6, size=(4, 3))
             if table.sum() == 0:
                 continue
-            np.testing.assert_allclose(mutual_info_from_counts(table),
+            np.testing.assert_allclose(oracle_mi_from_counts(table),
                                        plugin_mi_oracle(table), atol=1e-12)
 
     def test_label_mi_determined_label(self):
@@ -274,7 +274,7 @@ class TestMutualInfoStack:
             got = _mutual_info_stack(stack)
             assert got.shape == (30,)
             for i, table in enumerate(stack):
-                assert got[i] == mutual_info_from_counts(table), (ka, kb, i)
+                assert got[i] == oracle_mi_from_counts(table), (ka, kb, i)
 
     def test_more_than_128_nonzero_cells(self):
         # 10 codes x 15 classes, most cells filled: NumPy splits sums of
@@ -286,7 +286,7 @@ class TestMutualInfoStack:
         assert sizes.min() < 128 < sizes.max()
         got = _mutual_info_stack(stack)
         for i, table in enumerate(stack):
-            assert got[i] == mutual_info_from_counts(table), sizes[i]
+            assert got[i] == oracle_mi_from_counts(table), sizes[i]
 
 
 class TestFValue:
@@ -469,17 +469,31 @@ class TestRelevanceAll:
         assert_matches_per_column_oracles(sub)
 
     def test_noncontiguous_column_subset(self):
-        # As KGroups scores a bin's tied columns: a dataset of some columns.
+        # As KGroups scores a round's tied columns: a dataset of some columns.
+        # In the mixed matrix they hold different code counts (constant,
+        # two-valued, few-valued and continuous), as tied columns of
+        # different bins may, and each still scores as in the whole matrix.
         rng = np.random.default_rng(35)
         d = random_dataset(rng, 50, 30, n_classes=3)
-        cols = np.array([28, 1, 4, 17, 9])
-        sub = dataclasses.replace(
-            d, features=d.features[:, cols], feature_names=[f"f{i}" for i in cols]
-        )
-        assert_matches_per_column_oracles(sub)
-        for est in (MI, FVALUE, COSINE):
-            np.testing.assert_array_equal(relevance_all(sub, est).values,
-                                          relevance_all(d, est).values[cols])
+        x = np.array(d.features)
+        x[:, 4] = 2.0
+        x[:, 17] = x[:, 17] > 0
+        x[:, 9] = np.round(x[:, 9])
+        mixed = make_dataset(x, d.labels)
+        for data, cols in ((d, [28, 1, 4, 17, 9]), (mixed, [9, 28, 4, 1, 17, 22])):
+            cols = np.array(cols)
+            sub = dataclasses.replace(
+                data, features=data.features[:, cols], feature_names=[f"f{i}" for i in cols]
+            )
+            for mi_bins in (3, DEFAULT_MI_BINS, 16):
+                assert_matches_per_column_oracles(sub, mi_bins)
+                np.testing.assert_array_equal(relevance_all(sub, MI, mi_bins=mi_bins).values,
+                                              relevance_all(data, MI, mi_bins=mi_bins).values[cols])
+            for est in (FVALUE, COSINE):
+                np.testing.assert_array_equal(relevance_all(sub, est).values,
+                                              relevance_all(data, est).values[cols])
+        for mi_bins in (3, 16):  # the mixed subset's tables take at least three shapes
+            assert np.unique(discretize_columns(sub.features, mi_bins).max(axis=1)).size >= 3
 
     def test_all_estimators_nonnegative(self):
         rng = np.random.default_rng(23)
@@ -598,7 +612,7 @@ class TestRedundancy:
                 table = np.zeros((codes[lo].max() + 1, codes[hi].max() + 1), dtype=np.int64)
                 np.add.at(table, (codes[lo], codes[hi]), 1)
                 sizes.append(np.count_nonzero(table))
-                assert value == mutual_info_from_counts(table), (newest, c)
+                assert value == oracle_mi_from_counts(table), (newest, c)
             assert min(sizes) <= 128 < max(sizes)
 
     @pytest.mark.parametrize("bins", [20, 256, 300])

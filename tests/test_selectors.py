@@ -8,6 +8,7 @@ import pytest
 from conftest import count_discretizations, make_dataset, random_dataset
 from ffsel import (
     MRMR_VARIANTS,
+    ForestParams,
     RelevanceVector,
     SelectionResult,
     compute_bins,
@@ -16,7 +17,8 @@ from ffsel import (
     select_kgroups,
     select_mrmr,
 )
-from ffsel.relevance import ABS_PEARSON, COSINE, DEFAULT_MI_BINS, FVALUE, MI, MI_PAIR
+from ffsel import selectors
+from ffsel.relevance import ABS_PEARSON, COSINE, DEFAULT_MI_BINS, FVALUE, GINI, MI, MI_PAIR
 from ffsel.selectors import DIFFERENCE, KBEST, KGROUPS, MRMR_D, MRMR_Q, QUOTIENT
 
 
@@ -385,6 +387,26 @@ class TestSelectKGroups:
         d = random_dataset(np.random.default_rng(61), 10, 3)
         with pytest.raises(ValueError, match="relevance length 4 does not match dataset with 3 features"):
             select_kgroups(d, rel_vec([0.1, 0.5, 0.9, 0.2]), 2, 1.0)
+
+    def test_one_tie_breaker_call_per_round(self, monkeypatch):
+        # Three relevance levels, each held by a pair of identical columns:
+        # three bins tie, and COSINE cannot split identical columns.
+        rng = np.random.default_rng(62)
+        d = make_dataset(np.repeat(rng.normal(size=(20, 3)), 2, axis=1), [0] * 10 + [1] * 10)
+        values = rel_vec([0.9, 0.9, 0.5, 0.5, 0.1, 0.1])
+        _, bins = compute_bins(values, 3, 1.0)
+        assert bins.tolist() == [2, 2, 1, 1, 0, 0]
+        calls = []
+
+        def counted(data, estimator, **kwargs):
+            calls.append((estimator, data.n_cols))
+            return relevance_all(data, estimator, **kwargs)
+
+        monkeypatch.setattr(selectors, "relevance_all", counted)
+        forest = ForestParams(n_trees=5, seed=0)
+        r = select_kgroups(d, values, 3, 1.0, (COSINE, GINI), forest=forest)
+        assert calls == [(COSINE, 6), (GINI, 6)]  # all six tied columns, then one fit
+        assert sorted(bins[list(r.selected)].tolist()) == [0, 1, 2]
 
 
 class TestVariantNames:
