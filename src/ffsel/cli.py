@@ -92,6 +92,8 @@ def _write_csv(rows: list[dict], columns: tuple[str, ...], path: Path) -> None:
 def _relevance(args, estimator: str):
     """Load, scale and time one relevance estimation: (dataset, forest, relevance, CPU s)."""
     forest = ForestParams(n_trees=args.trees, seed=args.seed)
+    if args.mi_bins < 1:
+        raise _UsageError(f"--mi-bins must be >= 1, got {args.mi_bins}")
     d = load_csv(args.data, label_column=args.label_column)
     if not args.no_scale:
         d = standard_scale(d)

@@ -61,12 +61,9 @@ def cross_validate(
     equal to a lone `knn_classify` or `gaussian_nb_classify` per fold bit
     for bit.  The folds' random forests grow in one lockstep fit
     (`fit_forests`), each fold with its own trees, equal to a lone fit on
-    its training rows; folds of one row count share each tree's
-    ``rng.choice`` generator.  An RF cross-validation on at most 3 columns
-    (one candidate per node) replays its draws from raw PCG64 words.  The first such one per (seed, trees, outputs per tree) in
-    a process pays 1–3 ms to build the forest's shared table of those
-    words; later ones read it.  Selection costs never read it: the GINI
-    estimator fits through `RandomForest.fit`, which builds its own words.
+    its training rows.  Every RF cross-validation after the first per
+    (seed, trees) in a process reads warm shared PCG64 streams; the GINI
+    estimator's `RandomForest.fit` builds its own.
     """
     subsets = list(selected)
     if subsets and np.ndim(subsets[0]) > 0:

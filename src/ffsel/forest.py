@@ -8,11 +8,13 @@ fixed seed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["ForestParams", "RandomForest", "fit_forests"]
 
@@ -181,90 +183,116 @@ def _checked(X, y, n_classes):
     return X, y
 
 
-def _tree_draws(seed, n_rows, n_cols):
-    """A tree's generator, bootstrap sample and, with one candidate per
-    node, its candidate draws (else None), drawn up front."""
-    rng = np.random.default_rng(seed)
-    sample = rng.integers(0, n_rows, size=n_rows)
-    draws = None
-    if _max_features(n_cols) == 1:
-        # Equals one rng.choice(n_cols, size=1, replace=False) per
-        # searched node; a tree on n rows has at most 2n - 1 nodes.
-        draws = rng.integers(0, n_cols, size=2 * n_rows - 1)
-    return rng, sample, draws
-
-
 def _bounded(words, n):
-    """``Generator.integers(0, n)`` of each 32-bit word in ``words`` (uint64)
-    by Lemire's method, and whether NumPy rejects the word and draws again."""
-    m = words * np.uint64(n)
+    """NumPy's ``integers(0, n)`` of each 32-bit word in ``words`` by Lemire's method, and whether
+    NumPy rejects the word and reads the next; ``n`` is a bound or bounds broadcast against ``words``."""
+    m = words.astype(np.uint64) * np.asarray(n, dtype=np.uint64)
     return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - n) % n
 
 
-def _words(seed, n_trees, n_raw):
-    """The first ``n_raw`` 64-bit outputs of each of ``n_trees`` PCG64
-    streams spawned from ``seed``, as (trees x 2 * n_raw) read-only uint64
-    32-bit words: the low, then the high half of each output."""
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    raw = np.array([np.random.PCG64(s).random_raw(n_raw) for s in seeds])
-    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(n_trees, -1)
-    words.flags.writeable = False
-    return words
+class _Streams:
+    """Tree t's PCG64 stream (spawned seed t of ``seed``) as the 32-bit words
+    NumPy's draws read, the low then the high half of each output, in
+    a read-only (trees x words) table that at least doubles when a read passes it."""
+
+    def __init__(self, seed, n_trees):
+        self._pcg64 = [np.random.PCG64(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+        self.table = np.zeros((n_trees, 0), dtype=np.uint32)
+        self._samples, self._drawing = {}, threading.Lock()  # shared streams may be read from several threads
+
+    def bootstrap(self, n):
+        """Each stream's first draw, ``integers(0, n, size=n)``, and the word after it; kept per ``n``."""
+        if n not in self._samples:
+            trees = np.arange(len(self.table))
+            self._samples[n] = _integers(self, trees, 0 * trees, np.full(n, n, dtype=np.uint64))
+        return self._samples[n]
+
+    def words(self, trees, starts, count):
+        """Words ``[starts[i], starts[i] + count)`` of stream ``trees[i]``, as rows (table windows)."""
+        with self._drawing:
+            have, need = self.table.shape[1], int(starts.max()) + count
+            if need > have:
+                raw = np.array([g.random_raw((max(need, 2 * have) - have + 1) // 2) for g in self._pcg64])
+                self.table = np.concatenate([self.table, raw.astype("<u8", copy=False).view("<u4")], axis=1)
+                self.table.flags.writeable = False
+            shape, strides = (len(self.table), self.table.shape[1] - count + 1, count), self.table.strides
+            return as_strided(self.table, shape, strides + strides[1:], writeable=False)[trees, starts]
 
 
-# The words `fit_forests` reads, kept per (seed, trees, outputs per tree)
-# for the process.  Only growths with one candidate per node read them,
-# which is every growth on at most 3 columns.  A sweep's cross-validation
-# forests share the seed, the tree count and the folds' row counts, so
-# only the first such growth builds its streams.  `RandomForest.fit`
-# builds its own words, so the GINI relevance fit inside a recorded
-# selection cost reads no table another cell warmed.
-_shared_words = lru_cache(maxsize=8)(_words)
+# The streams `fit_forests` reads, kept per (seed, trees) for the process (`RandomForest.fit` builds its own).
+_shared_streams = lru_cache(maxsize=8)(_Streams)
 
 
-def _replayed(seed, n_trees, row_counts, n_cols, words_of):
-    """Every tree's `_tree_draws` sample and one-candidate draws for each
-    row count, for a growth on at most 3 columns, where no generator is
-    read after them.
-
-    ``integers(0, n)`` maps 32-bit words by `_bounded`, and PCG64 gives them
-    as the low, then the high half of each 64-bit output, keeping a high half
-    for the next call.  So one stream of words per tree, from
-    ``words_of(seed, n_trees, n_raw)`` (`_words` or its shared table), serves
-    every row count n: the sample takes words ``[0, n)`` (none when n is 1,
-    which needs no word), the draws the next ``2 * longest - 1`` for the
-    largest row count ``longest``.  On one column every draw is 0, and no
-    word is rejected for it.  A tree with a rejected word among them (chance
-    below bound / 2**32 per word) takes `_tree_draws` on its spawned seed.
-
-    Returns per row count a (trees x n) sample array and a (trees x 2 *
-    longest - 1) draw array; a tree on n rows reads only its first 2n - 1
-    draws.
-    """
-    longest = max(row_counts)
-    width = 2 * longest - 1
-    words = words_of(seed, n_trees, (longest + width + 1) // 2)
-    replayed = {}
-    for n in row_counts:
-        sample, bad = _bounded(words[:, :n], n)
-        start = n if n > 1 else 0
-        draws, bad_draw = _bounded(words[:, start : start + width], n_cols)
-        for t in np.flatnonzero(bad.any(axis=1) | bad_draw.any(axis=1)).tolist():
-            # Spawned seed t of ``seed``, built alone.
-            tree_seed = np.random.SeedSequence(seed, spawn_key=(t,))
-            _, sample[t], d = _tree_draws(tree_seed, n, n_cols)
-            draws[t, : len(d)] = d
-        replayed[n] = sample, draws
-    return replayed
+def _integers(streams, trees, starts, bounds):
+    """NumPy's ``integers(0, b)`` for each bound b of ``bounds`` in turn, on
+    stream ``trees[i]`` from word ``starts[i]``, as rows, and each stream's
+    next word.  A draw maps one word by `_bounded`, skipping rejected words
+    as NumPy does; bounds of 1 (all or none) read no word."""
+    if bounds[0] == 1:
+        return np.zeros((len(trees), len(bounds)), dtype=np.int64), starts
+    drawn, rejected = _bounded(streams.words(trees, starts, len(bounds)), bounds)
+    ends = starts + len(bounds)
+    for i in np.flatnonzero(rejected.any(axis=1)).tolist():
+        ok, row = int(rejected[i].argmax()), slice(i, i + 1)  # draws before the rejected word stand
+        drawn[i, ok:], ends[row] = _integers(streams, trees[row], starts[row] + ok + 1, bounds[ok:])
+    return drawn, ends
 
 
-def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
+def _choices(streams, trees, starts, n, m, steps):
+    """``steps`` successive NumPy ``choice(n, size=m, replace=False)`` calls on stream ``trees[i]``
+    from word ``starts[i]``, as (streams x steps x m) picks, and each stream's next word.  As in
+    NumPy (unless n > 10,000 and m > n // 50, which `_max_features` never gives), Floyd's algorithm
+    draws on [0, j] for j = n - m ... n - 1, keeping the draw or, when an earlier pick equals it, j;
+    then for i = m - 1 ... 1 pick i swaps with the pick at a draw on [0, i], each loop step for
+    every node at once."""
+    bounds = np.concatenate([np.arange(n - m, n) + 1, np.arange(m, 1, -1)]).astype(np.uint64)
+    draws, ends = _integers(streams, trees, starts, np.tile(bounds, steps))
+    draws = draws.reshape(-1, len(bounds))
+    if m == 1:  # one Floyd draw, no collision and no shuffle
+        return draws.reshape(len(trees), steps, 1), ends
+    picks = np.ascontiguousarray(draws[:, :m].T)  # pick i of every node is row i
+    for i in range(1, m):
+        picks[i][(picks[:i] == picks[i]).any(axis=0)] = n - m + i
+    flat = picks.reshape(-1)
+    for i, at in zip(range(m - 1, 0, -1), draws[:, m:].T * len(draws) + np.arange(len(draws))):
+        picks[i], flat[at] = flat[at], picks[i].copy()  # at: each node's swap partner in ``flat``
+    return picks.T.reshape(len(trees), steps, m), ends
+
+
+_DRAWS = 2**15  # about the most words one refill of node candidates draws
+_NODES = 2**13  # about the searches a first refill draws for, if _DRAWS allows
+
+
+def _node_draws(streams, trees, starts, n_cols, n_rows):
+    """The `_lockstep` hook: ``draw(t, step)`` gives each tree i in ``t`` the
+    step-th `_choices` call of stream ``trees[i]`` from word ``starts[i]``.
+    Trees on one stream from one word draw alike, so a refill draws once per
+    such pair still searching: the steps of ``_NODES`` searches at the first
+    refill, then as many as have passed (so the table at most doubles), but
+    no more than its pairs fit in ``_DRAWS`` words or can search (2n - 1
+    nodes on n rows)."""
+    m, stride = _max_features(n_cols), int(starts.max()) + 1
+    pairs = np.flatnonzero(np.bincount(key := trees * stride + starts))  # distinct (stream, word) keys
+    stream, at, pair = *np.divmod(pairs, stride), np.searchsorted(pairs, key)
+    least, batch = max(1, _NODES // len(pairs)), {"end": 0}
+
+    def draw(t, step):
+        if step >= batch["end"]:
+            used = np.flatnonzero(np.bincount(pair[t]))
+            most = max(1, _DRAWS // (len(used) * (2 * m - 1)))  # steps whose words fit in _DRAWS
+            steps = min(step or least, most, 2 * int(n_rows[t].max()) - 1 - step)
+            picks, at[used] = _choices(streams, stream[used], at[used], n_cols, m, steps)
+            batch.update(start=step, end=step + steps, picks=picks, row=np.searchsorted(used, pair))
+        return batch["picks"][batch["row"][t], step - batch["start"]]
+
+    return draw
+
+
+def _lockstep(X, y, n_classes, order, draw, n_rows):
     """Grow one tree per entry of ``n_rows`` on the row space ``X``, ``y``.
     Tree t's sample is the t-th segment of the row order ``order``, of
-    ``n_rows[t]`` rows.  Each node scores ``max_features`` candidates.  With
-    one, ``draws`` holds each tree's one-candidate draws as rows of an
-    array; with more, (generators, each tree's generator id), from which
-    nodes draw by ``rng.choice``.
+    ``n_rows[t]`` rows.  ``draw(t, step)``, a `_node_draws` hook, gives the
+    candidate columns of the nodes trees ``t`` search at ``step``.
 
     The trees share array state.  A node is a ``[lo, hi)`` slice of
     ``order``: a search writes the node's rows back sorted by its winning
@@ -274,17 +302,15 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
     then right, so the right pops first.
 
     Each step pops every tree's top entry and scores all popped nodes in a
-    few chunked split searches, so tree t's s-th search is at step s and,
-    with one candidate per node, takes its draw s.  A tree searches at every
-    step until its stack empties, so trees on one generator take its s-th
-    ``rng.choice`` at step s: one call per step serves them all.
+    few chunked split searches.  A tree searches at every step until its
+    stack empties, so tree t's s-th search is at step s.
 
     Returns each tree's split count and root leaf class, and the split
     records (tree, node, feature, threshold, left child, importance term,
     left and right leaf class) stably sorted by tree, into (tree, DFS)
     order.  A tree's i-th split makes its local children 2i + 1 and 2i + 2.
     """
-    n_trees, n_cols = len(n_rows), X.shape[1]
+    n_trees = len(n_rows)
     onehot = (y[:, None] == np.arange(n_classes)).astype(np.float64)
     lo = np.cumsum(n_rows) - n_rows
     flat = np.repeat(np.arange(n_trees), n_rows) * n_classes + y[order]
@@ -304,15 +330,7 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
         top[t] -= 1
         entry, node_gini = stack[t, top[t]], stack_gini[t, top[t]]
         node, lo, hi, counts = entry[:, 0], entry[:, 1], entry[:, 2], entry[:, 3:]
-        if max_features == 1:
-            candidates = draws[t, step, None]
-        else:
-            rngs, rng_of = draws
-            # A lone block's trees each have their own generator.
-            shared = len(rngs) < len(rng_of)
-            used, at = np.unique(rng_of[t], return_inverse=True) if shared else (t, slice(None))
-            drawn = [rngs[i].choice(n_cols, size=max_features, replace=False) for i in used.tolist()]
-            candidates = np.array(drawn)[at]
+        candidates = draw(t, step)
         step += 1
         sizes = hi - lo
         gain, split = np.empty(len(t)), np.empty(len(t))
@@ -321,7 +339,7 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
         by_size = np.argsort(-sizes, kind="stable")
         start = 0
         while start < len(t):
-            k = by_size[start : start + max(1, _CELLS // (int(sizes[by_size[start]]) * max_features))]
+            k = by_size[start : start + max(1, _CELLS // (int(sizes[by_size[start]]) * candidates.shape[1]))]
             at = lo[k] + np.arange(sizes[k[0]])[:, None]
             inside = at < hi[k]
             at = np.where(inside, at, lo[k])  # padding repeats a node's first row
@@ -353,19 +371,16 @@ def _lockstep(X, y, n_classes, max_features, order, draws, n_rows):
     return n_splits, root_class, [f[by_tree] for f in fields]
 
 
-def _grow(forests, blocks, words_of):
+def _grow(forests, blocks, streams):
     """Grow ``forests[b]`` on training block ``blocks[b]``, all in lockstep.
 
     The forests share one ``ForestParams`` and ``n_classes``.  Blocks with
     one column count grow together in one `_lockstep` growth: their rows
     are stacked into one row space and each tree's sample indices are
-    offset into it.  Tree t of every block draws from spawned seed t and
-    keeps its own stack, and its draws are those of a lone fit, so it grows
-    exactly as it would alone.  On 4 columns or more nodes draw by
-    ``rng.choice``, and blocks of one row count share tree t's generator,
-    whose draws are the same for each; on at most 3, one `_replayed`
-    stream of words per seed, from ``words_of``, gives tree t's draws for
-    every block.
+    offset into it.  Tree t of every block reads stream t of ``streams``
+    (`_Streams` of the seed and tree count) for its bootstrap sample and
+    node candidates, as a lone fit does, and keeps its own stack, so it
+    grows exactly as it would alone.
 
     Each forest keeps its trees' root ids and one read-only node table of
     the `_Tree` fields over all its trees.  Importances add each split's
@@ -378,27 +393,15 @@ def _grow(forests, blocks, words_of):
         # A lone block is its own row space; stacking would only copy it.
         X = np.concatenate([blocks[b][0] for b in group]) if len(group) > 1 else blocks[group[0]][0]
         y = np.concatenate([blocks[b][1] for b in group])
-        max_features = _max_features(n_cols)
         row_counts = [len(blocks[b][1]) for b in group]
-        if max_features > 1:
-            # rng.choice reads each tree's generator again at every node.
-            # Blocks of one row count draw alike, so they share generators.
-            seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-            distinct = list(dict.fromkeys(row_counts))
-            trees = [[_tree_draws(seed, n, n_cols) for seed in seeds] for n in distinct]
-            of_block = [distinct.index(n) for n in row_counts]
-            rng_of = np.concatenate([i * params.n_trees + np.arange(params.n_trees) for i in of_block])
-            draws = [rng for trees_of_n in trees for rng, _, _ in trees_of_n], rng_of
-            samples = [np.array([sample for _, sample, _ in trees[i]]) for i in of_block]
-        else:
-            replayed = _replayed(params.seed, params.n_trees, dict.fromkeys(row_counts), n_cols, words_of)
-            samples = [replayed[n][0] for n in row_counts]
-            draws = np.concatenate([replayed[n][1] for n in row_counts])
+        boot = {n: streams.bootstrap(n) for n in row_counts}
         # Block b's samples index its rows, offset into the stacked row space.
         offsets = np.cumsum(row_counts) - row_counts
-        order = np.concatenate([sample + offset for sample, offset in zip(samples, offsets)], axis=None)
+        order = np.concatenate([boot[n][0] + offset for n, offset in zip(row_counts, offsets)], axis=None)
         sizes = np.repeat(row_counts, params.n_trees)
-        n_splits, root_class, records = _lockstep(X, y, n_classes, max_features, order, draws, sizes)
+        starts = np.concatenate([boot[n][1] for n in row_counts])  # each tree's word after its sample
+        draw = _node_draws(streams, np.tile(np.arange(params.n_trees), len(group)), starts, n_cols, sizes)
+        n_splits, root_class, records = _lockstep(X, y, n_classes, order, draw, sizes)
         tree, node, feature, threshold, child, term, class_l, class_r = records
         n_nodes = 2 * n_splits + 1
         first = np.cumsum(n_nodes) - n_nodes  # each root's id in the group's table
@@ -431,14 +434,13 @@ def fit_forests(
 
     Each forest equals ``RandomForest(params, n_classes).fit(X, y)`` on its
     own block, trees and importances alike.  Blocks may differ in row and
-    column counts.  The replayed words come from `_shared_words`, so a
-    second growth with the same seed, tree count and row counts builds no
-    PCG64 stream.
+    column counts.  The words come from `_shared_streams`: a second growth
+    with the same seed and tree count builds no PCG64 stream.
     """
     if not blocks:
         raise ValueError("need at least one training block")
     forests = [RandomForest(params, n_classes) for _ in blocks]
-    _grow(forests, blocks, _shared_words)
+    _grow(forests, blocks, _shared_streams(params.seed, params.n_trees))
     return forests
 
 
@@ -453,9 +455,9 @@ class RandomForest:
         self._n_cols = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        """Grow all trees in lockstep: the one-block case of `fit_forests`,
-        with words built for this fit alone (see `_shared_words`)."""
-        _grow([self], [(X, y)], _words)
+        """Grow all trees in lockstep: the one-block case of `fit_forests`, with streams built for
+        this fit alone, so a GINI fit inside a recorded selection cost reads no words another cell drew."""
+        _grow([self], [(X, y)], _Streams(self.params.seed, self.params.n_trees))
         return self
 
     @property

@@ -43,14 +43,22 @@ def predict(name, train_x, train_y, test_x, *, n_classes, k_neighbors, forest):
     return lone[name]()
 
 
+def fixed_draws(candidates):
+    """A `forest._lockstep` hook giving tree t the candidate columns
+    ``candidates[t, s]`` at step s, from a (trees x steps x candidates) array."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    return lambda t, step: candidates[t, step]
+
+
 def grow_whole(x, y, n_classes, draws):
     """One tree grown by `forest._lockstep` on every row of ``x``, in row
     order, its s-th searched node scoring the one candidate column
-    ``draws[s]``: its split count, root class and split records."""
+    ``draws[s]`` (column 0 past the end): its split count, root class and
+    split records."""
     n = len(y)
     draws = np.array([list(draws) + [0] * (2 * n - 1 - len(draws))])
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
-    return ffsel.forest._lockstep(x, y, n_classes, 1, np.arange(n), draws, np.array([n]))
+    return ffsel.forest._lockstep(x, y, n_classes, np.arange(n), fixed_draws(draws[..., None]), np.array([n]))
 
 
 def random_dataset(rng, n_rows, n_cols, n_classes=2, name="rand"):

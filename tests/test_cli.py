@@ -121,6 +121,17 @@ class TestEstimate:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_mi_bins_below_one_exits_1_before_loading(self, tmp_path, capsys, bins):
+        # FVALUE never reads the bin count, so only the flag check refuses
+        # it; the CSV is absent, so loading it first would exit 2.
+        argv = ["estimate", "--data", str(tmp_path / "absent.csv"), "--estimator", "fvalue", "--mi-bins", bins]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"--mi-bins must be >= 1, got {bins}" in captured.err
+
     def test_label_col_int_cannot_read_exits_2(self, data_csv, capsys):
         code = main(["estimate", "--data", data_csv, "--estimator", "mi", "--label-col=--1"])
         err = capsys.readouterr().err
@@ -238,6 +249,17 @@ class TestSelect:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "--tie-breakers repeats 'MI'" in captured.err
+
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_mi_bins_below_one_exits_1_before_loading(self, tmp_path, capsys, bins):
+        # Only a relevance tie would send KGroups on FVALUE to the MI
+        # tie-breaker; the flag is refused before the absent CSV is read.
+        code = main(["select", "--data", str(tmp_path / "absent.csv"), "--algo", "kgroups",
+                     "--estimator", "fvalue", "--k", "3", "--mi-bins", bins])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"--mi-bins must be >= 1, got {bins}" in captured.err
 
     def test_infinite_alpha_exits_1(self, data_csv, capsys):
         code = main(["select", "--data", data_csv, "--algo", "kgroups",

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import ffsel
-from conftest import grow_whole, random_dataset, separable_dataset
+from conftest import fixed_draws, grow_whole, random_dataset, separable_dataset
 from ffsel import ForestParams, RandomForest
 from ffsel.forest import fit_forests
 from ffsel import forest as forest_module
@@ -182,26 +183,50 @@ class TestNumpyAssumptions:
                 per_node = [int(one.choice(n, size=1, replace=False)[0]) for _ in range(123)]
                 assert per_node == batched.integers(0, n, size=123).tolist(), (n, seed)
 
-    @pytest.mark.parametrize("n_cols", [1, 2, 3])
-    def test_replay_equals_default_rng_integers(self, monkeypatch, n_cols):
-        # One call replays every row count from each seed's one raw stream:
-        # odd row counts leave a high half buffered for the draws, and
-        # smaller row counts start their draws earlier in the stream.
-        def no_fallback(*args):
-            raise AssertionError("a word was rejected; pick seeds without one")
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_replay_equals_default_rng_integers(self, seed):
+        # Each tree's bootstrap integers(0, n, size=n), then 60 choice(k, m,
+        # replace=False) calls, replayed from its stream's words in two
+        # refills.  n = 1 reads no word and an odd n leaves a high half
+        # buffered.  Small k makes Floyd collisions common, and chains where
+        # a draw equals an earlier substituted j; k = 1 reads no word.
+        n_trees = 6
+        streams, trees = forest_module._Streams(seed, n_trees), np.arange(n_trees)
+        tree_seeds = np.random.SeedSequence(seed).spawn(n_trees)
+        for n in (1, 49, 50):
+            bounds = np.full(n, n, dtype=np.uint64)
+            sample, starts = forest_module._integers(streams, trees, np.zeros_like(trees), bounds)
+            for k, m in [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (9, 3), (10, 3), (16, 4), (49, 7), (2000, 44),
+                         (20000, 141)]:
+                first, middle = forest_module._choices(streams, trees, starts, k, m, 25)
+                rest, _ = forest_module._choices(streams, trees, middle, k, m, 35)
+                picks = np.concatenate([first, rest], axis=1)
+                assert picks.shape == (n_trees, 60, m)
+                for t, tree_seed in enumerate(tree_seeds):
+                    rng = np.random.default_rng(tree_seed)
+                    assert sample[t].tolist() == rng.integers(0, n, size=n).tolist(), (n, t)
+                    expected = [rng.choice(k, size=m, replace=False).tolist() for _ in range(60)]
+                    assert picks[t].tolist() == expected, (n, k, m, t)
 
-        monkeypatch.setattr(forest_module, "_tree_draws", no_fallback)
-        row_counts = (1, 3, 49, 50, 161, 203)
-        seeds = np.random.SeedSequence(17).spawn(20)
-        replayed = forest_module._replayed(17, len(seeds), row_counts, n_cols, forest_module._words)
-        for n in row_counts:
-            sample, draws = replayed[n]
-            assert draws.shape == (len(seeds), 2 * max(row_counts) - 1)
-            for t, seed in enumerate(seeds):
-                rng = np.random.default_rng(seed)
-                assert sample[t].tolist() == rng.integers(0, n, size=n).tolist(), (n, t)
-                expected = rng.integers(0, n_cols, size=2 * n - 1)
-                assert draws[t, : 2 * n - 1].tolist() == expected.tolist(), (n, t)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rejected_word_is_skipped(self, m):
+        # Near 3 * 2**30 NumPy rejects about a quarter of all words and reads
+        # the next for the same draw.  choice(n, 1) is integers(0, n), and
+        # choice(n, 2) adds a shuffle draw on [0, 1], which rejects none.
+        n, calls = 3 * 2**30, 200
+        streams, trees = forest_module._Streams(8, 4), np.arange(4)
+        picks, ends = forest_module._choices(streams, trees, np.zeros_like(trees), n, m, calls)
+        after, _ = forest_module._integers(streams, trees, ends, np.array([50], dtype=np.uint64))
+        unrejected = calls * (2 * m - 1)
+        assert (ends > unrejected + calls * m // 8).all(), ends  # the rejection path is exercised
+        for t, tree_seed in enumerate(np.random.SeedSequence(8).spawn(4)):
+            rng = np.random.default_rng(tree_seed)
+            if m == 1:
+                expected = rng.integers(0, n, size=(calls, 1)).tolist()
+            else:
+                expected = [rng.choice(n, size=m, replace=False).tolist() for _ in range(calls)]
+            assert picks[t].tolist() == expected, t
+            assert after[t].tolist() == rng.integers(0, 50, size=1).tolist(), t  # the next word is in step
 
     def test_bounded_accepts_what_integers_returns(self):
         # Near 3 * 2**30 NumPy rejects about a quarter of all words and
@@ -281,7 +306,7 @@ class TestNumpyAssumptions:
 def forest_case(case: int):
     """Seeded inputs: ties, a duplicated and a constant column, 2-12 classes,
     and 1-12 columns, so one candidate per node (at most 3 columns) or
-    several by ``rng.choice``."""
+    several."""
     rng = np.random.default_rng(4000 + case)
     n_rows = int(rng.integers(2, 121))
     n_cols = int(rng.integers(1, 13))
@@ -376,12 +401,13 @@ class TestTieOrder:
     rows inside each tree's segment of the row order moves no split."""
 
     @staticmethod
-    def draws(path, n_trees, n_cols, longest):
-        """Fresh draws for one growth on ``path``, as `_lockstep` takes them."""
-        if path == "one candidate":
-            return np.random.default_rng(13).integers(0, n_cols, size=(n_trees, 2 * longest - 1))
-        rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(13).spawn(n_trees)]
-        return rngs, np.arange(n_trees)
+    def draws(max_features, n_trees, n_cols, longest):
+        """Fresh draws of ``max_features`` candidates for one growth, as the
+        `_lockstep` hook gives them."""
+        rng = np.random.default_rng(13)
+        steps = [[rng.choice(n_cols, size=max_features, replace=False) for _ in range(2 * longest - 1)]
+                 for _ in range(n_trees)]
+        return fixed_draws(steps)
 
     @pytest.mark.parametrize("n_classes", [2, 5])
     @pytest.mark.parametrize("path, max_features", [("one candidate", 1), ("rng.choice", 3)])
@@ -408,8 +434,8 @@ class TestTieOrder:
         grown, searched = [], []
         for rows in (order, permuted):
             sorted_rows.clear()
-            draws = self.draws(path, len(n_rows), x.shape[1], int(n_rows.max()))
-            grown.append(forest_module._lockstep(x, y, n_classes, max_features, rows.copy(), draws, n_rows))
+            draws = self.draws(max_features, len(n_rows), x.shape[1], int(n_rows.max()))
+            grown.append(forest_module._lockstep(x, y, n_classes, rows.copy(), draws, n_rows))
             searched.append(list(sorted_rows))
         (n_splits, root_class, records), (n_splits_b, root_class_b, records_b) = grown
         assert n_splits.tolist() == n_splits_b.tolist()
@@ -433,10 +459,10 @@ class TestFitForests:
 
     @pytest.mark.parametrize("n_cols", [1, 3, 6])
     def test_each_block_equals_a_lone_fit(self, n_cols):
-        # 1: one column, every column a candidate; 3: up-front candidate
-        # draws; 6: rng.choice per node.  Five folds of 62 rows give
-        # training blocks of 49 and 50 rows; two more blocks have 23 rows,
-        # one of them 4 columns (rng.choice, in a growth of its own).
+        # 1: one column, every column a candidate; 3: one candidate per
+        # node; 6: two.  Five folds of 62 rows give training blocks of 49
+        # and 50 rows; two more blocks have 23 rows, one of them 4 columns
+        # (two candidates, in a growth of its own).
         rng = np.random.default_rng(4300)
         x = np.round(rng.normal(size=(62, 6)), 1)
         x[:, 5] = x[:, 4]
@@ -453,45 +479,6 @@ class TestFitForests:
                     assert a.tolist() == e.tolist(), (b, field)
             assert forest.feature_importances().tolist() == alone.feature_importances().tolist(), b
 
-    def test_blocks_of_one_row_count_share_generators(self, monkeypatch):
-        # With rng.choice per node, tree t of every block with n rows reads
-        # one generator, called once per step while any of them searches:
-        # as often as the longest of their lone fits calls its own.
-        tree_draws, made = forest_module._tree_draws, []
-
-        class Counted:
-            def __init__(self, rng):
-                self.rng, self.calls = rng, 0
-
-            def choice(self, *args, **kwargs):
-                self.calls += 1
-                return self.rng.choice(*args, **kwargs)
-
-        def counted(*args):
-            rng, sample, draws = tree_draws(*args)
-            made.append(Counted(rng))
-            return made[-1], sample, draws
-
-        monkeypatch.setattr(forest_module, "_tree_draws", counted)
-        blocks, _ = TestMixedRowCounts.blocks(5)  # 49, 49, 50, 50, 50 and 23 rows
-        params = ForestParams(n_trees=10, seed=11)  # two candidates per node
-        longest, alone = {}, []
-        for bx, by in blocks:
-            made.clear()
-            alone.append(RandomForest(params, n_classes=3).fit(bx, by))
-            for t, rng in enumerate(made):
-                longest[len(by), t] = max(longest.get((len(by), t), 0), rng.calls)
-        made.clear()
-        forests = fit_forests(params, 3, blocks)
-        row_counts = [49, 50, 23]
-        assert len(made) == len(row_counts) * params.n_trees
-        calls = {(row_counts[i // params.n_trees], i % params.n_trees): rng.calls for i, rng in enumerate(made)}
-        assert calls == longest
-        for b, (forest, lone) in enumerate(zip(forests, alone)):
-            for a, e in zip(forest._table, lone._table):
-                assert a.tobytes() == e.tobytes(), b
-            assert forest._raw_importances.tobytes() == lone._raw_importances.tobytes(), b
-
     def test_each_block_is_checked(self):
         good = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
@@ -501,8 +488,8 @@ class TestFitForests:
 
 
 class TestMixedRowCounts:
-    """One growth over blocks of several row counts, and a tree whose replayed
-    draws hit a rejected word, reproduce the oracle exactly."""
+    """One growth over blocks of several row counts reproduces the oracle
+    exactly."""
 
     @staticmethod
     def blocks(n_cols):
@@ -522,55 +509,32 @@ class TestMixedRowCounts:
             assert forest.predict(test_x).tolist() == pred.tolist(), b
             assert sum(len(t.feature) for t in forest.trees) == n_nodes, b
 
-    # 1: one column, every column a candidate; 2: up-front candidate
-    # draws; 5: rng.choice per node.
+    # 1: one column, every column a candidate; 2: one candidate per node;
+    # 5: two.
     @pytest.mark.parametrize("n_cols", [1, 2, 5])
     def test_each_block_equals_the_oracle(self, n_cols):
         self.assert_blocks_match_oracle(ForestParams(n_trees=10, seed=11), n_cols)
 
-    # Only growths on at most 3 columns replay words; rng.choice reads none.
-    @pytest.mark.parametrize("n_cols", [1, 2])
-    def test_rejected_word_falls_back_to_the_generator(self, monkeypatch, cold_words, n_cols):
-        # Tree 2's words read as rejected, and its replayed values are wrong
-        # as they would be after a rejection; its own generator must redraw.
-        bounded, tree_draws = forest_module._bounded, forest_module._tree_draws
-        fallbacks = []
-
-        def rejecting(words, n):
-            values, rejected = bounded(words, n)
-            values[2] = (values[2] + 1) % n
-            rejected[2] = True
-            return values, rejected
-
-        def counted(seed, n_rows, *rest):
-            fallbacks.append(n_rows)
-            return tree_draws(seed, n_rows, *rest)
-
-        monkeypatch.setattr(forest_module, "_bounded", rejecting)
-        monkeypatch.setattr(forest_module, "_tree_draws", counted)
-        self.assert_blocks_match_oracle(ForestParams(n_trees=6, seed=12), n_cols)
-        assert sorted(fallbacks) == [23, 49, 50], fallbacks
-
 
 @pytest.fixture
-def cold_words():
-    """The shared word table, empty before and after the test, so no test
-    reads a table another one built."""
-    forest_module._shared_words.cache_clear()
-    yield forest_module._shared_words
-    forest_module._shared_words.cache_clear()
+def cold_streams():
+    """The shared streams, empty before and after the test, so no test reads
+    words another one drew."""
+    forest_module._shared_streams.cache_clear()
+    yield forest_module._shared_streams
+    forest_module._shared_streams.cache_clear()
 
 
 class TestSharedWords:
-    """`fit_forests` builds each seed's replayed words once per process;
-    `RandomForest.fit` builds its own."""
+    """`fit_forests` builds each seed's PCG64 streams once per process and
+    reads again the words they gave; `RandomForest.fit` builds its own."""
 
     @staticmethod
     def two_column_blocks():
         # Five folds of 62 rows train on 49 or 50 rows: one candidate per node.
         return TestMixedRowCounts.blocks(2)[0][:5]
 
-    def test_second_growth_builds_no_stream(self, monkeypatch, cold_words):
+    def test_second_growth_builds_no_stream(self, monkeypatch, cold_streams):
         built = []
         pcg64 = np.random.PCG64
 
@@ -579,50 +543,83 @@ class TestSharedWords:
             return pcg64(*args)
 
         monkeypatch.setattr(np.random, "PCG64", counted)
-        blocks, test_x = TestMixedRowCounts.blocks(2)  # one candidate per node
         params = ForestParams(n_trees=10, seed=11)
-        first = fit_forests(params, 3, blocks)
+        two_columns, _ = TestMixedRowCounts.blocks(2)  # one candidate per node
+        five_columns, test_x = TestMixedRowCounts.blocks(5)  # two, read further into the streams
+        first = fit_forests(params, 3, two_columns)
         assert len(built) == params.n_trees
-        second = fit_forests(params, 3, blocks)
+        wider = fit_forests(params, 3, five_columns)
+        again = fit_forests(params, 3, two_columns)
         assert len(built) == params.n_trees
-        for b, (again, forest, (bx, by)) in enumerate(zip(second, first, blocks)):
-            for a, e in zip(again._table, forest._table):
-                assert a.tobytes() == e.tobytes(), b
-            assert again._raw_importances.tobytes() == forest._raw_importances.tobytes(), b
+        for b, (forest, (bx, by)) in enumerate(zip(wider, five_columns)):
             imp, pred, n_nodes = oracle_forest(bx, by, 3, params, test_x)
-            assert again.feature_importances().tolist() == imp.tolist(), b
-            assert again.predict(test_x).tolist() == pred.tolist(), b
-            assert sum(len(t.feature) for t in again.trees) == n_nodes, b
+            assert forest.feature_importances().tolist() == imp.tolist(), b
+            assert forest.predict(test_x).tolist() == pred.tolist(), b
+            assert sum(len(t.feature) for t in forest.trees) == n_nodes, b
+        for b, (forest, before) in enumerate(zip(again, first)):
+            for a, e in zip(forest._table, before._table):
+                assert a.tobytes() == e.tobytes(), b
+            assert forest._raw_importances.tobytes() == before._raw_importances.tobytes(), b
 
-    def test_lone_fit_reads_no_table(self, cold_words):
-        # The lone fit replays as many words per tree as the CV growth did
-        # (50 rows at most), so reading the table would be a hit.
+    def test_threads_growing_one_stream_draw_alike(self, cold_streams):
+        # Six threads start each growth together on a cold shared stream,
+        # with a short switch interval, so stream extensions interleave;
+        # every growth must still equal lone fits.
+        blocks, _ = TestMixedRowCounts.blocks(5)
+        seeds = range(20, 28)
+        alone = {s: [RandomForest(ForestParams(n_trees=10, seed=s), n_classes=3).fit(*b) for b in blocks] for s in seeds}
+        grown, start = [[] for _ in range(6)], threading.Barrier(6, timeout=60)
+
+        def grow(out):
+            for s in seeds:
+                start.wait()
+                out.append((s, fit_forests(ForestParams(n_trees=10, seed=s), 3, blocks)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=grow, args=(out,)) for out in grown]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(out) for out in grown] == [len(seeds)] * 6
+        for s, forests in (pair for out in grown for pair in out):
+            for b, (forest, lone) in enumerate(zip(forests, alone[s])):
+                assert forest._raw_importances.tobytes() == lone._raw_importances.tobytes(), (s, b)
+                for a, e in zip(forest._table, lone._table):
+                    assert a.tobytes() == e.tobytes(), (s, b)
+
+    def test_lone_fit_reads_no_table(self, cold_streams):
         blocks = self.two_column_blocks()
         params = ForestParams(n_trees=10, seed=11)
         fit_forests(params, 3, blocks)
-        filled = cold_words.cache_info()
+        filled = cold_streams.cache_info()
         assert filled.misses == 1
         x, y = blocks[2]
-        assert len(y) == 50
         RandomForest(params, n_classes=3).fit(x, y)
-        assert cold_words.cache_info() == filled
+        assert cold_streams.cache_info() == filled
         fit_forests(params, 3, [(x, y)])
-        assert cold_words.cache_info().hits == filled.hits + 1
+        assert cold_streams.cache_info().hits == filled.hits + 1
 
-    def test_tables_are_read_only_and_bounded(self, cold_words):
+    def test_tables_are_read_only_and_bounded(self, cold_streams):
         x, y = self.two_column_blocks()[2]
-        bound = cold_words.cache_parameters()["maxsize"]
+        bound = cold_streams.cache_parameters()["maxsize"]
         for seed in range(bound + 3):
             fit_forests(ForestParams(n_trees=4, seed=seed), 3, [(x, y)])
-            assert cold_words.cache_info().currsize <= bound, seed
-        assert cold_words.cache_info().currsize == bound
-        # 50 bootstrap words and 99 draws per tree: 75 raw outputs.
-        hits = cold_words.cache_info().hits
-        words = cold_words(bound + 2, 4, 75)
-        assert cold_words.cache_info().hits == hits + 1
-        assert words.shape == (4, 150) and not words.flags.writeable
+            assert cold_streams.cache_info().currsize <= bound, seed
+        assert cold_streams.cache_info().currsize == bound
+        hits = cold_streams.cache_info().hits
+        table = cold_streams(bound + 2, 4).table
+        assert cold_streams.cache_info().hits == hits + 1
+        # 50 bootstrap words and one per search, at most 99 searches a tree.
+        assert table.shape[0] == 4 and 50 < table.shape[1] <= 2 * (50 + 99)
+        assert table.dtype == np.uint32 and not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            words[0, 0] = 0
+            table[0, 0] = 0
 
 
 class TestTreesView:
@@ -693,7 +690,7 @@ class TestFitMemory:
     @pytest.mark.parametrize("n_cols", [12, 3])
     def test_peak_traced_memory_of_a_five_fold_lung_shaped_fit(self, n_cols):
         # The study's largest shape, 203 rows in 5 classes (ROADMAP item 7),
-        # on 12 selected columns (rng.choice) or 3 (one candidate per node):
+        # on 12 selected columns (three candidates per node) or 3 (one):
         # deep trees, whose stacks hold only the depth they reach.
         rng = np.random.default_rng(203)
         y = rng.permutation(np.repeat(np.arange(5), (139, 21, 20, 17, 6)))
@@ -719,7 +716,8 @@ from ffsel import forest as forest_module
 
 x = np.array([[1 + 2.0**-52], [1 + 2.0**-51], [2 + 2.0**-51]])
 y = np.array([0, 1, 1])
-n_splits, _, records = forest_module._lockstep(x, y, 2, 1, np.arange(3), np.zeros((1, 5), dtype=np.int64), np.array([3]))
+column_0 = lambda t, step: np.zeros((len(t), 1), dtype=np.int64)
+n_splits, _, records = forest_module._lockstep(x, y, 2, np.arange(3), column_0, np.array([3]))
 _, _, _, threshold, _, term, class_l, class_r = records
 print(json.dumps({
     "nodes": 2 * int(n_splits[0]) + 1,

@@ -13,8 +13,8 @@ library. The data are perfbench's planted synth at the seed
 - ``cv k=K planted`` / ``cv k=K noise``: ``fit_forests`` with default
   parameters on the 5 stratified folds' training blocks of the K columns of
   62x2000 with the largest / smallest class-mean gap, then each forest's
-  vote on its held-out fold, as RF cross-validation runs it, for K = 2, 10
-  and 50.
+  vote on its held-out fold, as RF cross-validation runs it, for K = 2, 3,
+  4, 10 and 50 (one candidate per node up to K = 3, two at K = 4).
 
 Each rep runs every case once per side, alternating which side goes first,
 and times each run in thread CPU. Every run's importances and predictions
@@ -73,7 +73,7 @@ def cv_case(x, y, folds):
     return run
 
 
-def cases(seed: int, gini_shapes=((62, 2000), (200, 5000)), cv_shape=(62, 2000), ks=(2, 10, 50)):
+def cases(seed: int, gini_shapes=((62, 2000), (200, 5000)), cv_shape=(62, 2000), ks=(2, 3, 4, 10, 50)):
     """The named cases at ``seed``, as (name, run) with ``run(forest_module)``
     returning the arrays both sides must agree on."""
     out = []
